@@ -215,58 +215,58 @@ def decay_eigenrates(r: DecayRates) -> tuple[complex, complex]:
     return (r.gamma_N + root, r.gamma_N - root)
 
 
-def _cosh_sinhc(kappa_sq: complex, t: float) -> tuple[complex, complex]:
-    """cosh(kappa t) and sinh(kappa t)/kappa for kappa = sqrt(kappa_sq)."""
-    kappa = complex(kappa_sq) ** 0.5
+def _closed_form(r: DecayRates, t, b: np.ndarray) -> np.ndarray:
+    """``exp(-G_N t) (cosh(kappa t) 1 + sinh(kappa t)/kappa b)`` with
+    ``kappa^2 = G_M^2 - (2 pi delta)^2``: one 2x2 map per entry of ``t``
+    (shape ``t.shape + (2, 2)``, a plain 2x2 array for scalar ``t``)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("propagation time must be nonnegative")
+    t = t[..., None, None]
+    kappa = complex(r.gamma_M**2 - (2.0 * math.pi * r.delta) ** 2) ** 0.5
     z = kappa * t
-    if abs(z) < 1e-6:
-        # Series keeps the kappa -> 0 limit exact to double precision.
-        return 1.0 + z * z / 2.0, t * (1.0 + z * z / 6.0)
-    return np.cosh(z), np.sinh(z) / kappa
+    # The series keeps the kappa -> 0 limit exact to double precision; at
+    # kappa = 0 every sample takes it, so the division never sees zero.
+    small = np.abs(z) < 1e-6
+    ch = np.where(small, 1.0 + z * z / 2.0, np.cosh(z))
+    shc = np.where(small, t * (1.0 + z * z / 6.0), np.sinh(z) / (kappa or 1.0))
+    return np.exp(-r.gamma_N * t) * (ch * np.eye(2) + shc * b)
 
 
-def polarization_propagator(r: DecayRates, t: float) -> np.ndarray:
+def polarization_propagator(r: DecayRates, t) -> np.ndarray:
     """Closed-form propagator of the polarizations (sigma+~, sigma-~).
 
     Matrix exponential of ``[[-G_N - i D, G_M], [G_M, -G_N + i D]] * t`` with
     ``D = 2 pi delta`` (squeezing phase absorbed into the frame, so G_M is
     real).  Exact for this linear system.  In the Bloch convention of this
     package (ground state at <sz> = +1) the polarizations correspond to
-    ``sigma+~ = (sx~ - i sy~)/2`` and its conjugate.
+    ``sigma+~ = (sx~ - i sy~)/2`` and its conjugate.  An array ``t`` gives a
+    stack of propagators.
     """
-    if t < 0.0:
-        raise ValueError("propagation time must be nonnegative")
     delta_rad = 2.0 * math.pi * r.delta
-    ch, shc = _cosh_sinhc(r.gamma_M**2 - delta_rad**2, t)
-    b = np.array(
-        [[-1j * delta_rad, r.gamma_M], [r.gamma_M, 1j * delta_rad]], dtype=complex
-    )
-    return math.exp(-r.gamma_N * t) * (ch * np.eye(2) + shc * b)
+    b = np.array([[-1j * delta_rad, r.gamma_M], [r.gamma_M, 1j * delta_rad]])
+    return _closed_form(r, t, b)
 
 
-def transverse_propagator_xy(r: DecayRates, t: float) -> np.ndarray:
+def transverse_propagator_xy(r: DecayRates, t) -> np.ndarray:
     """Real map of (sx~, sy~) in the frame co-rotating with the squeezer.
 
     Derived from the same closed form as :func:`polarization_propagator`;
     at delta = 0 it is diag(exp(-t/Tx), exp(-t/Ty)).  Lab-frame components
     are recovered by rotating the output by ``-2 pi delta t`` about z (see
-    :func:`frame_rotation`).
+    :func:`frame_rotation`).  An array ``t`` gives a stack of maps.
     """
-    if t < 0.0:
-        raise ValueError("propagation time must be nonnegative")
     delta_rad = 2.0 * math.pi * r.delta
-    ch, shc = _cosh_sinhc(r.gamma_M**2 - delta_rad**2, t)
     c = np.array([[r.gamma_M, -delta_rad], [delta_rad, -r.gamma_M]])
-    out = math.exp(-r.gamma_N * t) * (ch * np.eye(2) + shc * c)
-    return out.real
+    return _closed_form(r, t, c).real
 
 
-def frame_rotation(r: DecayRates, t: float) -> np.ndarray:
-    """Rotation taking co-rotating-frame (sx~, sy~) to lab components at ``t``."""
-    ang = -2.0 * math.pi * r.delta * t
-    return np.array(
-        [[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]]
-    )
+def frame_rotation(r: DecayRates, t) -> np.ndarray:
+    """Rotation taking co-rotating-frame (sx~, sy~) to lab components at
+    ``t``; an array ``t`` gives a stack of rotations."""
+    ang = -2.0 * math.pi * r.delta * np.asarray(t, dtype=float)
+    c, s = np.cos(ang), np.sin(ang)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def steady_state(r: DecayRates, drive: np.ndarray | None = None) -> BlochState:

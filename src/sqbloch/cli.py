@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, blochdyn, estimation, polariton, protocols, reservoir
+from . import acceptance, estimation, polariton, protocols, reservoir
 from .blochdyn import DecayRates
 from .errors import (
     ConvergenceError,
@@ -419,24 +419,9 @@ def _cmd_sweep_detuning(cfg: RunConfig, writer: _Writer) -> int:
             rates, cfg.delta_grid_mhz, phi, t, omega_mod=cfg.omega_mod_mhz
         )
         writer.csv(f"detuning_t{tag}.csv", protocols.detuning_sweep_to_csv(points))
-        traces = [
-            protocols.ramsey(
-                blochdyn.DecayRates(
-                    gamma=rates.gamma,
-                    gamma_phi=rates.gamma_phi,
-                    N=rates.N,
-                    M_abs=rates.M_abs,
-                    delta=float(d),
-                ),
-                phi,
-                cfg.omega_mod_mhz,
-                t,
-            )
-            for d in cfg.delta_grid_mhz
-        ]
         writer.csv(
             f"detuning_traces_{tag}.csv",
-            _trace_grid_csv(cfg.delta_grid_mhz, t, traces),
+            _trace_grid_csv(cfg.delta_grid_mhz, t, [p.trace for p in points]),
         )
         summary[tag] = {
             f"{p.delta:+.4g}": (p.T_eff if math.isfinite(p.T_eff) else None)

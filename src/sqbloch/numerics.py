@@ -329,8 +329,11 @@ def integrate_ode(
 class FitResult:
     """Outcome of a nonlinear least-squares minimization.
 
-    ``converged`` is True iff the infinity norm of the gradient of the
-    squared-residual objective is at or below the configured tolerance.
+    ``converged`` is True when the minimization stopped at a numerical
+    optimum: the infinity norm of the gradient of the squared-residual
+    objective fell to ``gtol * max(1, cost)``, a step fell below ``xtol``, or
+    no damping gave descent while that norm was at most
+    ``1e-6 * max(1, cost)``.  It is False only when ``max_iter`` ran out.
     ``covariance`` is the linearized parameter covariance at the optimum
     (``None`` when it cannot be formed).
     """
@@ -398,13 +401,14 @@ def fit_least_squares(
     cost = float(r @ r)
     lam = 1e-3
     iterations = 0
-    gnorm = np.inf
+    converged = False
     jac = _numeric_jacobian(model, t, p)
 
     for iterations in range(1, max_iter + 1):
         grad = 2.0 * (jac.T @ r)
         gnorm = float(np.abs(grad).max())
         if gnorm <= gtol * max(1.0, cost):
+            converged = True
             break
 
         jtj = jac.T @ jac
@@ -439,18 +443,16 @@ def fit_least_squares(
             # No descent at any damping: either we are at a (numerical)
             # optimum, or the Jacobian is genuinely degenerate.
             if gnorm <= 1e-6 * max(1.0, cost):
+                converged = True
                 break
             raise DegenerateFitError(
                 f"no descent direction found (gradient norm {gnorm:.3e})"
             )
-        if float(np.abs(delta).max()) <= xtol * (xtol + float(np.abs(p).max())):
-            jac = _numeric_jacobian(model, t, p)
-            grad = 2.0 * (jac.T @ r)
-            gnorm = float(np.abs(grad).max())
-            break
         jac = _numeric_jacobian(model, t, p)
+        if float(np.abs(delta).max()) <= xtol * (xtol + float(np.abs(p).max())):
+            converged = True
+            break
 
-    converged = gnorm <= gtol * max(1.0, cost)
     covariance = None
     dof = t.size - p.size
     if dof > 0:

@@ -8,16 +8,24 @@ A Ramsey run prepares |pi/2, phi> with a pi/2 pulse about the
 about an axis rotating at the modulation frequency, which yields fringes
 without detuning the pulses.
 
+The Ramsey fringe is evaluated in closed form over the whole time grid.  The
+first pulse leaves (sx, sy) = (sin phi, cos phi); free evolution maps it to
+``(x, y) = frame_rotation(r, t) @ transverse_propagator_xy(r, t) @ (sin phi,
+cos phi)``; the second pulse, at azimuth ``-pi/2 - theta`` with ``theta = 2 pi
+omega_mod t``, reads ``sz = cos(theta) x - sin(theta) y``.  :func:`run_sequence`
+stays the general pulse-by-pulse oracle it is checked against.
+
 Effective decay constants at finite squeezer detuning follow the measured
-procedure: the fringe signal and its quadrature partner are demodulated into
-the frame co-rotating with both the modulation and the squeezer, and the
-envelope magnitude is fit to a single exponential.
+procedure: the fringe signal and its quadrature partner (the second pulse's
+axis a quarter turn behind) are demodulated into the frame co-rotating with
+both the modulation and the squeezer, and the envelope magnitude is fit to a
+single exponential.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,11 +116,10 @@ class PulseSequence:
             raise ValueError(f"unknown measurement basis {self.measurement_basis!r}")
 
 
-def _sz_relax(sz: float, r: DecayRates, dt: float) -> float:
-    if r.rate_z == 0.0:
-        return sz
-    sz_ss = r.gamma / r.rate_z
-    return sz_ss + (sz - sz_ss) * math.exp(-r.rate_z * dt)
+def _sz_relax(sz: float, r: DecayRates, dt):
+    """<sz> after relaxing for ``dt`` (scalar or array)."""
+    sz_ss = r.gamma / r.rate_z if r.rate_z else sz
+    return sz_ss + (sz - sz_ss) * np.exp(-r.rate_z * np.asarray(dt))
 
 
 def _evolve_lab(s: BlochState, r: DecayRates, t0: float, t1: float) -> BlochState:
@@ -125,7 +132,7 @@ def _evolve_lab(s: BlochState, r: DecayRates, t0: float, t1: float) -> BlochStat
     xy = frame_rotation(r, t1) @ (
         transverse_propagator_xy(r, dt) @ (frame_rotation(r, -t0) @ np.array([s.sx, s.sy]))
     )
-    return BlochState(sx=float(xy[0]), sy=float(xy[1]), sz=_sz_relax(s.sz, r, dt))
+    return BlochState(sx=float(xy[0]), sy=float(xy[1]), sz=float(_sz_relax(s.sz, r, dt)))
 
 
 def _evolve_with_window(
@@ -186,16 +193,18 @@ class RamseyTrace:
         return "\n".join(lines) + "\n"
 
 
-def _ramsey_sequence(phi, omega_mod, t, squeezing_on, mod_offset=0.0):
-    theta_mod = 2.0 * math.pi * omega_mod * t + mod_offset
-    return PulseSequence(
-        pulses=(
-            Pulse(angle=0.5 * math.pi, azimuth=math.pi - phi, time=0.0),
-            Pulse(angle=0.5 * math.pi, azimuth=-0.5 * math.pi - theta_mod, time=t),
-        ),
-        squeezing_window=(0.0, t) if squeezing_on else None,
-        measurement_basis="z",
-    )
+def _fringe(r: DecayRates, phi: float, omega_mod: float, t: np.ndarray, squeezing_on: bool):
+    """Fringe and its quadrature partner as ``I + iQ = exp(i theta) (x + i y)``.
+
+    I is the fringe of the module docstring; Q is read with the second pulse's
+    axis a quarter turn behind, ``sin(theta) x + cos(theta) y``.  With
+    squeezing off, evolution uses N = M = 0 at the same gamma and gamma_phi.
+    """
+    if not squeezing_on:
+        r = replace(r, N=0.0, M_abs=0.0)
+    s0 = np.array([math.sin(phi), math.cos(phi)])
+    x, y = (frame_rotation(r, t) @ transverse_propagator_xy(r, t) @ s0).T
+    return np.exp(2j * math.pi * omega_mod * t) * (x + 1j * y)
 
 
 def ramsey(
@@ -204,26 +213,21 @@ def ramsey(
     omega_mod: float,
     t_samples,
     squeezing_on: bool = True,
-    _mod_offset: float = 0.0,
 ) -> RamseyTrace:
     """Angle-resolved Ramsey trace.
 
     ``omega_mod`` is the modulation frequency of the second pi/2 pulse in
     ordinary MHz.  With squeezing off, evolution uses N = M = 0 at the same
-    gamma and gamma_phi, giving a phase-uniform decay at T2*.
+    gamma and gamma_phi, giving a phase-uniform decay at T2*.  The fringe is
+    the closed form of the module docstring, evaluated over all samples at
+    once.
     """
     t_samples = np.asarray(t_samples, dtype=float)
-    sz = np.array(
-        [
-            run_sequence(_ramsey_sequence(phi, omega_mod, t, squeezing_on, _mod_offset), r)
-            for t in t_samples
-        ]
-    )
     return RamseyTrace(
         phi=phi,
         omega_mod=omega_mod,
         times=t_samples,
-        sz_values=sz,
+        sz_values=_fringe(r, phi, omega_mod, t_samples, squeezing_on).real,
         squeezing_on=squeezing_on,
     )
 
@@ -260,7 +264,9 @@ def tomography_trajectory(
     theta, phi = prep
     s0 = BlochState.from_angles(theta, phi)
     if drive is None:
-        states = tuple(_evolve_lab(s0, r, 0.0, t) for t in t_samples)
+        prop = frame_rotation(r, t_samples) @ transverse_propagator_xy(r, t_samples)
+        s = np.column_stack([prop @ s0.as_array()[:2], _sz_relax(s0.sz, r, t_samples)])
+        states = tuple(BlochState.from_array(row) for row in s)
     else:
         from .numerics import integrate_ode
 
@@ -277,22 +283,23 @@ def tomography_trajectory(
 
 @dataclass(frozen=True)
 class DetuningSweepPoint:
+    """One fitted detuning point and the in-phase Ramsey trace it was fit from."""
+
     delta: float
     T_eff: float
     converged: bool
     message: str = ""
+    trace: RamseyTrace | None = field(default=None, repr=False, compare=False)
 
 
 def _demodulated_envelope(r, phi, omega_mod, t_samples):
-    """|transverse coherence| in the frame rotating with modulation and
-    squeezer, reconstructed from the fringe and its quadrature partner."""
-    trace_i = ramsey(r, phi, omega_mod, t_samples, True)
-    trace_q = ramsey(r, phi, omega_mod, t_samples, True, _mod_offset=-0.5 * math.pi)
+    """In-phase Ramsey trace and |transverse coherence| in the frame rotating
+    with modulation and squeezer, reconstructed from the fringe and its
+    quadrature partner (both read from one evaluation of (sx, sy))."""
+    iq = _fringe(r, phi, omega_mod, t_samples, True)
     omega_rel = 2.0 * math.pi * (omega_mod - r.delta)  # rad/us, lab fringe rate
-    rotating = (trace_i.sz_values + 1j * trace_q.sz_values) * np.exp(
-        -1j * omega_rel * np.asarray(t_samples, dtype=float)
-    )
-    return np.abs(rotating)
+    trace = RamseyTrace(phi, omega_mod, t_samples, iq.real, squeezing_on=True)
+    return trace, np.abs(iq * np.exp(-1j * omega_rel * t_samples))
 
 
 def detuning_sweep(
@@ -307,26 +314,25 @@ def detuning_sweep(
     Each point simulates the modulated Ramsey trace, transforms into the
     co-rotating frame, and fits the envelope magnitude to a single
     exponential.  Fit failures are reported per point; the sweep continues.
+    Every point carries its in-phase trace, ``ramsey(r, phi, omega_mod,
+    t_samples)`` at that detuning, as ``trace``.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     points = []
     for delta in deltas:
         r = replace(r_base, delta=float(delta))
+        trace, env = _demodulated_envelope(r, phi, omega_mod, t_samples)
         try:
-            env = _demodulated_envelope(r, phi, omega_mod, t_samples)
             fit = fit_exp(t_samples, env)
-            if fit.no_decay:
-                points.append(
-                    DetuningSweepPoint(float(delta), math.inf, True, "no decay")
-                )
-            else:
-                points.append(
-                    DetuningSweepPoint(
-                        float(delta), fit.T, fit.converged, "" if fit.converged else "fit did not converge"
-                    )
-                )
         except DegenerateFitError as exc:
-            points.append(DetuningSweepPoint(float(delta), math.nan, False, str(exc)))
+            T_eff, converged, message = math.nan, False, str(exc)
+        else:
+            if fit.no_decay:
+                T_eff, converged, message = math.inf, True, "no decay"
+            else:
+                T_eff, converged = fit.T, fit.converged
+                message = "" if converged else "fit did not converge"
+        points.append(DetuningSweepPoint(float(delta), T_eff, converged, message, trace))
     return points
 
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from sqbloch.blochdyn import DecayRates
 from sqbloch.cli import ConfigError, load_config, main
+from sqbloch.protocols import ramsey
 
 FAST_CONF = """
 [system]
@@ -236,11 +238,25 @@ class TestMain:
     def test_byte_identical_reruns(self, fast_conf, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            assert main(["ramsey", "--config", fast_conf, "--out", str(out)]) == 0
-            assert main(["estimate", "--config", fast_conf, "--out", str(out)]) == 0
+            for cmd in ("ramsey", "estimate", "sweep-detuning"):
+                assert main([cmd, "--config", fast_conf, "--out", str(out)]) == 0
+        assert (out_a / "detuning_traces_x.csv").exists()
         for path_a in sorted(out_a.iterdir()):
             path_b = out_b / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
+
+        # Each trace-grid column is the Ramsey trace at that detuning.
+        cfg = load_config(fast_conf)
+        t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
+        lines = (out_a / "detuning_traces_x.csv").read_text().splitlines()
+        columns = list(zip(*(line.split(",") for line in lines[2:])))
+        assert len(columns) == 1 + len(cfg.delta_grid_mhz)
+        for column, delta in zip(columns[1:], cfg.delta_grid_mhz):
+            rates = DecayRates.from_times(
+                T1=cfg.t1_us, T_phi=cfg.t_phi_us, N=cfg.n, M=cfg.m, delta=delta
+            )
+            trace = ramsey(rates, 0.5 * math.pi, cfg.omega_mod_mhz, t)
+            assert list(column) == [f"{v:.9g}" for v in trace.sz_values]
 
     def test_format_override(self, fast_conf, tmp_path):
         out = tmp_path / "fmt"
