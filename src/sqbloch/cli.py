@@ -453,14 +453,24 @@ def _cmd_sweep_gain(cfg: RunConfig, writer: _Writer) -> int:
     return 0
 
 
-def _read_trace_csv(path: Path):
+def _read_trace_csv(key: str, path: Path):
+    """Two-column ``t_us,value`` trace named by ``[estimate] key``."""
+    where = f"[estimate] {key} = {str(path)!r}"
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError([f"{where}: {exc.strerror}"]) from None
     t, y = [], []
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.startswith("#") or line[0].isalpha():
             continue
-        a, b = line.split(",")[:2]
-        t.append(float(a))
-        y.append(float(b))
+        try:
+            a, b = line.split(",")[:2]
+            t.append(float(a))
+            y.append(float(b))
+        except ValueError:
+            msg = f"{where}: line {lineno} ({line!r}) is not a pair of numbers"
+            raise ConfigError([msg]) from None
     return np.asarray(t), np.asarray(y)
 
 
@@ -479,8 +489,8 @@ def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
     supplied = dict(cfg.trace_files)
     decays = None
     if "trace_x" in supplied and "trace_z" in supplied:
-        tx_t, tx_y = _read_trace_csv(Path(supplied["trace_x"]))
-        tz_t, tz_y = _read_trace_csv(Path(supplied["trace_z"]))
+        tx_t, tx_y = _read_trace_csv("trace_x", Path(supplied["trace_x"]))
+        tz_t, tz_y = _read_trace_csv("trace_z", Path(supplied["trace_z"]))
         tx_fit = estimation.fit_damped_sinusoid(tx_t, tx_y, cfg.omega_mod_mhz)
         tz_fit = estimation.fit_exp(tz_t, tz_y)
         source = "supplied"
@@ -601,10 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", default=None, choices=["csv", "json", "both"],
             help="override [output] formats",
-        )
-        p.add_argument(
-            "--seed", type=int, default=None,
-            help="reserved; current pipelines are deterministic and noise-free",
         )
     return parser
 

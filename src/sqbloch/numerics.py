@@ -3,15 +3,17 @@
 Dense complex matrices are plain ``numpy.ndarray`` in row-major order.  The
 three entry points are
 
-* :func:`eigh` -- Hermitian eigendecomposition by cyclic Jacobi rotations,
+* :func:`eigh` -- Hermitian eigendecomposition (LAPACK through numpy) with a
+  deterministic ordering and phase gauge,
 * :func:`integrate_ode` -- embedded Dormand-Prince 5(4) with PI step control
   and dense output,
 * :func:`fit_least_squares` -- damped Gauss-Newton (Levenberg-Marquardt style
   damping schedule).
 
-All routines are pure functions of their inputs and deterministic.  Time is
-measured in microseconds and rates in inverse microseconds throughout the
-package; nothing in this module depends on that convention.
+All routines are pure functions of their inputs; reruns on one numpy/BLAS
+build are byte-identical.  Time is measured in microseconds and rates in
+inverse microseconds throughout the package; nothing in this module depends
+on that convention.
 """
 
 from __future__ import annotations
@@ -52,106 +54,38 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Annihilate a[p, q] with a complex Givens rotation, updating in place."""
-    apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    phase = apq / r
-    tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    # Column update A <- A J with J = [[c, -s], [s*conj(phase), c*conj(phase)]]
-    # on the (p, q) plane, followed by the matching row update A <- J^H A.
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + s * np.conj(phase) * col_q
-    a[:, q] = -s * col_p + c * np.conj(phase) * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + s * phase * row_q
-    a[q, :] = -s * row_p + c * phase * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p + s * np.conj(phase) * vcol_q
-    v[:, q] = -s * vcol_p + c * np.conj(phase) * vcol_q
+_HERMITIAN_TOL = 1e-12  # relative to the largest entry
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def eigh(
-    h: np.ndarray,
-    *,
-    hermitian_tol: float = 1e-12,
-    max_sweeps: int = 60,
-) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eigh(h: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix (LAPACK via ``numpy.linalg.eigh``).
 
     Eigenvalues are returned ascending.  Within degenerate clusters, vectors
     are ordered by the row index of their largest-magnitude component (ties
     to the lower index), and each vector's phase is fixed so that component
     is real and positive.  The ordering and gauge make the output
-    deterministic across runs and platforms.
+    byte-identical across reruns on one numpy/BLAS build.
 
     Raises
     ------
     ValueError
-        If ``h`` is not square or not Hermitian to ``hermitian_tol``
-        (relative to the largest entry).
-    ConvergenceError
-        If the off-diagonal norm fails to vanish within ``max_sweeps``.
+        If ``h`` is not square, has a non-finite entry, or is not Hermitian
+        to 1e-12 relative to its largest entry.
+    numpy.linalg.LinAlgError
+        If LAPACK fails to converge.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if hermitian_defect(h) > hermitian_tol:
-        raise ValueError(
-            f"matrix is not Hermitian: relative defect {hermitian_defect(h):.3e}"
-        )
+    if not np.isfinite(h).all():
+        raise ValueError("matrix has non-finite entries")
+    defect = hermitian_defect(h)
+    if defect > _HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: relative defect {defect:.3e}")
 
     n = h.shape[0]
-    a = 0.5 * (h + h.conj().T)  # symmetrize away the sub-tolerance defect
-    v = np.eye(n, dtype=complex)
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    target = 1e-14 * scale
-
-    if n > 1:
-        converged = False
-        for _ in range(max_sweeps):
-            if _off_norm(a) <= target:
-                converged = True
-                break
-            # Small pivots are skipped; the threshold keeps sweeps productive
-            # without stalling on entries already at the target level.
-            thresh = max(_off_norm(a) / (n * n), target / n)
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    if abs(a[p, q]) >= thresh:
-                        _jacobi_rotate(a, v, p, q)
-        else:
-            converged = _off_norm(a) <= target
-        if not converged:
-            raise ConvergenceError(
-                f"Jacobi sweep limit {max_sweeps} reached; off-diagonal norm "
-                f"{_off_norm(a):.3e} > {target:.3e}"
-            )
-
-    eigenvalues = np.diag(a).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
+    # Symmetrize away the sub-tolerance defect; LAPACK returns ascending order.
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
 
     # Deterministic ordering inside degenerate clusters and phase gauge.
     cluster_tol = max(1e-9 * max(np.abs(eigenvalues).max(), 1.0), 1e-300)

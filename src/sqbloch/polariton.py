@@ -66,6 +66,10 @@ class TransmonCavityParams:
     def __post_init__(self):
         if min(self.n_transmon, self.n_photon, self.n_charge) < 3:
             raise ValueError("cutoffs must be at least 3")
+        for name in ("E_C", "E_J", "omega_c", "g"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} must be finite")
         if self.E_C <= 0.0 or self.E_J <= 0.0:
             raise ValueError("E_C and E_J must be positive")
         if 2 * self.n_charge + 1 < self.n_transmon:
@@ -185,8 +189,6 @@ def diagonalize_polaritons(
     quadrature ``a + a^dag`` expressed in the eigenbasis, keeping the upper
     triangle as the transition elements A_ij.
     """
-    if hermitian_defect(h) > 1e-12:
-        raise ValueError("Hamiltonian must be Hermitian")
     dec = eigh(h)
     energies = dec.eigenvalues - dec.eigenvalues[0]
     a = _fock_lowering(p.n_photon)

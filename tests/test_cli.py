@@ -61,6 +61,19 @@ t_max_us = 2.0
 """
 
 
+def _supplied_traces_conf(tmp_path, trace_x: str, trace_z: str) -> str:
+    """FAST_CONF plus an [estimate] section pointing at the two traces."""
+    (tmp_path / "x.csv").write_text(trace_x)
+    (tmp_path / "z.csv").write_text(trace_z)
+    conf = tmp_path / "c.conf"
+    conf.write_text(
+        FAST_CONF
+        + f"\n[estimate]\ntrace_x = {tmp_path / 'x.csv'}\n"
+        + f"trace_z = {tmp_path / 'z.csv'}\n"
+    )
+    return str(conf)
+
+
 @pytest.fixture
 def fast_conf(tmp_path):
     path = tmp_path / "fast.conf"
@@ -183,12 +196,6 @@ class TestMain:
         )
         assert set(decays["stderr_us"]) == {"Tx", "Ty", "Tz", "T2_star"}
 
-    def test_seed_flag_parses(self, fast_conf, tmp_path):
-        out = tmp_path / "seed"
-        assert main(
-            ["wigner", "--config", fast_conf, "--out", str(out), "--seed", "7"]
-        ) == 0
-
     def test_estimate_supplied_traces(self, tmp_path):
         t = np.linspace(0.0, 4.0, 160)
         w = 2.0 * math.pi * 5.0
@@ -199,16 +206,11 @@ class TestMain:
         trace_z = "\n".join(
             f"{tk:.9g},{0.3623 + 0.6377 * math.exp(-tk / 0.23551):.9g}" for tk in t
         )
-        (tmp_path / "x.csv").write_text("t_us,sz\n" + trace_x + "\n")
-        (tmp_path / "z.csv").write_text("t_us,sz\n" + trace_z + "\n")
-        conf = tmp_path / "c.conf"
-        conf.write_text(
-            FAST_CONF
-            + f"\n[estimate]\ntrace_x = {tmp_path / 'x.csv'}\n"
-            + f"trace_z = {tmp_path / 'z.csv'}\n"
+        conf = _supplied_traces_conf(
+            tmp_path, "t_us,sz\n" + trace_x + "\n", "t_us,sz\n" + trace_z + "\n"
         )
         out = tmp_path / "e"
-        assert main(["estimate", "--config", str(conf), "--out", str(out)]) == 0
+        assert main(["estimate", "--config", conf, "--out", str(out)]) == 0
         moments = json.loads((out / "moments.json").read_text())
         assert moments["source"] == "supplied"
         # Thermally corrected inversion of the measured-value traces.
@@ -223,24 +225,62 @@ class TestMain:
             f"{tk:.9g},{math.exp(-tk / 20.0) * math.sin(w * tk):.9g}" for tk in t
         )
         trace_z = "\n".join(f"{tk:.9g},{math.exp(-tk / 0.3):.9g}" for tk in t)
-        (tmp_path / "x.csv").write_text(trace_x + "\n")
-        (tmp_path / "z.csv").write_text(trace_z + "\n")
-        conf = tmp_path / "c.conf"
-        conf.write_text(
-            FAST_CONF
-            + f"\n[estimate]\ntrace_x = {tmp_path / 'x.csv'}\n"
-            + f"trace_z = {tmp_path / 'z.csv'}\n"
-        )
-        code = main(["estimate", "--config", str(conf), "--out", str(tmp_path / "o")])
+        conf = _supplied_traces_conf(tmp_path, trace_x + "\n", trace_z + "\n")
+        code = main(["estimate", "--config", conf, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "estimate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, content, expected",
+        [
+            ("trace_x", None, "No such file"),
+            ("trace_z", None, "No such file"),
+            ("trace_x", "t_us,sz\n0.0,1.0\n1,abc\n", "line 3 ('1,abc')"),
+            ("trace_z", "0.0,1.0\n0.5\n", "line 2 ('0.5')"),
+        ],
+    )
+    def test_bad_trace_file_exit_2(self, tmp_path, capsys, key, content, expected):
+        good = "\n".join(f"{0.02 * k:.9g},{math.exp(-0.02 * k):.9g}" for k in range(50))
+        conf = _supplied_traces_conf(tmp_path, good, good)
+        path = tmp_path / f"{key[-1]}.csv"
+        if content is None:
+            path.unlink()
+        else:
+            path.write_text(content)
+        code = main(["estimate", "--config", conf, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: [estimate] {key} = '{path}'" in err
+        assert expected in err
+
+    @pytest.mark.parametrize(
+        "line, bad_line, message",
+        [
+            ("e_c_ghz = 0.208", "e_c_ghz = nan", "E_C = nan must be finite"),
+            ("g_ghz = 0.126", "g_ghz = inf", "g = inf must be finite"),
+        ],
+    )
+    def test_non_finite_circuit_parameter_exit_2(
+        self, tmp_path, capsys, line, bad_line, message
+    ):
+        conf = tmp_path / "p.conf"
+        conf.write_text(POLARITON_CONF.replace(line, bad_line))
+        code = main(["polariton", "--config", str(conf), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: [polariton] invalid parameters: {message}" in err
+
     def test_byte_identical_reruns(self, fast_conf, tmp_path):
+        pol_conf = tmp_path / "p.conf"
+        pol_conf.write_text(POLARITON_CONF)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             for cmd in ("ramsey", "estimate", "sweep-detuning"):
                 assert main([cmd, "--config", fast_conf, "--out", str(out)]) == 0
+            code = main(["polariton", "--config", str(pol_conf), "--out", str(out)])
+            assert code == 0
         assert (out_a / "detuning_traces_x.csv").exists()
+        assert (out_a / "polariton.json").exists()
         for path_a in sorted(out_a.iterdir()):
             path_b = out_b / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()

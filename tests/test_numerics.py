@@ -51,6 +51,10 @@ class TestEigh:
             assert np.linalg.norm(resid) <= 1e-9 * max(norm, 1.0)
         assert np.all(np.diff(dec.eigenvalues) >= -1e-12 * max(norm, 1.0))
         assert abs(dec.eigenvalues.sum() - np.trace(h).real) <= 1e-9 * max(norm, 1.0)
+        # Phase gauge: each column's largest-magnitude component is real > 0.
+        lead = v[np.abs(v).argmax(axis=0), np.arange(n)]
+        assert np.all(lead.real > 0.0)
+        assert np.abs(lead.imag).max() <= 1e-15
 
     def test_degenerate_ordering_deterministic(self):
         h = np.diag([2.0, 2.0, 1.0]).astype(complex)
@@ -63,6 +67,13 @@ class TestEigh:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             eigh(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+    def test_rejects_non_finite(self, bad):
+        h = np.eye(3, dtype=complex)
+        h[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eigh(h)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):

@@ -93,6 +93,12 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             TransmonCavityParams(n_transmon=10, n_charge=4)
 
+    @pytest.mark.parametrize("name", ["E_C", "E_J", "omega_c", "g"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_circuit_parameters(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} = .* must be finite"):
+            TransmonCavityParams(**{name: value})
+
     def test_transmon_regime_warning(self):
         with pytest.warns(UserWarning, match="transmon regime"):
             TransmonCavityParams(E_J=1.0, E_C=0.208)
@@ -143,8 +149,10 @@ class TestDiagonalizePolaritons:
 
     def test_cutoff_convergence(self):
         base = diagonalize_polaritons(build_hamiltonian(CIRCUIT), CIRCUIT)
-        bigger = TransmonCavityParams(n_photon=9, n_charge=30)
+        bigger = TransmonCavityParams(n_transmon=8, n_photon=12, n_charge=30)
+        assert bigger.dim == 96
         refined = diagonalize_polaritons(build_hamiltonian(bigger), bigger)
+        assert refined.labels[1:3] == base.labels[1:3] == ("-", "+")
         for k in (1, 2):
             shift_mhz = abs(base.energies[k] - refined.energies[k]) * 1e3
             assert shift_mhz < 1.0
