@@ -201,11 +201,11 @@ def load_config(path: str | Path | None) -> RunConfig:
     if formats not in ("csv", "json", "both"):
         errors.append(f"[output] formats must be csv, json or both, got {formats!r}")
 
-    trace_files: list[tuple[str, str]] = []
-    if parser.has_section("estimate"):
-        for key in ("trace_x", "trace_z"):
-            if parser.has_option("estimate", key):
-                trace_files.append((key, parser.get("estimate", key)))
+    keys = [k for k in ("trace_x", "trace_z") if parser.has_option("estimate", k)]
+    trace_files = [(k, parser.get("estimate", k)) for k in keys]
+    if len(keys) == 1:
+        missing = "trace_z" if keys == ["trace_x"] else "trace_x"
+        errors.append(f"[estimate] {missing} is not set; give both traces or neither")
 
     if n_samples is not None and n_samples < 2:
         errors.append("[protocol] n_samples must be at least 2")
@@ -454,23 +454,32 @@ def _cmd_sweep_gain(cfg: RunConfig, writer: _Writer) -> int:
 
 
 def _read_trace_csv(key: str, path: Path):
-    """Two-column ``t_us,value`` trace named by ``[estimate] key``."""
+    """Two-column ``t_us,value`` trace named by ``[estimate] key``: past blank
+    lines, ``#`` comments and one header line before the data, every row must
+    be two finite numbers, at least ``estimation.MIN_SAMPLES`` of them."""
     where = f"[estimate] {key} = {str(path)!r}"
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError([f"{where}: {exc.strerror}"]) from None
-    t, y = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line or line.startswith("#") or line[0].isalpha():
-            continue
+    lines = [(n, s) for n, s in enumerate(text.splitlines(), 1) if s and s[0] != "#"]
+    rows: list[tuple[float, float]] = []
+    for k, (lineno, line) in enumerate(lines):
         try:
             a, b = line.split(",")[:2]
-            t.append(float(a))
-            y.append(float(b))
+            tk, yk = float(a), float(b)
         except ValueError:
+            if k == 0 and line[0].isalpha():
+                continue  # the header line
             msg = f"{where}: line {lineno} ({line!r}) is not a pair of numbers"
             raise ConfigError([msg]) from None
+        if not (math.isfinite(tk) and math.isfinite(yk)):
+            raise ConfigError([f"{where}: line {lineno} ({line!r}) is not finite"])
+        rows.append((tk, yk))
+    if len(rows) < estimation.MIN_SAMPLES:
+        msg = f"{where}: {len(rows)} data rows, need at least {estimation.MIN_SAMPLES}"
+        raise ConfigError([msg])
+    t, y = zip(*rows)
     return np.asarray(t), np.asarray(y)
 
 
@@ -488,7 +497,7 @@ def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     supplied = dict(cfg.trace_files)
     decays = None
-    if "trace_x" in supplied and "trace_z" in supplied:
+    if supplied:
         tx_t, tx_y = _read_trace_csv("trace_x", Path(supplied["trace_x"]))
         tz_t, tz_y = _read_trace_csv("trace_z", Path(supplied["trace_z"]))
         tx_fit = estimation.fit_damped_sinusoid(tx_t, tx_y, cfg.omega_mod_mhz)

@@ -36,6 +36,8 @@ __all__ = [
     "subtract_dephasing",
 ]
 
+MIN_SAMPLES = 8  # fewest samples the decay fitters accept
+
 
 @dataclass(frozen=True)
 class ExpFit:
@@ -71,8 +73,8 @@ def _validate_trace(t, y):
     y = np.asarray(y, dtype=float)
     if t.size != y.size:
         raise ValueError("time and value arrays must have equal length")
-    if t.size < 8:
-        raise ValueError("need at least 8 samples")
+    if t.size < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     return t, y

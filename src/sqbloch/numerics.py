@@ -140,10 +140,15 @@ _DP_D = np.array(
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Sampled trajectory: ``y[k]`` is the state at time ``t[k]``."""
+    """Sampled trajectory: ``y[k]`` is the state at time ``t[k]``; ``n_rhs``
+    counts right-hand-side evaluations and ``n_accepted``/``n_rejected`` the
+    adaptive steps kept and retried."""
 
     t: np.ndarray
     y: np.ndarray
+    n_rhs: int = 0
+    n_accepted: int = 0
+    n_rejected: int = 0
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, tol: float) -> float:
@@ -193,10 +198,7 @@ def integrate_ode(
     h = 1e-6 * (t1 - t0) if d1 <= 1e-15 else min(0.01 * max(d0, 1e-5) / d1, t1 - t0)
 
     t = t0
-    ts = [t0]
-    ys = [y.copy()]
-    out_t: list[float] = []
-    out_y: list[np.ndarray] = []
+    out_t, out_y = ([t0], [y.copy()]) if t_eval is None else ([], [])
     eval_idx = 0
     if t_eval is not None:
         while eval_idx < t_eval.size and t_eval[eval_idx] <= t0 + 1e-15:
@@ -206,7 +208,7 @@ def integrate_ode(
 
     err_prev = 1e-4
     hmin = 1e4 * np.finfo(float).eps * max(abs(t0), abs(t1))
-    steps = 0
+    steps = accepted = 0
     while t < t1:
         if steps >= max_steps:
             raise ConvergenceError(f"ODE step budget {max_steps} exhausted")
@@ -242,8 +244,10 @@ def integrate_ode(
             t = t_new
             y = y_new
             k[0] = k[6]  # first-same-as-last
-            ts.append(t)
-            ys.append(y.copy())
+            accepted += 1
+            if t_eval is None:
+                out_t.append(t)
+                out_y.append(y)
             err_norm = max(err_norm, 1e-10)
             fac = 0.9 * err_norm ** (-0.7 / 5) * err_prev ** (0.4 / 5)
             h *= min(5.0, max(0.2, fac))
@@ -251,9 +255,10 @@ def integrate_ode(
         else:
             h *= min(1.0, max(0.1, 0.9 * err_norm ** (-0.2)))
 
-    if t_eval is not None:
-        return OdeSolution(t=np.asarray(out_t), y=np.asarray(out_y))
-    return OdeSolution(t=np.asarray(ts), y=np.asarray(ys))
+    return OdeSolution(
+        t=np.asarray(out_t), y=np.asarray(out_y), n_rhs=1 + 6 * steps,
+        n_accepted=accepted, n_rejected=steps - accepted,
+    )
 
 
 # --- Damped Gauss-Newton least squares --------------------------------------

@@ -17,6 +17,7 @@ in GHz, rates in 1/us, times in us.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
@@ -262,19 +263,22 @@ class MasterEquationRHS:
     gives a static M term.  Immutable after assembly and safe to evaluate
     concurrently.
 
-    Every jump operator is a single dressed-basis matrix unit, so the
-    sandwich terms reduce to index gather/scatter (private arrays below) and
-    the anticommutator part to a diagonal.
+    Every jump operator is a single dressed-basis matrix unit, so the terms
+    collapse into three dense parts.  ``_transfer[i, j]`` is the rate at
+    which the (N+1) and N sandwiches move population j into level i (real,
+    stored complex so the mat-vec needs no cast); ``_decay[i, j]`` is the
+    anticommutator part -(g_i + g_j), with g_k the summed coefficients of
+    the terms leaving level k; ``_m_pair`` holds ``(a, b, weight, phase)``
+    for the squeezed transition's M* and M sandwiches, each moving
+    ``rho[b, a]`` into entry (a, b) at ``weight * exp(i phase t)``.
     """
 
     dimension: int
     terms: tuple[tuple[complex, int, int, str], ...]
     phases: tuple[float, ...]
-    _out_idx: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
-    _in_idx: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
-    _coeffs: np.ndarray = field(repr=False, default=None)
-    _phase_arr: np.ndarray = field(repr=False, default=None)
-    _gdiag: np.ndarray = field(repr=False, default=None)
+    _transfer: np.ndarray = field(repr=False, default=None)
+    _decay: np.ndarray = field(repr=False, default=None)
+    _m_pair: tuple[tuple[int, int, complex, float], ...] = field(repr=False, default=())
 
 
 def master_equation_rhs(
@@ -295,74 +299,55 @@ def master_equation_rhs(
     dim = ps.energies.size
     sq = squeezed_transition if squeezed_transition is not None else (0, ps.index_of("-"))
 
-    terms: list[tuple[complex, int, int, str]] = []
-    phases: list[float] = []
-    out_rows: list[int] = []
-    out_cols: list[int] = []
-    in_rows: list[int] = []
-    in_cols: list[int] = []
-    coeffs: list[complex] = []
-    gdiag = np.zeros(dim)
+    rows, cols = np.triu_indices(dim, k=1)
+    if isinstance(gamma_map, dict):
+        pairs = zip(rows.tolist(), cols.tolist())
+        base = np.array([float(gamma_map.get(ij, 0.0)) for ij in pairs])
+    else:
+        base = float(gamma_map)
+    rate = base * np.abs(ps.A[rows, cols]) ** 2
+    keep = ~(rate <= 0.0)  # keeps NaN rates, so they surface in the RHS
+    rows, cols, rate = rows[keep], cols[keep], rate[keep]
+    hit = np.flatnonzero((rows == sq[0]) & (cols == sq[1]))
 
-    def base_rate(i: int, j: int) -> float:
-        if isinstance(gamma_map, dict):
-            return float(gamma_map.get((i, j), 0.0))
-        return float(gamma_map)
+    # (N+1)-type: (rate/2)(N+1)(2 S- rho S+ - {S+ S-, rho}) with S- = |i><j|;
+    # the sandwich moves population j -> i.  Only the squeezed pair sees N.
+    c = 0.5 * rate
+    c[hit] *= r.N + 1.0
+    transfer = np.zeros((dim, dim), dtype=complex)
+    transfer[rows, cols] = 2.0 * c
+    gdiag = np.bincount(cols, weights=c, minlength=dim)
+    terms = list(zip(c.tolist(), rows.tolist(), cols.tolist(), ["N+1"] * c.size))
+    phases = [0.0] * c.size
 
-    def add_term(c, i, j, kind, phase, out_rc, in_rc):
-        terms.append((c, i, j, kind))
-        phases.append(phase)
-        coeffs.append(2.0 * c)
-        out_rows.append(out_rc[0])
-        out_cols.append(out_rc[1])
-        in_rows.append(in_rc[0])
-        in_cols.append(in_rc[1])
-
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            a_ij = ps.A[i, j]
-            rate = base_rate(i, j) * abs(a_ij) ** 2
-            if rate <= 0.0:
-                continue
-            n_ij, m_ij = (r.N, complex(r.M)) if (i, j) == sq else (0.0, 0.0 + 0.0j)
-            delta_ij_rad = (
-                GHZ_TO_RAD_PER_US * (r.omega0 - ps.transition_frequency(i, j))
-                if (i, j) == sq
-                else 0.0
-            )
-
-            # (N+1)-type: (rate/2)(N+1)(2 S- rho S+ - {S+ S-, rho}) with
-            # S- = |i><j|; the sandwich moves population j -> i.
-            c = 0.5 * rate * (n_ij + 1.0)
-            add_term(c, i, j, "N+1", 0.0, (i, i), (j, j))
-            gdiag[j] += c
-
-            if n_ij > 0.0:
-                c = 0.5 * rate * n_ij
-                add_term(c, i, j, "N", 0.0, (j, j), (i, i))
-                gdiag[i] += c
-
-            if m_ij != 0.0:
-                u = a_ij**2 / abs(a_ij) ** 2  # unit-modulus gauge factor
-                # M-type pair; S+- squared vanishes so only sandwiches remain.
-                add_term(
-                    0.5 * rate * np.conj(m_ij) * u,
-                    i, j, "M*", 2.0 * delta_ij_rad, (i, j), (j, i),
-                )
-                add_term(
-                    0.5 * rate * m_ij * np.conj(u),
-                    i, j, "M", -2.0 * delta_ij_rad, (j, i), (i, j),
-                )
+    m_pair = []
+    if hit.size:
+        k, (i, j) = int(hit[0]), sq
+        extra = []  # (coefficient, kind, phase), listed after the (N+1) term
+        if r.N > 0.0:
+            c_n = 0.5 * rate[k] * r.N
+            extra.append((c_n, "N", 0.0))
+            transfer[j, i] = 2.0 * c_n
+            gdiag[i] += c_n
+        if r.M != 0.0:
+            u = ps.A[i, j] ** 2 / abs(ps.A[i, j]) ** 2  # unit-modulus gauge factor
+            detuning = r.omega0 - ps.transition_frequency(i, j)
+            two_delta = 2.0 * GHZ_TO_RAD_PER_US * detuning
+            # M-type pair; S+- squared vanishes so only sandwiches remain.
+            c_star = 0.5 * rate[k] * np.conj(r.M) * u
+            c_m = 0.5 * rate[k] * r.M * np.conj(u)
+            extra += [(c_star, "M*", two_delta), (c_m, "M", -two_delta)]
+            m_pair = [(i, j, 2.0 * c_star, two_delta), (j, i, 2.0 * c_m, -two_delta)]
+        terms[k + 1 : k + 1] = [(coef, i, j, kind) for coef, kind, _ in extra]
+        phases[k + 1 : k + 1] = [phase for _, _, phase in extra]
 
     return MasterEquationRHS(
         dimension=dim,
         terms=tuple(terms),
         phases=tuple(phases),
-        _out_idx=(np.asarray(out_rows), np.asarray(out_cols)),
-        _in_idx=(np.asarray(in_rows), np.asarray(in_cols)),
-        _coeffs=np.asarray(coeffs, dtype=complex),
-        _phase_arr=np.asarray(phases),
-        _gdiag=gdiag,
+        _transfer=transfer,
+        _decay=-(gdiag[:, None] + gdiag[None, :]).astype(complex),
+        _m_pair=tuple(m_pair),
     )
 
 
@@ -371,8 +356,11 @@ def apply_master_equation(
 ) -> np.ndarray:
     """Evaluate d(rho)/dt at time ``t`` (us) for a valid density matrix.
 
-    ``rho`` must be Hermitian with unit trace.  The output is Hermitian and
-    traceless to machine precision.
+    ``rho`` must be Hermitian with unit trace; a wrong shape, a Hermiticity
+    defect above 1e-9 or a trace off by more than 1e-6 raises ``ValueError``.
+    The result is the decay mask times ``rho``, plus the transfer matrix
+    applied to the populations on the diagonal, plus the two phase-rotated
+    M entries.  The output is Hermitian and traceless to machine precision.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (rhs.dimension, rhs.dimension):
@@ -384,15 +372,11 @@ def apply_master_equation(
     if abs(np.trace(rho).real - 1.0) > 1e-6 or abs(np.trace(rho).imag) > 1e-9:
         raise ValueError("rho must have unit trace")
 
-    if np.any(rhs._phase_arr):
-        weights = rhs._coeffs * np.exp(1j * rhs._phase_arr * t)
-    else:
-        weights = rhs._coeffs
-    # Term k moves rho[in_k] to drho[out_k] with weight w_k; the
-    # anticommutator part is diagonal.
-    drho = np.zeros_like(rho)
-    np.add.at(drho, rhs._out_idx, weights * rho[rhs._in_idx])
-    drho -= rhs._gdiag[:, None] * rho + rho * rhs._gdiag[None, :]
+    drho = rhs._decay * rho
+    # The diagonal of a fresh C-ordered array is every (dim+1)-th flat entry.
+    drho.reshape(-1)[:: rhs.dimension + 1] += rhs._transfer @ rho.diagonal()
+    for a, b, weight, phase in rhs._m_pair:
+        drho[a, b] += weight * cmath.exp(1j * phase * t) * rho[b, a]
     return drho
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,11 @@ bandwidth_mhz = 13.0
 n_samples = 64
 t_max_us = 2.0
 """
+
+
+# Eleven valid rows after t = 0.1; UNSET drops the key from the config.
+TRACE_ROWS = "".join(f"{0.1 * k:.9g},{math.exp(-0.1 * k):.9g}\n" for k in range(1, 12))
+UNSET = object()
 
 
 def _supplied_traces_conf(tmp_path, trace_x: str, trace_z: str) -> str:
@@ -237,20 +243,63 @@ class TestMain:
             ("trace_z", None, "No such file"),
             ("trace_x", "t_us,sz\n0.0,1.0\n1,abc\n", "line 3 ('1,abc')"),
             ("trace_z", "0.0,1.0\n0.5\n", "line 2 ('0.5')"),
+            pytest.param(
+                "trace_x",
+                "t_us,sz\n0.0,1.0\nx1,0.2\n" + TRACE_ROWS,
+                "line 3 ('x1,0.2') is not a pair of numbers",
+                id="trace_x-letter-row-after-data",
+            ),
+            pytest.param(
+                "trace_z",
+                "t_us,sz\nt,s\n" + TRACE_ROWS,
+                "line 2 ('t,s')",
+                id="trace_z-second-header",
+            ),
+            pytest.param(
+                "trace_x",
+                "nan,0.5\n" + TRACE_ROWS,
+                "line 1 ('nan,0.5') is not finite",
+                id="trace_x-nan",
+            ),
+            pytest.param(
+                "trace_z",
+                "# t_us,sz\n0.0,1.0\n0.05,inf\n" + TRACE_ROWS,
+                "line 3 ('0.05,inf') is not finite",
+                id="trace_z-inf",
+            ),
+            pytest.param(
+                "trace_z",
+                "t_us,sz\n0.0,1.0\n0.1,0.9\n0.2,0.8\n",
+                "3 data rows, need at least 8",
+                id="trace_z-three-rows",
+            ),
+            pytest.param(
+                "trace_x",
+                "t_us,sz\n",
+                "0 data rows, need at least 8",
+                id="trace_x-header-only",
+            ),
+            pytest.param("trace_x", UNSET, "trace_x is not set", id="trace_x-unset"),
+            pytest.param("trace_z", UNSET, "trace_z is not set", id="trace_z-unset"),
         ],
     )
     def test_bad_trace_file_exit_2(self, tmp_path, capsys, key, content, expected):
         good = "\n".join(f"{0.02 * k:.9g},{math.exp(-0.02 * k):.9g}" for k in range(50))
         conf = _supplied_traces_conf(tmp_path, good, good)
         path = tmp_path / f"{key[-1]}.csv"
+        prefix = f"config error: [estimate] {key} = '{path}'"
         if content is None:
             path.unlink()
+        elif content is UNSET:
+            lines = Path(conf).read_text().splitlines(keepends=True)
+            Path(conf).write_text("".join(x for x in lines if not x.startswith(key)))
+            prefix = f"config error: [estimate] {key}"
         else:
             path.write_text(content)
         code = main(["estimate", "--config", conf, "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"config error: [estimate] {key} = '{path}'" in err
+        assert prefix in err
         assert expected in err
 
     @pytest.mark.parametrize(

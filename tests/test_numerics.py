@@ -129,6 +129,35 @@ class TestIntegrateOde:
         assert np.all(np.diff(sol.t) > 0.0)
         assert np.abs(sol.y[:, 0] - np.exp(-sol.t)).max() <= 1e-7
 
+    def test_t_eval_output_pinned_and_counters(self):
+        # A kick at t = 1 makes the step control reject steps.  The pinned
+        # samples are the integrator's output before its step bookkeeping
+        # and counters changed (numpy 2.4, OpenBLAS, x86-64).
+        calls = 0
+
+        def f(t, y):
+            nonlocal calls
+            calls += 1
+            return np.array([y[1], -4.0 * y[0]]) + (t > 1.0) * np.array([0.0, 3.0])
+
+        t_eval = np.linspace(0.0, 2.0, 5)
+        sol = integrate_ode(f, [1.0, 0.0], (0.0, 2.0), tol=1e-8, t_eval=t_eval)
+        pinned = [
+            ["0x1.0000000000000p+0", "0x0.0p+0"],
+            ["0x1.14a280f27d13cp-1", "-0x1.aed548f3f413cp+0"],
+            ["-0x1.aa22656e771efp-2", "-0x1.d18f48facd075p+0"],
+            ["-0x1.4a5a078b9c0e5p-1", "0x1.f5be59929e9f3p-1"],
+            ["0x1.a2455b6509f1cp-2", "0x1.70538f3dd7c8dp+1"],
+        ]
+        assert sol.t.tolist() == t_eval.tolist()
+        assert [[v.hex() for v in row] for row in sol.y] == pinned
+        assert sol.n_rhs == calls == 685
+        assert (sol.n_accepted, sol.n_rejected) == (88, 26)
+        assert sol.n_rhs == 1 + 6 * (sol.n_accepted + sol.n_rejected)
+
+        steps = integrate_ode(f, [1.0, 0.0], (0.0, 2.0), tol=1e-8)
+        assert steps.t.size == steps.n_accepted + 1 == 89
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0), tol=0.0)

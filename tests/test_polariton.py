@@ -45,6 +45,62 @@ def calibrated_base(ps, gamma_over_2pi_mhz=0.24):
     return 2.0 * math.pi * gamma_over_2pi_mhz / abs(ps.A[0, ps.index_of("-")]) ** 2
 
 
+def reference_master_equation(rhs, rho, t):
+    """d(rho)/dt summed term by term from the public ``terms``/``phases``,
+    each jump operator an explicit matrix unit S- = |i><j|."""
+    dim = rhs.dimension
+
+    def dissipator(s):
+        sd = s.conj().T
+        return 2.0 * s @ rho @ sd - sd @ s @ rho - rho @ sd @ s
+
+    drho = np.zeros((dim, dim), dtype=complex)
+    for (c, i, j, kind), phase in zip(rhs.terms, rhs.phases):
+        lower = np.zeros((dim, dim), dtype=complex)
+        lower[i, j] = 1.0
+        raising = lower.T
+        w = c * np.exp(1j * phase * t)
+        if kind == "N+1":
+            drho += w * dissipator(lower)
+        elif kind == "N":
+            drho += w * dissipator(raising)
+        elif kind == "M*":
+            drho += 2.0 * w * lower @ rho @ lower
+        else:
+            assert kind == "M"
+            drho += 2.0 * w * raising @ rho @ raising
+    return drho
+
+
+def oracle_case(ps, name):
+    """(reservoir, gamma_map, squeezed_transition, t) for one oracle case."""
+    i_minus, i_plus = ps.index_of("-"), ps.index_of("+")
+    base = calibrated_base(ps)
+    detuned = SqueezedReservoir(
+        N=0.88,
+        M=1.08 * np.exp(0.7j),
+        omega0=ps.transition_frequency(0, i_minus) + 0.3e-3,
+        bandwidth=13.0,
+    )
+    if name == "resonant-t0":
+        return resonant_reservoir(ps), base, None, 0.0
+    if name == "detuned":
+        return detuned, base, None, 1.3
+    if name == "dict-gamma":
+        gamma = {
+            (0, i_minus): base,
+            (0, i_plus): 0.0,
+            (i_minus, 4): 0.7 * base,
+            (1, 5): 2.0,
+        }
+        return detuned, gamma, None, 0.45
+    assert name == "squeezed-plus"
+    r = SqueezedReservoir(
+        N=0.5, M=0.6j, omega0=ps.transition_frequency(0, i_plus) - 1e-3, bandwidth=1.0
+    )
+    return r, 1.3, (0, i_plus), 0.8
+
+
 class TestTransmonLevels:
     def test_asymptotic_transition_frequency(self):
         eps, _ = transmon_levels(CIRCUIT)
@@ -325,3 +381,54 @@ class TestMasterEquation:
         assert set(squeezed) == {(0, 1)}
         # Resonant squeezing: all M phases are static.
         assert all(p == 0.0 for p in rhs.phases)
+
+    @pytest.mark.parametrize(
+        "case", ["resonant-t0", "detuned", "dict-gamma", "squeezed-plus"]
+    )
+    def test_matches_term_by_term_reference(self, circuit_system, case):
+        r, gamma, sq, t = oracle_case(circuit_system, case)
+        rhs = master_equation_rhs(circuit_system, r, gamma, squeezed_transition=sq)
+        kinds = [kind for _, _, _, kind in rhs.terms]
+        assert kinds.count("M") == kinds.count("M*") == 1
+        assert any(p != 0.0 for p in rhs.phases) == (case != "resonant-t0")
+        if case == "dict-gamma":
+            assert [(i, j) for _, i, j, kind in rhs.terms if kind == "N+1"] == [
+                (0, 1),
+                (1, 4),
+                (1, 5),
+            ]
+        rng = np.random.default_rng(11)
+        dim = rhs.dimension
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        got = apply_master_equation(rhs, rho, t)
+        expected = reference_master_equation(rhs, rho, t)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(rho).max()
+
+    def test_terms_pinned_on_uncoupled_circuit(self):
+        # At g = 0 the dressed levels are bare product states, ordered g,
+        # t1p0, t0p1, t2p0, t1p1, t0p2, t2p1, t1p2, t2p2, and the cavity
+        # quadrature links (t, n) to (t, n + 1) with |A|^2 = n + 1.
+        p = TransmonCavityParams(n_transmon=3, n_photon=3, n_charge=12, g=0.0)
+        ps = diagonalize_polaritons(build_hamiltonian(p), p)
+        r = SqueezedReservoir(
+            N=0.5, M=0.6, omega0=ps.transition_frequency(0, 2) + 1e-3, bandwidth=1.0
+        )
+        rhs = master_equation_rhs(ps, r, 1.0, squeezed_transition=(0, 2))
+        two_delta = 2.0 * (2.0 * math.pi * 1e3) * 1e-3  # rad/us
+        expected = [
+            (0.75, 0, 2, "N+1", 0.0),
+            (0.25, 0, 2, "N", 0.0),
+            (0.3, 0, 2, "M*", two_delta),
+            (0.3, 0, 2, "M", -two_delta),
+            (0.5, 1, 4, "N+1", 0.0),
+            (1.0, 2, 5, "N+1", 0.0),
+            (0.5, 3, 6, "N+1", 0.0),
+            (1.0, 4, 7, "N+1", 0.0),
+            (1.0, 6, 8, "N+1", 0.0),
+        ]
+        assert [term[1:] for term in rhs.terms] == [e[1:4] for e in expected]
+        coeffs = [complex(term[0]) for term in rhs.terms]
+        assert coeffs == pytest.approx([e[0] for e in expected], abs=1e-12)
+        assert list(rhs.phases) == pytest.approx([e[4] for e in expected], abs=1e-9)
