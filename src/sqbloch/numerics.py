@@ -247,7 +247,7 @@ def integrate_ode(
             accepted += 1
             if t_eval is None:
                 out_t.append(t)
-                out_y.append(y)
+                out_y.append(y)  # y is rebound each step, never written in place
             err_norm = max(err_norm, 1e-10)
             fac = 0.9 * err_norm ** (-0.7 / 5) * err_prev ** (0.4 / 5)
             h *= min(5.0, max(0.2, fac))
