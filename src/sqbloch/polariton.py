@@ -231,17 +231,22 @@ def two_level_reduction(
     a_scale = abs(ps.A[i, j])
     if a_scale == 0.0:
         raise ValueError(f"transition {(i, j)} is radiatively dark")
-    for m in range(ps.energies.size):
-        for n in range(m + 1, ps.energies.size):
-            if (m, n) == (i, j) or abs(ps.A[m, n]) < 1e-3 * a_scale:
-                continue
-            offset_mhz = abs(ps.transition_frequency(m, n) - omega_sel) * 1e3
-            if offset_mhz < guard_mhz:
-                raise MultiTransitionError(
-                    f"transition {(m, n)} sits {offset_mhz:.1f} MHz from the "
-                    f"selected one; need >= {guard_mhz:.0f} MHz for a "
-                    "two-level reduction"
-                )
+    # Every other transition (m < n, row-major), skipping the dark ones
+    # (a NaN element is not skipped, as a NaN offset never trips the guard).
+    rows, cols = np.triu_indices(ps.energies.size, k=1)
+    offset_mhz = np.abs(np.abs(ps.energies[cols] - ps.energies[rows]) - omega_sel) * 1e3
+    bright = ~(np.abs(ps.A[rows, cols]) < 1e-3 * a_scale)
+    crowding = np.flatnonzero(
+        bright & (offset_mhz < guard_mhz) & ~((rows == i) & (cols == j))
+    )
+    if crowding.size:
+        k = crowding[0]
+        m, n = int(rows[k]), int(cols[k])
+        raise MultiTransitionError(
+            f"transition {(m, n)} sits {offset_mhz[k]:.1f} MHz from the "
+            f"selected one; need >= {guard_mhz:.0f} MHz for a "
+            "two-level reduction"
+        )
 
     return DecayRates(
         gamma=abs(ps.A[i, j]) ** 2 * gamma01_base,
@@ -369,7 +374,8 @@ def apply_master_equation(
         )
     if hermitian_defect(rho) > 1e-9:
         raise ValueError("rho must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-6 or abs(np.trace(rho).imag) > 1e-9:
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > 1e-6 or abs(trace.imag) > 1e-9:
         raise ValueError("rho must have unit trace")
 
     drho = rhs._decay * rho

@@ -83,6 +83,24 @@ class TestEigh:
         assert hermitian_defect(np.zeros((2, 2))) == 0.0
         assert hermitian_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1.0
 
+        def reference(m):
+            scale = np.abs(m).max()
+            return 0.0 if scale == 0.0 else float(np.abs(m - m.conj().T).max() / scale)
+
+        rng = np.random.default_rng(11)
+        hermitian = random_hermitian(rng, 7)
+        near = hermitian.copy()
+        near[2, 5] += 3e-13 * (1.0 - 2.0j)
+        imag_only = hermitian.copy()
+        imag_only[4, 4] += 2.5e-11j  # a diagonal entry must be real
+        imag_only[1, 3] = complex(imag_only[1, 3].real, -imag_only[3, 1].imag * 0.5)
+        cases = [hermitian, near, imag_only, np.zeros((5, 5), dtype=complex),
+                 rng.standard_normal((4, 4))]
+        for m in cases:
+            assert hermitian_defect(m) == reference(m)
+        assert hermitian_defect(hermitian) == 0.0
+        assert hermitian_defect(near) > 0.0 and hermitian_defect(imag_only) > 0.0
+
 
 class TestIntegrateOde:
     def test_scalar_exponential(self):
@@ -157,6 +175,16 @@ class TestIntegrateOde:
 
         steps = integrate_ode(f, [1.0, 0.0], (0.0, 2.0), tol=1e-8)
         assert steps.t.size == steps.n_accepted + 1 == 89
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_zero_initial_state(self, tol):
+        # A state below the tolerance scale must not shrink the first step
+        # below the step-size floor.
+        t_eval = np.linspace(0.0, 1.0, 6)
+        sol = integrate_ode(lambda t, y: np.cos(t) + 0.0 * y, [0.0], (0.0, 1.0), tol=tol,
+                            t_eval=t_eval)
+        assert np.abs(sol.y[:, 0] - np.sin(t_eval)).max() <= 10 * tol
+        assert sol.n_rejected == 0 and sol.n_accepted < 40
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from sqbloch.blochdyn import (
 from sqbloch.errors import MultiTransitionError
 from sqbloch.numerics import integrate_ode
 from sqbloch.polariton import (
+    PolaritonSystem,
     TransmonCavityParams,
     apply_master_equation,
     bloch_from_density,
@@ -259,6 +260,27 @@ class TestTwoLevelReduction:
         with pytest.raises(MultiTransitionError):
             two_level_reduction(circuit_system, 1.0, r)
 
+    def test_guard_names_first_crowding_transition(self):
+        # g -> - at 5 GHz.  (0, 2) sits 20 MHz away and (1, 4) 5 MHz away,
+        # both bright; (2, 4) is 15 MHz away but dark.  The guard names
+        # the first offender in row-major order.
+        energies = np.array([0.0, 5.0, 5.02, 5.03, 10.005])
+        a = np.zeros((5, 5), dtype=complex)
+        a[0, 1], a[0, 2], a[1, 4], a[2, 4] = 1.0, 0.5j, 0.3, 1e-4
+        ps = PolaritonSystem(energies=energies, A=a, labels=("g", "-", "+", "t2p0", "t1p2"))
+        r = SqueezedReservoir(N=0.5, M=0.6, omega0=5.0, bandwidth=13.0)
+        with pytest.raises(
+            MultiTransitionError,
+            match=r"^transition \(0, 2\) sits 20\.0 MHz from the selected one; "
+            r"need >= 65 MHz for a two-level reduction$",
+        ):
+            two_level_reduction(ps, 1.0, r)
+        a[0, 2] = 0.0
+        with pytest.raises(MultiTransitionError, match=r"^transition \(1, 4\) sits 5\.0 MHz"):
+            two_level_reduction(ps, 1.0, r)
+        a[1, 4] = 0.0
+        assert two_level_reduction(ps, 1.0, r).gamma == 1.0
+
 
 class TestMasterEquation:
     def test_trace_and_hermiticity_preservation(self, circuit_system):
@@ -318,6 +340,9 @@ class TestMasterEquation:
             tol=1e-10,
             t_eval=np.linspace(0.0, 5.0, 11),
         )
+        # Step counts of this dim-30 solve before its stage products were
+        # formed in place (numpy 2.4, OpenBLAS, x86-64).
+        assert (sol.n_rhs, sol.n_accepted, sol.n_rejected) == (457, 76, 0)
         ts = axis_timescales(rates)
         sz_ss = steady_state(rates).sz
         for tk, yk in zip(sol.t, sol.y):
@@ -371,6 +396,14 @@ class TestMasterEquation:
         bad_trace[0, 0] = 2.0
         with pytest.raises(ValueError, match="trace"):
             apply_master_equation(rhs, bad_trace, 0.0)
+        # The Hermiticity bound is a relative defect of 1e-9.
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[0, 0] = 1.0
+        rho[0, 1] = 0.99e-9
+        apply_master_equation(rhs, rho, 0.0)
+        rho[0, 1] = 1.01e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            apply_master_equation(rhs, rho, 0.0)
 
     def test_term_bookkeeping(self, circuit_system):
         r = resonant_reservoir(circuit_system)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sqbloch.reservoir import (
     QuadratureVariances,
     SqueezedReservoir,
+    WignerGrid,
     attenuate,
     eta_curve,
     ideal_M,
@@ -199,6 +200,21 @@ class TestWigner:
         row = lines[2].split(",")
         assert float(row[0]) == pytest.approx(grid.I_axis[0])
         assert float(row[1]) == pytest.approx(grid.values[0, 0], rel=1e-8)
+
+    def test_csv_matches_per_value_format(self):
+        i_axis = np.array([-3.25, -0.0, 0.0, 1e-310, 7.0 / 3.0])
+        q_axis = np.array([-1.5e300, -2.0 / 3.0, 0.0, 4.9e-324, 123456789.123, 1e22])
+        values = np.abs(np.outer(i_axis, q_axis)) + np.array([0.0, 1e-300, 5e-324, 0.1, 2.5, 1e300])
+        values[0, 0] = 0.0
+        grid = WignerGrid(I_axis=i_axis, Q_axis=q_axis, values=values)
+        lines = ["#schema=wigner-grid-v1", "," + ",".join(f"{q:.9g}" for q in q_axis)]
+        for i, row in zip(i_axis, values):
+            lines.append(f"{i:.9g}," + ",".join(f"{w:.9g}" for w in row))
+        assert grid.to_csv() == "\n".join(lines) + "\n"
+        realistic = wigner_grid_for(QuadratureVariances(4.92, 0.60), n_points=41)
+        assert realistic.to_csv().splitlines()[2] == ",".join(
+            f"{x:.9g}" for x in [realistic.I_axis[0], *realistic.values[0]]
+        )
 
     def test_explicit_axes(self):
         g = wigner(QuadratureVariances(1.0, 1.0), np.array([0.0]), np.array([0.0, 1.0]))
