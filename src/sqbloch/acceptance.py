@@ -199,12 +199,7 @@ def criterion_5_detuning_sweep() -> CriterionResult:
     def direct_fit(delta: float, axis: int, t_samples) -> float:
         r = replace(rates, delta=delta)
         e0 = np.array([1.0, 0.0]) if axis == 0 else np.array([0.0, 1.0])
-        env = np.array(
-            [
-                np.linalg.norm(blochdyn.transverse_propagator_xy(r, tk) @ e0)
-                for tk in t_samples
-            ]
-        )
+        env = np.linalg.norm(blochdyn.transverse_propagator_xy(r, t_samples) @ e0, axis=-1)
         return estimation.fit_exp(t_samples, env).T
 
     dual_err = max(

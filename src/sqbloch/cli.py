@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, estimation, polariton, protocols, reservoir
+from . import estimation, polariton, protocols, reservoir
 from .blochdyn import DecayRates
 from .errors import (
     ConvergenceError,
@@ -540,6 +540,11 @@ def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
             source=("ramsey_x_on", "ramsey_y_on", "tomography_z", "ramsey_x_off"),
         )
         source = "simulated"
+    for axis, fit in (("x", tx_fit), ("z", tz_fit)):
+        if not (math.isfinite(fit.T) and fit.T > 0.0):
+            raise UnphysicalRatesError(
+                f"fitted T{axis} = {fit.T:.6g} us is not a positive, finite decay time"
+            )
     est = estimation.estimate_moments(t1, cfg.t_phi_us, tx_fit.T, tz_fit.T, cfg.n_th)
     summary = json.loads(est.to_json()) | {
         "source": source,
@@ -562,7 +567,12 @@ def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
             "source": list(decays.source),
         }
     writer.json("moments.json", summary)
-    grid = estimation.reconstruct_wigner(est)
+    try:
+        grid = estimation.reconstruct_wigner(est)
+    except ValueError as exc:  # |M|^2 > N(N+1): no Gaussian state has them
+        raise UnphysicalRatesError(
+            f"Wigner reconstruction from N = {est.N:.6g}, M = {est.M:.6g}: {exc}"
+        ) from None
     writer.csv("wigner_reconstructed.csv", grid.to_csv())
     print(
         f"estimated N = {est.N:.4f}, M = {est.M:.4f}"
@@ -572,6 +582,8 @@ def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
 
 
 def _cmd_validate(cfg: RunConfig, writer: _Writer) -> int:
+    from . import acceptance  # only this subcommand pays for its import
+
     results = acceptance.run_all()
     for r in results:
         print(r.summary_line())

@@ -205,12 +205,14 @@ def integrate_ode(
         h = min(0.01 * d0 / d1, t1 - t0)
 
     t = t0
-    out_t, out_y = ([t0], [y.copy()]) if t_eval is None else ([], [])
     eval_idx = 0
-    if t_eval is not None:
+    if t_eval is None:
+        out_t, out_y = [t0], [y.copy()]
+    else:
+        # The dense-output samples take the dtype of the interpolant.
+        out_y = np.empty((t_eval.size, y.size), dtype=np.result_type(y, _DP_D))
         while eval_idx < t_eval.size and t_eval[eval_idx] <= t0 + 1e-15:
-            out_t.append(float(t_eval[eval_idx]))
-            out_y.append(y.copy())
+            out_y[eval_idx] = y
             eval_idx += 1
 
     err_prev = 1e-4
@@ -248,11 +250,9 @@ def integrate_ode(
                     r3 = h * k[0] - dy
                     r4 = dy - h * k[6] - r3
                     r5 = h * (_DP_D @ k)
-                    u = r1 + theta * (
+                    out_y[eval_idx] = r1 + theta * (
                         r2 + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
                     )
-                    out_t.append(float(t_eval[eval_idx]))
-                    out_y.append(u)
                     eval_idx += 1
             t = t_new
             y, abs_y = y_new, abs_y_new
@@ -268,6 +268,8 @@ def integrate_ode(
         else:
             h *= min(1.0, max(0.1, 0.9 * err_norm ** (-0.2)))
 
+    if t_eval is not None:
+        out_t, out_y = t_eval[:eval_idx].copy(), out_y[:eval_idx]
     return OdeSolution(
         t=np.asarray(out_t), y=np.asarray(out_y), n_rhs=1 + 6 * steps,
         n_accepted=accepted, n_rejected=steps - accepted,

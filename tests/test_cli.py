@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +240,59 @@ class TestMain:
         assert "estimate" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "x_env, z_trace, n_x, message, written",
+        [
+            # Sampled 12 times in 4 us, a 5 MHz fringe under a growing
+            # envelope fits exactly to T = -0.3 us.
+            pytest.param(
+                lambda t: np.exp(t / 0.3) / np.exp(4.0 / 0.3),
+                lambda t: 0.3623 + 0.6377 * np.exp(-t / 0.23551),
+                12,
+                "fitted Tx = -0.3 us is not a positive, finite decay time",
+                [],
+                id="x-growing-envelope",
+            ),
+            pytest.param(
+                lambda t: np.exp(-t / 1.6312),
+                lambda t: np.cos(2.0 * t),
+                160,
+                "fitted Tz = -1.18892 us is not a positive, finite decay time",
+                [],
+                id="z-cosine",
+            ),
+            # Tx slow but inside T_phi: M = 1.39971 exceeds sqrt(N(N+1)).
+            pytest.param(
+                lambda t: np.exp(-t / 5.0),
+                lambda t: 0.3623 + 0.6377 * np.exp(-t / 0.23551),
+                160,
+                "Wigner reconstruction from N = 0.913423, M = 1.39971",
+                ["moments.json"],
+                id="unphysical-moments",
+            ),
+        ],
+    )
+    def test_estimate_failure_exit_3(
+        self, tmp_path, capsys, x_env, z_trace, n_x, message, written
+    ):
+        w = 2.0 * math.pi * 5.0
+        t_x = np.linspace(0.0, 4.0, n_x)
+        t_z = np.linspace(0.0, 4.0, 160)
+        trace_x = "".join(
+            f"{a:.9g},{b:.9g}\n" for a, b in zip(t_x, x_env(t_x) * np.sin(w * t_x))
+        )
+        trace_z = "".join(f"{a:.9g},{b:.9g}\n" for a, b in zip(t_z, z_trace(t_z)))
+        conf = _supplied_traces_conf(tmp_path, trace_x, trace_z)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the moment physicality warnings
+            code = main(["estimate", "--config", conf, "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in 'estimate': UnphysicalRatesError" in err
+        assert message in err
+        assert sorted(p.name for p in out.glob("*")) == written
+
+    @pytest.mark.parametrize(
         "key, content, expected",
         [
             ("trace_x", None, "No such file"),
@@ -375,3 +431,21 @@ class TestMain:
         assert len(report["criteria"]) == 11
         stdout = capsys.readouterr().out
         assert stdout.count("[PASS]") == 11
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    # Only `validate` needs the acceptance suite; every other subcommand
+    # skips its import.
+    import sqbloch
+
+    src = str(Path(sqbloch.__file__).resolve().parents[1])
+    code = "import sys, sqbloch.cli; print('sqbloch.acceptance' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=src,
+        timeout=120,
+    )
+    assert proc.stdout.strip() == "False"

@@ -17,6 +17,7 @@ from sqbloch.reservoir import (
     wigner,
     wigner_grid_for,
 )
+from sqbloch.reservoir import _decimal9, _format_rows
 
 # Reference operating point: N = 0.88, M = 1.08.
 OPERATING = SqueezedReservoir(N=0.88, M=1.08)
@@ -219,3 +220,101 @@ class TestWigner:
     def test_explicit_axes(self):
         g = wigner(QuadratureVariances(1.0, 1.0), np.array([0.0]), np.array([0.0, 1.0]))
         assert g.values.shape == (1, 2)
+
+
+def _per_value_rows(rows) -> str:
+    """The reference encoding: one Python "%.9g" per value."""
+    return "".join(",".join("%.9g" % v for v in row) + "\n" for row in np.asarray(rows).tolist())
+
+
+def _float_bits():
+    """Any float64, drawn as a 64-bit pattern: NaNs, infinities, subnormals."""
+    return st.integers(min_value=0, max_value=2**64 - 1).map(
+        lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))
+    )
+
+
+def _fast_range():
+    """Magnitudes the vectorised encoder formats itself, either sign."""
+    return st.tuples(
+        st.booleans(), st.floats(min_value=1e-14, max_value=1e31, exclude_max=True)
+    ).map(lambda sv: -sv[1] if sv[0] else sv[1])
+
+
+class TestCsvEncoder:
+    """``reservoir._format_rows`` against Python's correctly rounded "%.9g"."""
+
+    @given(st.lists(_float_bits(), min_size=1, max_size=12))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_any_bit_pattern(self, values):
+        assert _format_rows(np.array([values])) == _per_value_rows([values])
+
+    @given(st.lists(_fast_range(), min_size=1, max_size=12))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_fast_range(self, values):
+        assert _format_rows(np.array([values])) == _per_value_rows([values])
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1e-14, math.nextafter(1e-14, 0.0), math.nextafter(1e-14, 1.0),
+            -1e-14, 9.999999995e-5, 99999999.95, 999999999.5, 999999999.4,
+            1e9, 1e16, 1e22, 1e30, math.nextafter(1e31, 0.0), 1e31,
+            math.inf, -math.inf, math.nan,
+            # The layout switches: e = -5 | -4 (fixed from 1e-4) and 8 | 9.
+            1.23456789e-5, 1.2e-5, 1e-5, 1e-4, 1.5e-4, 1.23456789e-4,
+            123456789.0, 100000000.0, 123456789.4, 1234567890.0, 1.5e9,
+            0.1, 0.5, 1.0, -1.0, 2.0 / 3.0, -7.0 / 3.0, 12345.0, 1e8,
+            # Mantissas that round up to 1e9 carry into the exponent.
+            9999999996.0, 0.99999999987, 9.9999999996e-5, 99999999.97,
+        ],
+    )
+    def test_hand_picked(self, x):
+        assert _format_rows(np.array([[x, -x]])) == _per_value_rows([[x, -x]])
+
+    @pytest.mark.parametrize(
+        "x, fast, text",
+        [
+            # The double below 1.000000005 scales to exactly 100000000.5, so
+            # rint cannot tell which way to round; its upper neighbour can.
+            (1.000000005, False, "1"),
+            (math.nextafter(1.000000005, 2.0), True, "1.00000001"),
+            (123456789.5, False, "123456790"),  # exact ties round half to even
+            (123456788.5, False, "123456788"),
+        ],
+    )
+    def test_halfway_takes_the_fallback(self, x, fast, text):
+        _, _, ok = _decimal9(np.array([x]))
+        assert ok[0] == fast
+        assert _format_rows(np.array([[x]])) == text + "\n" == _per_value_rows([[x]])
+
+    def test_powers_of_ten_take_the_fast_path(self):
+        # log10 rounds the doubles just below a power of ten up to it; one
+        # correction step keeps them exact and vectorised.  (The double
+        # 1e-14 lies below 10**-14, outside the range.)
+        powers = [float(f"1e{k}") for k in range(-13, 31)]
+        x = np.array(
+            [y for p in powers for y in (math.nextafter(p, 0.0), p, math.nextafter(p, 2 * p))]
+        )
+        _, _, ok = _decimal9(x)
+        assert ok.all()
+        assert _format_rows(x[None, :]) == _per_value_rows([x])
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            QuadratureVariances(1.0, 1.0),
+            QuadratureVariances(4.92, 0.60),
+            variances(SqueezedReservoir(N=3.0, M=ideal_M(3.0))),
+            variances(SqueezedReservoir(N=2.0, M=0.0)),
+        ],
+    )
+    def test_full_grids(self, v):
+        grid = wigner_grid_for(v)
+        header = ",".join("%.9g" % q for q in grid.Q_axis.tolist())
+        body = _per_value_rows(np.column_stack((grid.I_axis, grid.values)))
+        assert grid.to_csv() == "#schema=wigner-grid-v1\n," + header + "\n" + body
+        # Every cell but the exact zeros on the axes takes the vectorised path.
+        _, _, ok = _decimal9(np.column_stack((grid.I_axis, grid.values)).ravel())
+        assert np.count_nonzero(~ok) == np.count_nonzero(grid.I_axis == 0.0)
