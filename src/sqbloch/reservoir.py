@@ -186,8 +186,7 @@ _PLACES = (10 ** np.arange(8, -1, -1, dtype=np.int32))[:, None]
 # e = -16, -15, 31 and 32 only steer the log10 correction.
 _UP = np.array([float(10 ** max(8 - e, 0)) for e in range(-16, 33)])
 _DOWN = np.array([float(10 ** max(e - 8, 0)) for e in range(-16, 33)])
-_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-16, 33)), np.uint8)
-_EXPONENTS = np.ascontiguousarray(_EXPONENTS.reshape(-1, 4).T)  # (4, 49)
+_EXPONENTS = np.array([list(b"e%+03d" % e) for e in range(-16, 33)], np.uint8).T
 
 
 def _decimal9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
