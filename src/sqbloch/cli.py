@@ -16,36 +16,18 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import estimation, polariton, protocols, reservoir
+from ._table import csv_table
 from .blochdyn import DecayRates
-from .errors import (
-    ConvergenceError,
-    DegenerateFitError,
-    InconsistentInputsError,
-    MultiTransitionError,
-    NotSqueezedError,
-    StiffnessError,
-    UnphysicalRatesError,
-)
+from .errors import NumericalFailure, UnphysicalRatesError
 
 __all__ = ["RunConfig", "load_config", "main"]
-
-NUMERICAL_ERRORS = (
-    ConvergenceError,
-    DegenerateFitError,
-    InconsistentInputsError,
-    MultiTransitionError,
-    NotSqueezedError,
-    StiffnessError,
-    UnphysicalRatesError,
-    np.linalg.LinAlgError,
-)
 
 
 class ConfigError(Exception):
@@ -288,7 +270,6 @@ class _Writer:
     def __init__(self, out_dir: Path, formats: str):
         self.out_dir = out_dir
         self.formats = formats
-        self.written: list[Path] = []
 
     def csv(self, name: str, text: str) -> None:
         if self.formats in ("csv", "both"):
@@ -300,9 +281,7 @@ class _Writer:
 
     def _write(self, name: str, text: str) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
-        path.write_text(text)
-        self.written.append(path)
+        (self.out_dir / name).write_text(text)
 
 
 def _cmd_polariton(cfg: RunConfig, writer: _Writer) -> int:
@@ -312,8 +291,10 @@ def _cmd_polariton(cfg: RunConfig, writer: _Writer) -> int:
     splitting = (f_plus - f_minus) * 1e3
     writer.json(
         "polariton.json",
-        json.loads(system.to_json())
-        | {
+        {
+            "energies_ghz": system.energies.tolist(),
+            "A_abs": [[abs(x) for x in row] for row in system.A.tolist()],
+            "labels": list(system.labels),
             "g_to_minus_ghz": f_minus,
             "g_to_plus_ghz": f_plus,
             "splitting_mhz": splitting,
@@ -402,12 +383,8 @@ def _cmd_wigner(cfg: RunConfig, writer: _Writer) -> int:
 
 def _trace_grid_csv(deltas, t, traces) -> str:
     header = "t_us," + ",".join(f"delta_{d:+.4g}" for d in deltas)
-    lines = ["#schema=detuning-trace-grid-v1", header]
-    for k, tk in enumerate(t):
-        lines.append(
-            f"{tk:.9g}," + ",".join(f"{tr.sz_values[k]:.9g}" for tr in traces)
-        )
-    return "\n".join(lines) + "\n"
+    columns = [tr.sz_values for tr in traces]
+    return csv_table("detuning-trace-grid-v1", header, t, *columns)
 
 
 def _cmd_sweep_detuning(cfg: RunConfig, writer: _Writer) -> int:
@@ -546,7 +523,7 @@ def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
                 f"fitted T{axis} = {fit.T:.6g} us is not a positive, finite decay time"
             )
     est = estimation.estimate_moments(t1, cfg.t_phi_us, tx_fit.T, tz_fit.T, cfg.n_th)
-    summary = json.loads(est.to_json()) | {
+    summary = asdict(est) | {
         "source": source,
         "Tx_us": tx_fit.T,
         "Tz_us": tz_fit.T,
@@ -652,7 +629,7 @@ def main(argv: list[str] | None = None) -> int:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(
             f"numerical failure in '{args.command}': {type(exc).__name__}: {exc}",
             file=sys.stderr,

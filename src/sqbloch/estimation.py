@@ -11,7 +11,6 @@ thermal floor folded into the T1 calibration and subtracted from N.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import InconsistentInputsError, NotSqueezedError, UnphysicalRatesError
 from .numerics import fit_least_squares
-from .reservoir import QuadratureVariances, WignerGrid, wigner_grid_for
+from .reservoir import SqueezedReservoir, WignerGrid, variances, wigner_grid_for
 
 __all__ = [
     "DecayEstimate",
@@ -233,16 +232,6 @@ class MomentEstimate:
                 stacklevel=2,
             )
 
-    def to_json(self) -> str:
-        payload = {
-            "N": self.N,
-            "M": self.M,
-            "N_th": self.N_th,
-            "eta_inferred": self.eta_inferred,
-            "N_uncorrected": self.N_uncorrected,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def moments_from_decays(
     T1: float, Tz: float, Tx_tilde: float, N_th: float = 0.0
@@ -303,8 +292,5 @@ def reconstruct_wigner(
     me: MomentEstimate, n_points: int = 241, n_sigmas: float = 5.0
 ) -> WignerGrid:
     """Wigner distribution of the reservoir state implied by an estimate."""
-    v = QuadratureVariances(
-        sigmaI_sq=2.0 * (me.N + abs(me.M) + 0.5),
-        sigmaQ_sq=2.0 * (me.N - abs(me.M) + 0.5),
-    )
+    v = variances(SqueezedReservoir(N=me.N, M=me.M))
     return wigner_grid_for(v, n_points=n_points, n_sigmas=n_sigmas)

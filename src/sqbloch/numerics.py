@@ -157,21 +157,23 @@ def _error_norm(err: np.ndarray, abs_y0: np.ndarray, abs_y1: np.ndarray, tol: fl
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
 
+_MAX_STEPS = 1_000_000  # adaptive steps, accepted and rejected, per solve
+
+
 def integrate_ode(
     f: Callable[[float, np.ndarray], np.ndarray],
     y0: Sequence[complex] | np.ndarray,
     t_span: tuple[float, float],
     tol: float = 1e-9,
-    t_eval: Sequence[float] | np.ndarray | None = None,
-    max_steps: int = 1_000_000,
+    *,
+    t_eval: Sequence[float] | np.ndarray,
 ) -> OdeSolution:
     """Integrate ``y' = f(t, y)`` with an adaptive Dormand-Prince 5(4) pair.
 
     Local error per step is kept at or below ``tol`` (used as both absolute
-    and relative tolerance).  Requested sample times in ``t_eval`` are filled
-    by the pair's order-4 dense-output interpolant; without ``t_eval`` the
-    accepted step points are returned.  Real and complex states are both
-    supported.
+    and relative tolerance).  The requested sample times ``t_eval`` are
+    filled by the pair's order-4 dense-output interpolant.  Real and complex
+    states are both supported.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -182,12 +184,11 @@ def integrate_ode(
     if not np.iscomplexobj(y):
         y = y.astype(float)
 
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.size and (t_eval.min() < t0 - 1e-12 or t_eval.max() > t1 + 1e-12):
-            raise ValueError("t_eval must lie within t_span")
-        if np.any(np.diff(t_eval) < 0):
-            raise ValueError("t_eval must be nondecreasing")
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.size and (t_eval.min() < t0 - 1e-12 or t_eval.max() > t1 + 1e-12):
+        raise ValueError("t_eval must lie within t_span")
+    if np.any(np.diff(t_eval) < 0):
+        raise ValueError("t_eval must be nondecreasing")
 
     k = np.empty((7, y.size), dtype=y.dtype)
     k[0] = f(t0, y)
@@ -206,21 +207,18 @@ def integrate_ode(
 
     t = t0
     eval_idx = 0
-    if t_eval is None:
-        out_t, out_y = [t0], [y.copy()]
-    else:
-        # The dense-output samples take the dtype of the interpolant.
-        out_y = np.empty((t_eval.size, y.size), dtype=np.result_type(y, _DP_D))
-        while eval_idx < t_eval.size and t_eval[eval_idx] <= t0 + 1e-15:
-            out_y[eval_idx] = y
-            eval_idx += 1
+    # The dense-output samples take the dtype of the interpolant.
+    out_y = np.empty((t_eval.size, y.size), dtype=np.result_type(y, _DP_D))
+    while eval_idx < t_eval.size and t_eval[eval_idx] <= t0 + 1e-15:
+        out_y[eval_idx] = y
+        eval_idx += 1
 
     err_prev = 1e-4
     hmin = 1e4 * np.finfo(float).eps * max(abs(t0), abs(t1))
     steps = accepted = 0
     while t < t1:
-        if steps >= max_steps:
-            raise ConvergenceError(f"ODE step budget {max_steps} exhausted")
+        if steps >= _MAX_STEPS:
+            raise ConvergenceError(f"ODE step budget {_MAX_STEPS} exhausted")
         steps += 1
         h = min(h, t1 - t)
         if h < hmin:
@@ -241,26 +239,22 @@ def integrate_ode(
 
         if err_norm <= 1.0:
             t_new = t + h
-            if t_eval is not None:
-                while eval_idx < t_eval.size and t_eval[eval_idx] <= t_new + 1e-15:
-                    theta = (t_eval[eval_idx] - t) / h
-                    dy = y_new - y
-                    r1 = y
-                    r2 = dy
-                    r3 = h * k[0] - dy
-                    r4 = dy - h * k[6] - r3
-                    r5 = h * (_DP_D @ k)
-                    out_y[eval_idx] = r1 + theta * (
-                        r2 + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
-                    )
-                    eval_idx += 1
+            while eval_idx < t_eval.size and t_eval[eval_idx] <= t_new + 1e-15:
+                theta = (t_eval[eval_idx] - t) / h
+                dy = y_new - y
+                r1 = y
+                r2 = dy
+                r3 = h * k[0] - dy
+                r4 = dy - h * k[6] - r3
+                r5 = h * (_DP_D @ k)
+                out_y[eval_idx] = r1 + theta * (
+                    r2 + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
+                )
+                eval_idx += 1
             t = t_new
             y, abs_y = y_new, abs_y_new
             k[0] = k[6]  # first-same-as-last
             accepted += 1
-            if t_eval is None:
-                out_t.append(t)
-                out_y.append(y)  # y is rebound each step, never written in place
             err_norm = max(err_norm, 1e-10)
             fac = 0.9 * err_norm ** (-0.7 / 5) * err_prev ** (0.4 / 5)
             h *= min(5.0, max(0.2, fac))
@@ -268,10 +262,8 @@ def integrate_ode(
         else:
             h *= min(1.0, max(0.1, 0.9 * err_norm ** (-0.2)))
 
-    if t_eval is not None:
-        out_t, out_y = t_eval[:eval_idx].copy(), out_y[:eval_idx]
     return OdeSolution(
-        t=np.asarray(out_t), y=np.asarray(out_y), n_rhs=1 + 6 * steps,
+        t=t_eval[:eval_idx].copy(), y=out_y[:eval_idx], n_rhs=1 + 6 * steps,
         n_accepted=accepted, n_rejected=steps - accepted,
     )
 
@@ -285,9 +277,10 @@ class FitResult:
 
     ``converged`` is True when the minimization stopped at a numerical
     optimum: the infinity norm of the gradient of the squared-residual
-    objective fell to ``gtol * max(1, cost)``, a step fell below ``xtol``, or
-    no damping gave descent while that norm was at most
-    ``1e-6 * max(1, cost)``.  It is False only when ``max_iter`` ran out.
+    objective fell to ``_GTOL * max(1, cost)``, a step fell below ``_XTOL``
+    relative to the parameters, or no damping gave descent while that norm was
+    at most ``1e-6 * max(1, cost)``.  It is False only when ``_MAX_ITER``
+    iterations ran out.
     ``covariance`` is the linearized parameter covariance at the optimum
     (``None`` when it cannot be formed).
     """
@@ -315,15 +308,17 @@ def _numeric_jacobian(
     return jac
 
 
+# Stopping rules of fit_least_squares (see FitResult.converged).
+_GTOL = 1e-8
+_XTOL = 1e-12
+_MAX_ITER = 200
+
+
 def fit_least_squares(
     model: Callable[[np.ndarray, np.ndarray], np.ndarray],
     t: Sequence[float] | np.ndarray,
     y: Sequence[float] | np.ndarray,
     initial_guess: Sequence[float] | np.ndarray,
-    *,
-    gtol: float = 1e-8,
-    xtol: float = 1e-12,
-    max_iter: int = 200,
 ) -> FitResult:
     """Minimize ``sum((model(t, p) - y)**2)`` over the parameter vector.
 
@@ -358,10 +353,10 @@ def fit_least_squares(
     converged = False
     jac = _numeric_jacobian(model, t, p)
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         grad = 2.0 * (jac.T @ r)
         gnorm = float(np.abs(grad).max())
-        if gnorm <= gtol * max(1.0, cost):
+        if gnorm <= _GTOL * max(1.0, cost):
             converged = True
             break
 
@@ -403,7 +398,7 @@ def fit_least_squares(
                 f"no descent direction found (gradient norm {gnorm:.3e})"
             )
         jac = _numeric_jacobian(model, t, p)
-        if float(np.abs(delta).max()) <= xtol * (xtol + float(np.abs(p).max())):
+        if float(np.abs(delta).max()) <= _XTOL * (_XTOL + float(np.abs(p).max())):
             converged = True
             break
 

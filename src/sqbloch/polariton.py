@@ -18,7 +18,6 @@ in GHz, rates in 1/us, times in us.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -154,14 +153,6 @@ class PolaritonSystem:
 
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
-
-    def to_json(self) -> str:
-        payload = {
-            "energies_ghz": [float(e) for e in self.energies],
-            "A_abs": [[float(abs(x)) for x in row] for row in self.A],
-            "labels": list(self.labels),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _bare_labels(p: TransmonCavityParams, vectors: np.ndarray) -> tuple[str, ...]:

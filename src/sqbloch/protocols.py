@@ -38,6 +38,7 @@ from .blochdyn import (
 from .errors import DegenerateFitError
 from .estimation import fit_exp
 from .reservoir import eta_curve
+from ._table import csv_table
 from . import blochdyn
 
 __all__ = [
@@ -187,10 +188,7 @@ class RamseyTrace:
             raise ValueError("times must be strictly increasing")
 
     def to_csv(self) -> str:
-        lines = ["#schema=ramsey-trace-v1", "t_us,sz"]
-        for t, v in zip(self.times, self.sz_values):
-            lines.append(f"{t:.9g},{v:.9g}")
-        return "\n".join(lines) + "\n"
+        return csv_table("ramsey-trace-v1", "t_us,sz", self.times, self.sz_values)
 
 
 def _fringe(r: DecayRates, phi: float, omega_mod: float, t: np.ndarray, squeezing_on: bool):
@@ -241,10 +239,8 @@ class BlochTrajectory:
     prep: tuple[float, float]
 
     def to_csv(self) -> str:
-        lines = ["#schema=bloch-trajectory-v1", "t_us,sx,sy,sz"]
-        for t, s in zip(self.times, self.states):
-            lines.append(f"{t:.9g},{s.sx:.9g},{s.sy:.9g},{s.sz:.9g}")
-        return "\n".join(lines) + "\n"
+        xyz = [s.as_array() for s in self.states]
+        return csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", self.times, xyz)
 
 
 def tomography_trajectory(
@@ -368,16 +364,10 @@ def gain_sweep(
 
 
 def detuning_sweep_to_csv(points: list[DetuningSweepPoint]) -> str:
-    lines = ["#schema=detuning-sweep-v1", "delta_mhz,T_eff_us,converged"]
-    for p in points:
-        lines.append(f"{p.delta:.9g},{p.T_eff:.9g},{int(p.converged)}")
-    return "\n".join(lines) + "\n"
+    rows = [(p.delta, p.T_eff, p.converged) for p in points]
+    return csv_table("detuning-sweep-v1", "delta_mhz,T_eff_us,converged", rows)
 
 
 def gain_sweep_to_csv(points: list[GainSweepPoint]) -> str:
-    lines = ["#schema=gain-sweep-v1", "N,M,Tx_us,Ty_us,Tz_us,M_minus_N"]
-    for p in points:
-        lines.append(
-            f"{p.N:.9g},{p.M:.9g},{p.Tx:.9g},{p.Ty:.9g},{p.Tz:.9g},{p.M_minus_N:.9g}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [(p.N, p.M, p.Tx, p.Ty, p.Tz, p.M_minus_N) for p in points]
+    return csv_table("gain-sweep-v1", "N,M,Tx_us,Ty_us,Tz_us,M_minus_N", rows)

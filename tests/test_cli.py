@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from sqbloch.blochdyn import DecayRates
-from sqbloch.cli import ConfigError, load_config, main
+from sqbloch import errors
+from sqbloch.cli import ConfigError, _polariton_system, load_config, main
 from sqbloch.protocols import ramsey
 
 FAST_CONF = """
@@ -195,6 +196,7 @@ class TestMain:
         assert moments["N"] == pytest.approx(0.88, abs=1e-6)
         assert moments["M"] == pytest.approx(1.08, abs=1e-6)
         assert moments["N_uncorrected"] == pytest.approx(0.899, abs=1e-6)
+        assert moments["eta_inferred"] == pytest.approx(0.445, abs=1e-2)
         assert (out / "wigner_reconstructed.csv").exists()
         decays = moments["decay_estimate"]
         # The thermally loaded environment at the intrinsic rate: Ty from
@@ -419,6 +421,10 @@ class TestMain:
         payload = json.loads((out / "polariton.json").read_text())
         assert abs(payload["g_to_minus_ghz"] - 5.8989) * 1e3 <= 15.0
         assert abs(payload["splitting_mhz"] - 255.0) <= 10.0
+        system = _polariton_system(load_config(conf))
+        assert payload["labels"][:3] == ["g", "-", "+"]
+        assert len(payload["energies_ghz"]) == 16  # 4 transmon x 4 photon levels
+        assert payload["A_abs"][0][1] == pytest.approx(abs(system.A[0, 1]), rel=1e-9)
         levels = (out / "polariton.csv").read_text().strip().split("\n")
         assert levels[0] == "#schema=polariton-levels-v1"
 
@@ -449,3 +455,15 @@ def test_cli_import_leaves_acceptance_unloaded():
         timeout=120,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_every_error_is_a_numerical_failure():
+    # main() maps NumericalFailure to exit 3, so every exception class the
+    # errors module defines must derive from it.
+    defined = [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    ]
+    assert len(defined) == 8
+    assert all(issubclass(cls, errors.NumericalFailure) for cls in defined)

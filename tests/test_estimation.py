@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -160,12 +159,6 @@ class TestMomentsFromDecays:
         est = estimate_moments(0.65, 6.6, ts.Tx, ts.Tz)
         assert est.N == pytest.approx(0.88, rel=1e-10)
         assert est.M == pytest.approx(1.08, rel=1e-10)
-
-    def test_json(self):
-        est = moments_from_decays(0.65, 0.2355072, 2.1666667)
-        payload = json.loads(est.to_json())
-        assert payload["N"] == pytest.approx(0.88, abs=1e-4)
-        assert payload["eta_inferred"] == pytest.approx(0.445, abs=1e-2)
 
 
 class TestInferEta:

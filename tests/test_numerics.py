@@ -141,12 +141,6 @@ class TestIntegrateOde:
         sol = integrate_ode(lambda t, y: -y, [1.0], (0.0, 2.0), tol=tol, t_eval=t_eval)
         assert np.abs(sol.y[:, 0] - np.exp(-t_eval)).max() <= 10 * tol
 
-    def test_accepted_steps_without_t_eval(self):
-        sol = integrate_ode(lambda t, y: -y, [1.0], (0.0, 2.0), tol=1e-9)
-        assert sol.t[0] == 0.0 and sol.t[-1] == pytest.approx(2.0)
-        assert np.all(np.diff(sol.t) > 0.0)
-        assert np.abs(sol.y[:, 0] - np.exp(-sol.t)).max() <= 1e-7
-
     def test_t_eval_output_pinned_and_counters(self):
         # A kick at t = 1 makes the step control reject steps.  The pinned
         # samples are the integrator's output before its step bookkeeping
@@ -173,9 +167,6 @@ class TestIntegrateOde:
         assert (sol.n_accepted, sol.n_rejected) == (88, 26)
         assert sol.n_rhs == 1 + 6 * (sol.n_accepted + sol.n_rejected)
 
-        steps = integrate_ode(f, [1.0, 0.0], (0.0, 2.0), tol=1e-8)
-        assert steps.t.size == steps.n_accepted + 1 == 89
-
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_zero_initial_state(self, tol):
         # A state below the tolerance scale must not shrink the first step
@@ -188,9 +179,9 @@ class TestIntegrateOde:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0), tol=0.0)
+            integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0), tol=0.0, t_eval=[1.0])
         with pytest.raises(ValueError):
-            integrate_ode(lambda t, y: -y, [1.0], (1.0, 1.0))
+            integrate_ode(lambda t, y: -y, [1.0], (1.0, 1.0), t_eval=[1.0])
 
     def test_stiffness_error(self):
         # Derivative blows up at t -> 1; the step size collapses.
@@ -199,7 +190,7 @@ class TestIntegrateOde:
 
         with pytest.raises((StiffnessError, OverflowError, FloatingPointError)):
             with np.errstate(over="raise", invalid="raise"):
-                integrate_ode(f, [1.0], (0.0, 1.0), tol=1e-9)
+                integrate_ode(f, [1.0], (0.0, 1.0), tol=1e-9, t_eval=[1.0])
 
 
 def _exp_model(t, p):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -213,14 +212,6 @@ class TestDiagonalizePolaritons:
         for k in (1, 2):
             shift_mhz = abs(base.energies[k] - refined.energies[k]) * 1e3
             assert shift_mhz < 1.0
-
-    def test_json_serialization(self, circuit_system):
-        payload = json.loads(circuit_system.to_json())
-        assert payload["labels"][:3] == ["g", "-", "+"]
-        assert len(payload["energies_ghz"]) == CIRCUIT.dim
-        assert payload["A_abs"][0][1] == pytest.approx(
-            abs(circuit_system.A[0, 1]), rel=1e-9
-        )
 
 
 class TestTwoLevelReduction:

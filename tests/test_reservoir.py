@@ -17,7 +17,7 @@ from sqbloch.reservoir import (
     wigner,
     wigner_grid_for,
 )
-from sqbloch.reservoir import _decimal9, _format_rows
+from sqbloch._table import _decimal9, _format_rows
 
 # Reference operating point: N = 0.88, M = 1.08.
 OPERATING = SqueezedReservoir(N=0.88, M=1.08)
@@ -242,7 +242,7 @@ def _fast_range():
 
 
 class TestCsvEncoder:
-    """``reservoir._format_rows`` against Python's correctly rounded "%.9g"."""
+    """``_table._format_rows`` against Python's correctly rounded "%.9g"."""
 
     @given(st.lists(_float_bits(), min_size=1, max_size=12))
     @settings(max_examples=300, derandomize=True, deadline=None)
