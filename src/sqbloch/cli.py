@@ -284,22 +284,25 @@ class _Writer:
         (self.out_dir / name).write_text(text)
 
 
-def _cmd_polariton(cfg: RunConfig, writer: _Writer) -> int:
-    system = _polariton_system(cfg)
+def _polariton_payload(system) -> dict:
+    """The ``polariton.json`` payload of a diagonalised system."""
     f_minus = system.transition_frequency(0, system.index_of("-"))
     f_plus = system.transition_frequency(0, system.index_of("+"))
-    splitting = (f_plus - f_minus) * 1e3
-    writer.json(
-        "polariton.json",
-        {
-            "energies_ghz": system.energies.tolist(),
-            "A_abs": [[abs(x) for x in row] for row in system.A.tolist()],
-            "labels": list(system.labels),
-            "g_to_minus_ghz": f_minus,
-            "g_to_plus_ghz": f_plus,
-            "splitting_mhz": splitting,
-        },
-    )
+    return {
+        "energies_ghz": system.energies.tolist(),
+        "A_abs": [[abs(x) for x in row] for row in system.A.tolist()],
+        "labels": list(system.labels),
+        "g_to_minus_ghz": f_minus,
+        "g_to_plus_ghz": f_plus,
+        "splitting_mhz": (f_plus - f_minus) * 1e3,
+    }
+
+
+def _cmd_polariton(cfg: RunConfig, writer: _Writer) -> int:
+    system = _polariton_system(cfg)
+    payload = _polariton_payload(system)
+    f_minus, splitting = payload["g_to_minus_ghz"], payload["splitting_mhz"]
+    writer.json("polariton.json", payload)
     lines = ["#schema=polariton-levels-v1", "level,label,energy_ghz"]
     for k, (label, e) in enumerate(zip(system.labels, system.energies)):
         lines.append(f"{k},{label},{e:.9g}")

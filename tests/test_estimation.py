@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqbloch.blochdyn import DecayRates, axis_timescales
+from sqbloch.cli import _Writer
 from sqbloch.errors import (
     InconsistentInputsError,
     NotSqueezedError,
@@ -159,6 +162,14 @@ class TestMomentsFromDecays:
         est = estimate_moments(0.65, 6.6, ts.Tx, ts.Tz)
         assert est.N == pytest.approx(0.88, rel=1e-10)
         assert est.M == pytest.approx(1.08, rel=1e-10)
+
+    def test_json(self, tmp_path):
+        # moments.json carries asdict(est) through the CLI's JSON writer.
+        est = moments_from_decays(0.65, 0.2355072, 2.1666667)
+        _Writer(tmp_path, "json").json("moments.json", asdict(est))
+        payload = json.loads((tmp_path / "moments.json").read_text())
+        assert payload["N"] == pytest.approx(0.88, abs=1e-4)
+        assert payload["eta_inferred"] == pytest.approx(0.445, abs=1e-2)
 
 
 class TestInferEta:

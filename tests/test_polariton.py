@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from sqbloch.blochdyn import (
     steady_state,
     transverse_propagator_xy,
 )
+from sqbloch.cli import _polariton_payload, _Writer
 from sqbloch.errors import MultiTransitionError
 from sqbloch.numerics import integrate_ode
 from sqbloch.polariton import (
@@ -212,6 +214,16 @@ class TestDiagonalizePolaritons:
         for k in (1, 2):
             shift_mhz = abs(base.energies[k] - refined.energies[k]) * 1e3
             assert shift_mhz < 1.0
+
+    def test_json_serialization(self, circuit_system, tmp_path):
+        payload = _polariton_payload(circuit_system)
+        _Writer(tmp_path, "json").json("polariton.json", payload)
+        payload = json.loads((tmp_path / "polariton.json").read_text())
+        assert payload["labels"][:3] == ["g", "-", "+"]
+        assert len(payload["energies_ghz"]) == CIRCUIT.dim
+        assert payload["A_abs"][0][1] == pytest.approx(
+            abs(circuit_system.A[0, 1]), rel=1e-9
+        )
 
 
 class TestTwoLevelReduction:
