@@ -12,6 +12,7 @@ equilibrium excited-state population.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -240,17 +241,26 @@ def criterion_5_detuning_sweep() -> CriterionResult:
     return res
 
 
-def _circuit_system():
+@functools.cache
+def _circuit_system() -> polariton.PolaritonSystem:
+    """The reference circuit's polaritons, built once per process."""
     params = polariton.TransmonCavityParams()
-    system = polariton.diagonalize_polaritons(
-        polariton.build_hamiltonian(params), params
+    return polariton.diagonalize_polaritons(polariton.build_hamiltonian(params), params)
+
+
+def _resonant_reservoir(system: polariton.PolaritonSystem) -> reservoir.SqueezedReservoir:
+    """Operating-point squeezing, resonant with the ground to lower-polariton transition."""
+    return reservoir.SqueezedReservoir(
+        N=N_OP,
+        M=M_OP,
+        omega0=system.transition_frequency(0, system.index_of("-")),
+        bandwidth=BANDWIDTH,
     )
-    return params, system
 
 
-def criterion_6_polariton_spectrum(cache: dict | None = None) -> CriterionResult:
+def criterion_6_polariton_spectrum() -> CriterionResult:
     res = CriterionResult(6, "polariton spectrum at the circuit parameters")
-    _, system = cache["system"] if cache else _circuit_system()
+    system = _circuit_system()
     f_minus = system.transition_frequency(0, system.index_of("-"))
     f_plus = system.transition_frequency(0, system.index_of("+"))
     res.check(
@@ -264,16 +274,11 @@ def criterion_6_polariton_spectrum(cache: dict | None = None) -> CriterionResult
     return res
 
 
-def criterion_7_master_equation_reduction(cache: dict | None = None) -> CriterionResult:
+def criterion_7_master_equation_reduction() -> CriterionResult:
     res = CriterionResult(7, "multi-level master equation reduces to the Bloch dynamics")
-    _, system = cache["system"] if cache else _circuit_system()
+    system = _circuit_system()
     i_minus = system.index_of("-")
-    resv = reservoir.SqueezedReservoir(
-        N=N_OP,
-        M=M_OP,
-        omega0=system.transition_frequency(0, i_minus),
-        bandwidth=BANDWIDTH,
-    )
+    resv = _resonant_reservoir(system)
     base = 2.0 * math.pi * 0.24 / abs(system.A[0, i_minus]) ** 2
     rates = polariton.two_level_reduction(system, base, resv)
     rhs = polariton.master_equation_rhs(system, resv, base)
@@ -330,7 +335,7 @@ def criterion_9_thermal_calibration() -> CriterionResult:
     return res
 
 
-def criterion_10_property_backstop(cache: dict | None = None) -> CriterionResult:
+def criterion_10_property_backstop() -> CriterionResult:
     """Deterministic spot checks of the module property suites; the broad
     randomized versions run in the per-module tests."""
     res = CriterionResult(10, "property-suite backstop")
@@ -355,14 +360,8 @@ def criterion_10_property_backstop(cache: dict | None = None) -> CriterionResult
     res.check(worst <= 1e-3, f"estimation round trip to 1e-3 (worst {worst:.1e})")
 
     # Master equation preserves trace and Hermiticity on a seeded state.
-    _, system = cache["system"] if cache else _circuit_system()
-    resv = reservoir.SqueezedReservoir(
-        N=N_OP,
-        M=M_OP,
-        omega0=system.transition_frequency(0, system.index_of("-")),
-        bandwidth=BANDWIDTH,
-    )
-    rhs = polariton.master_equation_rhs(system, resv, 1.0)
+    system = _circuit_system()
+    rhs = polariton.master_equation_rhs(system, _resonant_reservoir(system), 1.0)
     rng = np.random.default_rng(11)
     g = rng.standard_normal((rhs.dimension, rhs.dimension))
     g = g + 1j * rng.standard_normal(g.shape)
@@ -435,19 +434,18 @@ def criterion_11_drive_scaling() -> CriterionResult:
 
 
 def run_all() -> list[CriterionResult]:
-    """Run every acceptance criterion, sharing the polariton build."""
-    cache = {"system": _circuit_system()}
+    """Run every acceptance criterion."""
     return [
         criterion_1_vacuum_limit(),
         criterion_2_t2_star(),
         criterion_3_squeezed_timescales(),
         criterion_4_steady_state(),
         criterion_5_detuning_sweep(),
-        criterion_6_polariton_spectrum(cache),
-        criterion_7_master_equation_reduction(cache),
+        criterion_6_polariton_spectrum(),
+        criterion_7_master_equation_reduction(),
         criterion_8_attenuation_moments(),
         criterion_9_thermal_calibration(),
-        criterion_10_property_backstop(cache),
+        criterion_10_property_backstop(),
         criterion_11_drive_scaling(),
     ]
 

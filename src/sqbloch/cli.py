@@ -16,7 +16,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -253,13 +253,7 @@ def _rates(cfg: RunConfig) -> DecayRates:
     base = 2.0 * math.pi * cfg.gamma_over_2pi_mhz / abs(system.A[0, i_minus]) ** 2
     rates = polariton.two_level_reduction(system, base, resv)
     gamma_phi = 0.0 if math.isinf(cfg.t_phi_us) else 1.0 / cfg.t_phi_us
-    return DecayRates(
-        gamma=rates.gamma,
-        gamma_phi=gamma_phi,
-        N=rates.N,
-        M_abs=rates.M_abs,
-        delta=rates.delta,
-    )
+    return replace(rates, gamma_phi=gamma_phi)
 
 
 def _t1_of(cfg: RunConfig, rates: DecayRates) -> float:
@@ -571,15 +565,7 @@ def _cmd_validate(cfg: RunConfig, writer: _Writer) -> int:
         "validate.json",
         {
             "all_passed": all(r.passed for r in results),
-            "criteria": [
-                {
-                    "number": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "details": r.details,
-                }
-                for r in results
-            ],
+            "criteria": [asdict(r) for r in results],
         },
     )
     if not all(r.passed for r in results):
@@ -620,13 +606,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 2
-    formats = args.format if args.format else cfg.formats
-    writer = _Writer(Path(args.out), formats)
-    try:
+        writer = _Writer(Path(args.out), args.format or cfg.formats)
         return COMMANDS[args.command](cfg, writer)
     except ConfigError as exc:
         for msg in exc.messages:

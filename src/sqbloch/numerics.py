@@ -88,7 +88,9 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     # Symmetrize away the sub-tolerance defect; LAPACK returns ascending order.
     eigenvalues, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
 
-    # Deterministic ordering inside degenerate clusters and phase gauge.
+    # Deterministic ordering inside degenerate clusters and phase gauge, both
+    # keyed on each vector's largest-magnitude component.
+    lead = np.argmax(np.abs(vectors), axis=0)
     cluster_tol = max(1e-9 * max(np.abs(eigenvalues).max(), 1.0), 1e-300)
     i = 0
     while i < n:
@@ -96,16 +98,17 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
         while j < n and eigenvalues[j] - eigenvalues[j - 1] <= cluster_tol:
             j += 1
         if j - i > 1:
-            keys = [int(np.argmax(np.abs(vectors[:, k]))) for k in range(i, j)]
-            sub = np.argsort(np.asarray(keys), kind="stable")
-            vectors[:, i:j] = vectors[:, i + sub]
-            eigenvalues[i:j] = eigenvalues[i + sub]
+            sub = i + np.argsort(lead[i:j], kind="stable")
+            vectors[:, i:j] = vectors[:, sub]
+            eigenvalues[i:j] = eigenvalues[sub]
+            lead[i:j] = lead[sub]
         i = j
-    for k in range(n):
-        lead = int(np.argmax(np.abs(vectors[:, k])))
-        z = vectors[lead, k]
-        if z != 0.0:
-            vectors[:, k] *= np.conj(z) / abs(z)
+    z = vectors[lead, np.arange(n)]
+    nonzero = z != 0.0
+    # np.hypot rounds |z| as the scalar abs(z) does; the array np.abs can
+    # differ in the last bit, which would change the eigenvectors' bytes.
+    z = z[nonzero]
+    vectors[:, nonzero] *= np.conj(z) / np.hypot(z.real, z.imag)
 
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 

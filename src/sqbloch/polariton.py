@@ -193,6 +193,15 @@ def diagonalize_polaritons(
     )
 
 
+def _transition(ps: PolaritonSystem, pair: tuple[int, int] | None) -> tuple[int, int]:
+    """``pair`` (default: ground to lower polariton), checked to be a
+    transition i < j between levels of ``ps``."""
+    i, j = pair if pair is not None else (0, ps.index_of("-"))
+    if not 0 <= i < j < ps.energies.size:
+        raise ValueError(f"invalid transition pair {(i, j)}")
+    return i, j
+
+
 def two_level_reduction(
     ps: PolaritonSystem,
     gamma01_base: float,
@@ -213,9 +222,7 @@ def two_level_reduction(
         If another radiatively active transition lies within 5x the
         squeezing bandwidth of the selected one.
     """
-    i, j = transition if transition is not None else (0, ps.index_of("-"))
-    if not 0 <= i < j < ps.energies.size:
-        raise ValueError(f"invalid transition pair {(i, j)}")
+    i, j = _transition(ps, transition)
     omega_sel = ps.transition_frequency(i, j)
 
     guard_mhz = 5.0 * r.bandwidth
@@ -252,29 +259,23 @@ def two_level_reduction(
 class MasterEquationRHS:
     """Assembled dissipative generator of the multi-level master equation.
 
-    ``terms`` lists (coefficient, i, j, kind) with kind in
-    {"N+1", "N", "M", "M*"}; ``phases`` holds the rotating angular frequency
-    (rad/us) of each M-type term, zero for the rest.  The generator acts in
-    the interaction picture of the system Hamiltonian, so resonant squeezing
-    gives a static M term.  Immutable after assembly and safe to evaluate
-    concurrently.
-
-    Every jump operator is a single dressed-basis matrix unit, so the terms
-    collapse into three dense parts.  ``_transfer[i, j]`` is the rate at
-    which the (N+1) and N sandwiches move population j into level i (real,
-    stored complex so the mat-vec needs no cast); ``_decay[i, j]`` is the
-    anticommutator part -(g_i + g_j), with g_k the summed coefficients of
-    the terms leaving level k; ``_m_pair`` holds ``(a, b, weight, phase)``
-    for the squeezed transition's M* and M sandwiches, each moving
-    ``rho[b, a]`` into entry (a, b) at ``weight * exp(i phase t)``.
+    The generator acts in the interaction picture of the system Hamiltonian,
+    so resonant squeezing gives a static M term.  Every jump operator is a
+    single dressed-basis matrix unit, so it is stored as three dense parts.
+    ``transfer[i, j]`` is the rate at which the (N+1) and N sandwiches move
+    population j into level i (real, stored complex so the mat-vec needs no
+    cast); ``decay[a, b]`` is the anticommutator part -(g_a + g_b), with g_k
+    half the column sum ``transfer[:, k]``, so population leaves level k at
+    2 g_k; ``m_pair`` holds ``(a, b, weight, phase)`` for the squeezed
+    transition's M* and M sandwiches (empty without M), each moving
+    ``rho[b, a]`` into entry (a, b) at ``weight * exp(i phase t)``, phase in
+    rad/us.  Immutable after assembly and safe to evaluate concurrently.
     """
 
     dimension: int
-    terms: tuple[tuple[complex, int, int, str], ...]
-    phases: tuple[float, ...]
-    _transfer: np.ndarray = field(repr=False, default=None)
-    _decay: np.ndarray = field(repr=False, default=None)
-    _m_pair: tuple[tuple[int, int, complex, float], ...] = field(repr=False, default=())
+    transfer: np.ndarray = field(repr=False)
+    decay: np.ndarray = field(repr=False)
+    m_pair: tuple[tuple[int, int, complex, float], ...] = field(repr=False)
 
 
 def master_equation_rhs(
@@ -290,10 +291,11 @@ def master_equation_rhs(
     on ``squeezed_transition`` (default: ground to lower polariton); all
     other transitions decay into plain vacuum.  Rates are normalized so a
     vacuum transition's population decays at |A_ij|^2 gamma_ij, matching the
-    two-level T1 convention.
+    two-level T1 convention.  A ``squeezed_transition`` that is not a pair
+    i < j of levels raises ``ValueError``.
     """
     dim = ps.energies.size
-    sq = squeezed_transition if squeezed_transition is not None else (0, ps.index_of("-"))
+    i, j = _transition(ps, squeezed_transition)
 
     rows, cols = np.triu_indices(dim, k=1)
     if isinstance(gamma_map, dict):
@@ -304,7 +306,7 @@ def master_equation_rhs(
     rate = base * np.abs(ps.A[rows, cols]) ** 2
     keep = ~(rate <= 0.0)  # keeps NaN rates, so they surface in the RHS
     rows, cols, rate = rows[keep], cols[keep], rate[keep]
-    hit = np.flatnonzero((rows == sq[0]) & (cols == sq[1]))
+    hit = np.flatnonzero((rows == i) & (cols == j))
 
     # (N+1)-type: (rate/2)(N+1)(2 S- rho S+ - {S+ S-, rho}) with S- = |i><j|;
     # the sandwich moves population j -> i.  Only the squeezed pair sees N.
@@ -313,16 +315,12 @@ def master_equation_rhs(
     transfer = np.zeros((dim, dim), dtype=complex)
     transfer[rows, cols] = 2.0 * c
     gdiag = np.bincount(cols, weights=c, minlength=dim)
-    terms = list(zip(c.tolist(), rows.tolist(), cols.tolist(), ["N+1"] * c.size))
-    phases = [0.0] * c.size
 
-    m_pair = []
+    m_pair = ()
     if hit.size:
-        k, (i, j) = int(hit[0]), sq
-        extra = []  # (coefficient, kind, phase), listed after the (N+1) term
+        rate_sq = rate[hit[0]]
         if r.N > 0.0:
-            c_n = 0.5 * rate[k] * r.N
-            extra.append((c_n, "N", 0.0))
+            c_n = 0.5 * rate_sq * r.N
             transfer[j, i] = 2.0 * c_n
             gdiag[i] += c_n
         if r.M != 0.0:
@@ -330,20 +328,15 @@ def master_equation_rhs(
             detuning = r.omega0 - ps.transition_frequency(i, j)
             two_delta = 2.0 * GHZ_TO_RAD_PER_US * detuning
             # M-type pair; S+- squared vanishes so only sandwiches remain.
-            c_star = 0.5 * rate[k] * np.conj(r.M) * u
-            c_m = 0.5 * rate[k] * r.M * np.conj(u)
-            extra += [(c_star, "M*", two_delta), (c_m, "M", -two_delta)]
-            m_pair = [(i, j, 2.0 * c_star, two_delta), (j, i, 2.0 * c_m, -two_delta)]
-        terms[k + 1 : k + 1] = [(coef, i, j, kind) for coef, kind, _ in extra]
-        phases[k + 1 : k + 1] = [phase for _, _, phase in extra]
+            c_star = 0.5 * rate_sq * np.conj(r.M) * u
+            c_m = 0.5 * rate_sq * r.M * np.conj(u)
+            m_pair = ((i, j, 2.0 * c_star, two_delta), (j, i, 2.0 * c_m, -two_delta))
 
     return MasterEquationRHS(
         dimension=dim,
-        terms=tuple(terms),
-        phases=tuple(phases),
-        _transfer=transfer,
-        _decay=-(gdiag[:, None] + gdiag[None, :]).astype(complex),
-        _m_pair=tuple(m_pair),
+        transfer=transfer,
+        decay=-(gdiag[:, None] + gdiag[None, :]).astype(complex),
+        m_pair=m_pair,
     )
 
 
@@ -369,10 +362,10 @@ def apply_master_equation(
     if abs(trace.real - 1.0) > 1e-6 or abs(trace.imag) > 1e-9:
         raise ValueError("rho must have unit trace")
 
-    drho = rhs._decay * rho
+    drho = rhs.decay * rho
     # The diagonal of a fresh C-ordered array is every (dim+1)-th flat entry.
-    drho.reshape(-1)[:: rhs.dimension + 1] += rhs._transfer @ rho.diagonal()
-    for a, b, weight, phase in rhs._m_pair:
+    drho.reshape(-1)[:: rhs.dimension + 1] += rhs.transfer @ rho.diagonal()
+    for a, b, weight, phase in rhs.m_pair:
         drho[a, b] += weight * cmath.exp(1j * phase * t) * rho[b, a]
     return drho
 

@@ -24,3 +24,5 @@ def test_criterion(results, number, name):
 
 def test_all_criteria_covered(results):
     assert sorted(results) == [n for n, _ in acceptance.CRITERIA]
+    # Each name is written in its criterion and in CRITERIA; they must agree.
+    assert [(r.number, r.name) for r in results.values()] == acceptance.CRITERIA

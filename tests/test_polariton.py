@@ -47,30 +47,35 @@ def calibrated_base(ps, gamma_over_2pi_mhz=0.24):
     return 2.0 * math.pi * gamma_over_2pi_mhz / abs(ps.A[0, ps.index_of("-")]) ** 2
 
 
-def reference_master_equation(rhs, rho, t):
-    """d(rho)/dt summed term by term from the public ``terms``/``phases``,
-    each jump operator an explicit matrix unit S- = |i><j|."""
-    dim = rhs.dimension
+def reference_master_equation(ps, r, gamma_map, squeezed_transition, rho, t):
+    """d(rho)/dt summed transition by transition from the physics, without
+    the assembled generator.  Each transition i < j couples through the jump
+    operator c = A_ij |i><j| at its bare rate gamma_ij, into the squeezed
+    vacuum (N, M) if it is the squeezed one and into plain vacuum otherwise;
+    in the interaction picture M rotates at twice the squeezer detuning."""
+    dim = ps.energies.size
+    sq = squeezed_transition or (0, ps.index_of("-"))
 
-    def dissipator(s):
-        sd = s.conj().T
-        return 2.0 * s @ rho @ sd - sd @ s @ rho - rho @ sd @ s
+    def d(x, y):  # x rho y^dag - {y^dag x, rho} / 2
+        yd = y.conj().T
+        return x @ rho @ yd - 0.5 * (yd @ x @ rho + rho @ yd @ x)
 
     drho = np.zeros((dim, dim), dtype=complex)
-    for (c, i, j, kind), phase in zip(rhs.terms, rhs.phases):
-        lower = np.zeros((dim, dim), dtype=complex)
-        lower[i, j] = 1.0
-        raising = lower.T
-        w = c * np.exp(1j * phase * t)
-        if kind == "N+1":
-            drho += w * dissipator(lower)
-        elif kind == "N":
-            drho += w * dissipator(raising)
-        elif kind == "M*":
-            drho += 2.0 * w * lower @ rho @ lower
-        else:
-            assert kind == "M"
-            drho += 2.0 * w * raising @ rho @ raising
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if isinstance(gamma_map, dict):
+                gamma = gamma_map.get((i, j), 0.0)
+            else:
+                gamma = gamma_map
+            c = np.zeros((dim, dim), dtype=complex)
+            c[i, j] = ps.A[i, j]
+            cd = c.conj().T
+            n, m = (r.N, r.M) if (i, j) == sq else (0.0, 0.0)
+            two_delta = 4.0 * math.pi * 1e3 * (r.omega0 - ps.transition_frequency(i, j))
+            m_t = m * np.exp(-1j * two_delta * t)
+            drho += gamma * (
+                (n + 1.0) * d(c, c) + n * d(cd, cd) + np.conj(m_t) * d(c, cd) + m_t * d(cd, c)
+            )
     return drho
 
 
@@ -411,12 +416,15 @@ class TestMasterEquation:
     def test_term_bookkeeping(self, circuit_system):
         r = resonant_reservoir(circuit_system)
         rhs = master_equation_rhs(circuit_system, r, 1.0)
-        kinds = {kind for _, _, _, kind in rhs.terms}
-        assert kinds == {"N+1", "N", "M", "M*"}
-        squeezed = [(i, j) for _, i, j, kind in rhs.terms if kind in ("M", "M*")]
-        assert set(squeezed) == {(0, 1)}
+        # Only the squeezed (0, 1) transition has an N sandwich (below the
+        # diagonal) and the M pair.
+        assert np.argwhere(np.tril(rhs.transfer)).tolist() == [[1, 0]]
+        assert [(a, b) for a, b, _, _ in rhs.m_pair] == [(0, 1), (1, 0)]
         # Resonant squeezing: all M phases are static.
-        assert all(p == 0.0 for p in rhs.phases)
+        assert all(phase == 0.0 for _, _, _, phase in rhs.m_pair)
+        # Population leaves level k at the column sum of transfer.
+        g = 0.5 * rhs.transfer.sum(axis=0)
+        assert np.abs(rhs.decay + g[:, None] + g[None, :]).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "case", ["resonant-t0", "detuned", "dict-gamma", "squeezed-plus"]
@@ -424,22 +432,17 @@ class TestMasterEquation:
     def test_matches_term_by_term_reference(self, circuit_system, case):
         r, gamma, sq, t = oracle_case(circuit_system, case)
         rhs = master_equation_rhs(circuit_system, r, gamma, squeezed_transition=sq)
-        kinds = [kind for _, _, _, kind in rhs.terms]
-        assert kinds.count("M") == kinds.count("M*") == 1
-        assert any(p != 0.0 for p in rhs.phases) == (case != "resonant-t0")
+        assert len(rhs.m_pair) == 2
+        assert any(phase != 0.0 for *_, phase in rhs.m_pair) == (case != "resonant-t0")
         if case == "dict-gamma":
-            assert [(i, j) for _, i, j, kind in rhs.terms if kind == "N+1"] == [
-                (0, 1),
-                (1, 4),
-                (1, 5),
-            ]
+            assert np.argwhere(np.triu(rhs.transfer)).tolist() == [[0, 1], [1, 4], [1, 5]]
         rng = np.random.default_rng(11)
         dim = rhs.dimension
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         got = apply_master_equation(rhs, rho, t)
-        expected = reference_master_equation(rhs, rho, t)
+        expected = reference_master_equation(circuit_system, r, gamma, sq, rho, t)
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(rho).max()
 
     def test_terms_pinned_on_uncoupled_circuit(self):
@@ -453,18 +456,37 @@ class TestMasterEquation:
         )
         rhs = master_equation_rhs(ps, r, 1.0, squeezed_transition=(0, 2))
         two_delta = 2.0 * (2.0 * math.pi * 1e3) * 1e-3  # rad/us
-        expected = [
-            (0.75, 0, 2, "N+1", 0.0),
-            (0.25, 0, 2, "N", 0.0),
-            (0.3, 0, 2, "M*", two_delta),
-            (0.3, 0, 2, "M", -two_delta),
-            (0.5, 1, 4, "N+1", 0.0),
-            (1.0, 2, 5, "N+1", 0.0),
-            (0.5, 3, 6, "N+1", 0.0),
-            (1.0, 4, 7, "N+1", 0.0),
-            (1.0, 6, 8, "N+1", 0.0),
-        ]
-        assert [term[1:] for term in rhs.terms] == [e[1:4] for e in expected]
-        coeffs = [complex(term[0]) for term in rhs.terms]
-        assert coeffs == pytest.approx([e[0] for e in expected], abs=1e-12)
-        assert list(rhs.phases) == pytest.approx([e[4] for e in expected], abs=1e-9)
+        # (N+1) coefficients 0.75 on (0, 2), then 0.5, 1, 0.5, 1, 1 on the
+        # vacuum transitions; N coefficient 0.25 on (0, 2); M, M* 0.3.
+        # transfer holds twice each coefficient, g_k sums those leaving k.
+        transfer = np.zeros((9, 9))
+        for (i, j), rate in {
+            (0, 2): 1.5,
+            (2, 0): 0.5,
+            (1, 4): 1.0,
+            (2, 5): 2.0,
+            (3, 6): 1.0,
+            (4, 7): 2.0,
+            (6, 8): 2.0,
+        }.items():
+            transfer[i, j] = rate
+        g = np.array([0.25, 0.0, 0.75, 0.0, 0.5, 1.0, 0.5, 1.0, 1.0])
+        assert np.abs(rhs.transfer - transfer).max() <= 1e-12
+        assert np.abs(rhs.decay + g[:, None] + g[None, :]).max() <= 1e-12
+        assert [(a, b) for a, b, _, _ in rhs.m_pair] == [(0, 2), (2, 0)]
+        weights = [complex(w) for _, _, w, _ in rhs.m_pair]
+        assert weights == pytest.approx([0.6, 0.6], abs=1e-12)
+        phases = [phase for *_, phase in rhs.m_pair]
+        assert phases == pytest.approx([two_delta, -two_delta], abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "pair", [(1, 0), (0, CIRCUIT.dim), (2, 2)], ids=["reversed", "past-last", "diagonal"]
+    )
+    def test_invalid_squeezed_transition_rejected(self, circuit_system, pair):
+        r = resonant_reservoir(circuit_system)
+        with pytest.raises(ValueError) as reduction:
+            two_level_reduction(circuit_system, 1.0, r, transition=pair)
+        with pytest.raises(ValueError) as assembly:
+            master_equation_rhs(circuit_system, r, 1.0, squeezed_transition=pair)
+        assert str(assembly.value) == str(reduction.value)
+        assert str(reduction.value) == f"invalid transition pair {pair}"
