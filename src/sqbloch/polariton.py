@@ -8,11 +8,11 @@ from the cavity quadrature expressed in the eigenbasis.
 
 The dissipative generator implements the four squeezed-reservoir families per
 transition -- (N+1)-type, N-type, and the two phase-carrying M-types -- in
-the interaction picture of the system Hamiltonian, where the M phases reduce
-to ``exp(-+ 2 i (2 pi delta_ij) t)`` with ``delta_ij`` the squeezer detuning
-from transition (i, j).  Only the transition inside the squeezing bandwidth
-sees (N, M); every other transition decays into plain vacuum.  Energies are
-in GHz, rates in 1/us, times in us.
+the interaction picture of the system Hamiltonian, where the M phase factors
+reduce to ``exp(-+ 2 i (2 pi delta_ij) t)`` with ``delta_ij`` the squeezer
+detuning from transition (i, j).  Only the transition inside the squeezing
+bandwidth sees (N, M); every other transition decays into plain vacuum.
+Energies are in GHz, rates in 1/us, times in us.
 """
 
 from __future__ import annotations

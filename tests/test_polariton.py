@@ -80,7 +80,13 @@ def reference_master_equation(ps, r, gamma_map, squeezed_transition, rho, t):
 
 
 def oracle_case(ps, name):
-    """(reservoir, gamma_map, squeezed_transition, t) for one oracle case."""
+    """(system, reservoir, gamma_map, squeezed_transition, t) for one oracle
+    case; "complex-gauge" rephases the dressed states of ``ps`` so the
+    nonzero A_ij are complex, which the real circuit Hamiltonian never gives."""
+    if name == "complex-gauge":
+        theta = np.linspace(0.0, 2.5, ps.energies.size)
+        a = ps.A * np.exp(1j * (theta[None, :] - theta[:, None]))
+        ps = PolaritonSystem(energies=ps.energies, A=a, labels=ps.labels)
     i_minus, i_plus = ps.index_of("-"), ps.index_of("+")
     base = calibrated_base(ps)
     detuned = SqueezedReservoir(
@@ -90,9 +96,9 @@ def oracle_case(ps, name):
         bandwidth=13.0,
     )
     if name == "resonant-t0":
-        return resonant_reservoir(ps), base, None, 0.0
-    if name == "detuned":
-        return detuned, base, None, 1.3
+        return ps, resonant_reservoir(ps), base, None, 0.0
+    if name in ("detuned", "complex-gauge"):
+        return ps, detuned, base, None, 1.3
     if name == "dict-gamma":
         gamma = {
             (0, i_minus): base,
@@ -100,12 +106,12 @@ def oracle_case(ps, name):
             (i_minus, 4): 0.7 * base,
             (1, 5): 2.0,
         }
-        return detuned, gamma, None, 0.45
+        return ps, detuned, gamma, None, 0.45
     assert name == "squeezed-plus"
     r = SqueezedReservoir(
         N=0.5, M=0.6j, omega0=ps.transition_frequency(0, i_plus) - 1e-3, bandwidth=1.0
     )
-    return r, 1.3, (0, i_plus), 0.8
+    return ps, r, 1.3, (0, i_plus), 0.8
 
 
 class TestTransmonLevels:
@@ -427,11 +433,11 @@ class TestMasterEquation:
         assert np.abs(rhs.decay + g[:, None] + g[None, :]).max() <= 1e-12
 
     @pytest.mark.parametrize(
-        "case", ["resonant-t0", "detuned", "dict-gamma", "squeezed-plus"]
+        "case", ["resonant-t0", "detuned", "dict-gamma", "squeezed-plus", "complex-gauge"]
     )
     def test_matches_term_by_term_reference(self, circuit_system, case):
-        r, gamma, sq, t = oracle_case(circuit_system, case)
-        rhs = master_equation_rhs(circuit_system, r, gamma, squeezed_transition=sq)
+        ps, r, gamma, sq, t = oracle_case(circuit_system, case)
+        rhs = master_equation_rhs(ps, r, gamma, squeezed_transition=sq)
         assert len(rhs.m_pair) == 2
         assert any(phase != 0.0 for *_, phase in rhs.m_pair) == (case != "resonant-t0")
         if case == "dict-gamma":
@@ -442,7 +448,7 @@ class TestMasterEquation:
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         got = apply_master_equation(rhs, rho, t)
-        expected = reference_master_equation(circuit_system, r, gamma, sq, rho, t)
+        expected = reference_master_equation(ps, r, gamma, sq, rho, t)
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(rho).max()
 
     def test_terms_pinned_on_uncoupled_circuit(self):
