@@ -17,7 +17,6 @@ from .blochdyn import (
     steady_state,
 )
 from .estimation import (
-    DecayEstimate,
     MomentEstimate,
     estimate_moments,
     fit_damped_sinusoid,

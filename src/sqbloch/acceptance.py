@@ -1,9 +1,11 @@
 """Acceptance checks tying the simulator to the reference operating point.
 
-Each criterion is a function returning a :class:`CriterionResult` with the
-computed-versus-expected details; :func:`run_all` executes the list.  The
-pytest acceptance module and the ``validate`` CLI subcommand both consume
-these, so the gate is a single implementation.
+Each criterion is a no-argument callable returning a :class:`CriterionResult`
+with the computed-versus-expected details; its number and name are written
+once, in its ``_criterion`` decorator.  ``CRITERIA`` lists them in order and
+:func:`run_all` executes the list.  The pytest acceptance module and the
+``validate`` CLI subcommand both consume these, so the gate is a single
+implementation.
 
 Reference operating point: T1 = 0.65 us, T_phi = 6.6 us, N = 0.88, M = 1.08,
 modulation 5 MHz, squeezing bandwidth 13 MHz, thermal floor from a 1.8%
@@ -47,34 +49,49 @@ class CriterionResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.number}: {self.name}"
 
 
+def _criterion(number: int, name: str):
+    """Make ``check(res)`` a criterion: a no-argument callable returning the
+    filled :class:`CriterionResult`, with ``number`` and ``name`` attached."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            res = CriterionResult(number, name)
+            check(res)
+            return res
+
+        run.number, run.name = number, name
+        return run
+
+    return wrap
+
+
 def _fit_ramsey_t(rates: DecayRates, phi: float, t_max: float, squeezing_on=True) -> float:
     t = np.linspace(0.0, t_max, 241)
     trace = protocols.ramsey(rates, phi, OMEGA_MOD, t, squeezing_on=squeezing_on)
     return estimation.fit_damped_sinusoid(t, trace.sz_values, OMEGA_MOD).T
 
 
-def criterion_1_vacuum_limit() -> CriterionResult:
-    res = CriterionResult(1, "vacuum Ramsey envelope decays at 2 T1")
+@_criterion(1, "vacuum Ramsey envelope decays at 2 T1")
+def criterion_1_vacuum_limit(res: CriterionResult) -> None:
     rates = DecayRates.from_times(T1=T1)
     t2 = _fit_ramsey_t(rates, 0.5 * math.pi, 5.0)
     res.check(
         abs(t2 - 2.0 * T1) / (2.0 * T1) <= 1e-3,
         f"fitted T2 = {t2:.6f} us vs 2 T1 = {2.0 * T1:.6f} us (tol 0.1%)",
     )
-    return res
 
 
-def criterion_2_t2_star() -> CriterionResult:
-    res = CriterionResult(2, "T2* with pure dephasing")
+@_criterion(2, "T2* with pure dephasing")
+def criterion_2_t2_star(res: CriterionResult) -> None:
     rates = DecayRates.from_times(T1=T1, T_phi=T_PHI)
     t2s = _fit_ramsey_t(rates, 0.5 * math.pi, 5.0, squeezing_on=False)
     res.check(abs(t2s - 1.086) <= 1e-3, f"fitted T2* = {t2s:.6f} us vs 1.086 us")
     res.check(1.04 <= t2s <= 1.12, "T2* inside the quoted 1.08(4) us interval")
-    return res
 
 
-def criterion_3_squeezed_timescales() -> CriterionResult:
-    res = CriterionResult(3, "squeezed-vacuum timescales at the operating point")
+@_criterion(3, "squeezed-vacuum timescales at the operating point")
+def criterion_3_squeezed_timescales(res: CriterionResult) -> None:
     ts = blochdyn.axis_timescales(
         DecayRates.from_times(T1=T1, T_phi=T_PHI, N=N_OP, M=M_OP)
     )
@@ -116,11 +133,10 @@ def criterion_3_squeezed_timescales() -> CriterionResult:
     res.check(
         abs(ty - 0.28) / 0.28 <= 0.02, "Ty within 2% of the measured 0.28 us"
     )
-    return res
 
 
-def criterion_4_steady_state() -> CriterionResult:
-    res = CriterionResult(4, "squeezed-vacuum steady state")
+@_criterion(4, "squeezed-vacuum steady state")
+def criterion_4_steady_state(res: CriterionResult) -> None:
     rates = DecayRates.from_times(T1=T1, T_phi=T_PHI, N=N_OP, M=M_OP)
     ss = blochdyn.steady_state(rates)
     res.check(abs(ss.sz - 0.3623) <= 1e-4, f"<sz>_ss = {ss.sz:.5f} (expected 0.3623)")
@@ -134,11 +150,10 @@ def criterion_4_steady_state() -> CriterionResult:
         abs(traj.states[-1].sx) < 1e-6,
         f"<sx> -> {traj.states[-1].sx:.2e} (below 1e-6)",
     )
-    return res
 
 
-def criterion_5_detuning_sweep() -> CriterionResult:
-    res = CriterionResult(5, "effective decay constants vs squeezer detuning")
+@_criterion(5, "effective decay constants vs squeezer detuning")
+def criterion_5_detuning_sweep(res: CriterionResult) -> None:
     rates = DecayRates.from_times(T1=T1, N=N_OP, M=M_OP)  # radiative only
     gm_mhz = rates.gamma_M / (2.0 * math.pi)
     asym = 2.0 * T1 / (2.0 * N_OP + 1.0)
@@ -156,8 +171,9 @@ def criterion_5_detuning_sweep() -> CriterionResult:
     res.check(sym_err <= 1e-6, f"curves symmetric in delta (rel err {sym_err:.1e})")
 
     def eigenrate_t(delta_mhz: float, sign: float) -> float:
-        root = complex(rates.gamma_M**2 - (2.0 * math.pi * delta_mhz) ** 2) ** 0.5
-        return 1.0 / (rates.gamma_N - sign * root.real)
+        """1/rate of the slow (+1) or fast (-1) eigenmode at this detuning."""
+        fast, slow = blochdyn.decay_eigenrates(replace(rates, delta=delta_mhz))
+        return 1.0 / (slow if sign > 0.0 else fast).real
 
     # Extrema on resonance: exact for the eigenrate curves.  The fitted Tx
     # shares the maximum; the fitted Ty carries a documented fit-procedure
@@ -238,7 +254,6 @@ def criterion_5_detuning_sweep() -> CriterionResult:
         and all(tx[d] < 2.0 * T1 for d in deltas if abs(d) >= 0.264),
         "Tx exceeds 2 T1 only inside a finite window around delta = 0",
     )
-    return res
 
 
 @functools.cache
@@ -258,8 +273,8 @@ def _resonant_reservoir(system: polariton.PolaritonSystem) -> reservoir.Squeezed
     )
 
 
-def criterion_6_polariton_spectrum() -> CriterionResult:
-    res = CriterionResult(6, "polariton spectrum at the circuit parameters")
+@_criterion(6, "polariton spectrum at the circuit parameters")
+def criterion_6_polariton_spectrum(res: CriterionResult) -> None:
     system = _circuit_system()
     f_minus = system.transition_frequency(0, system.index_of("-"))
     f_plus = system.transition_frequency(0, system.index_of("+"))
@@ -271,11 +286,10 @@ def criterion_6_polariton_spectrum() -> CriterionResult:
         abs((f_plus - f_minus) * 1e3 - 255.0) <= 10.0,
         f"polariton splitting {(f_plus - f_minus) * 1e3:.1f} MHz within 10 MHz of 255 MHz",
     )
-    return res
 
 
-def criterion_7_master_equation_reduction() -> CriterionResult:
-    res = CriterionResult(7, "multi-level master equation reduces to the Bloch dynamics")
+@_criterion(7, "multi-level master equation reduces to the Bloch dynamics")
+def criterion_7_master_equation_reduction(res: CriterionResult) -> None:
     system = _circuit_system()
     i_minus = system.index_of("-")
     resv = _resonant_reservoir(system)
@@ -307,11 +321,10 @@ def criterion_7_master_equation_reduction() -> CriterionResult:
         f"Bloch components agree to {worst:.2e} over 5 us (tol 1e-6) at the "
         f"calibrated gamma/2pi = 240 kHz (T1 = {1.0 / rates.gamma:.4f} us)",
     )
-    return res
 
 
-def criterion_8_attenuation_moments() -> CriterionResult:
-    res = CriterionResult(8, "attenuation model accounts for the measured moments")
+@_criterion(8, "attenuation model accounts for the measured moments")
+def criterion_8_attenuation_moments(res: CriterionResult) -> None:
     eta = estimation.infer_eta(N_OP, M_OP)
     res.check(0.40 <= eta <= 0.50, f"inferred eta = {eta:.4f} inside [0.40, 0.50]")
     m_minus_n = reservoir.eta_curve(N_OP, 0.5)
@@ -320,11 +333,10 @@ def criterion_8_attenuation_moments() -> CriterionResult:
         f"eta = 0.5 curve gives M - N = {m_minus_n:.4f} at N = 0.88 "
         "(within 0.03 of 0.20)",
     )
-    return res
 
 
-def criterion_9_thermal_calibration() -> CriterionResult:
-    res = CriterionResult(9, "thermal-floor calibration")
+@_criterion(9, "thermal-floor calibration")
+def criterion_9_thermal_calibration(res: CriterionResult) -> None:
     n_th = reservoir.thermal_from_population(0.018)
     res.check(
         abs(n_th - 0.0187) <= 1e-4 and n_th <= 0.019,
@@ -332,13 +344,12 @@ def criterion_9_thermal_calibration() -> CriterionResult:
     )
     t1_int = T1 * (2.0 * n_th + 1.0)
     res.check(t1_int <= 0.675, f"intrinsic T1 = {t1_int:.4f} us <= 0.675 us")
-    return res
 
 
-def criterion_10_property_backstop() -> CriterionResult:
+@_criterion(10, "property-suite backstop")
+def criterion_10_property_backstop(res: CriterionResult) -> None:
     """Deterministic spot checks of the module property suites; the broad
     randomized versions run in the per-module tests."""
-    res = CriterionResult(10, "property-suite backstop")
 
     # Estimation round trip at three seeded operating points.
     worst = 0.0
@@ -408,13 +419,12 @@ def criterion_10_property_backstop() -> CriterionResult:
         ),
         "least-squares round trip to 1e-6 relative",
     )
-    return res
 
 
-def criterion_11_drive_scaling() -> CriterionResult:
+@_criterion(11, "steady <sy> scales linearly with the weak drive")
+def criterion_11_drive_scaling(res: CriterionResult) -> None:
     """Substitute for the non-reproducible remnant <sy> = 0.07: the steady
     transverse coherence is linear in the weak drive amplitude."""
-    res = CriterionResult(11, "steady <sy> scales linearly with the weak drive")
     rates = DecayRates.from_times(T1=T1, T_phi=T_PHI, N=N_OP, M=M_OP)
     omegas = 2.0 * math.pi * np.array([0.001, 0.002, 0.005, 0.01, 0.02])  # 1-20 kHz
     sy = np.array(
@@ -430,36 +440,23 @@ def criterion_11_drive_scaling() -> CriterionResult:
         f"linear to {worst:.2e} over 1-20 kHz (slope {slope:.4f} per rad/us, "
         f"|sy| at 10 kHz = {abs(slope) * 2.0 * math.pi * 0.01:.4f})",
     )
-    return res
+
+
+CRITERIA = (
+    criterion_1_vacuum_limit,
+    criterion_2_t2_star,
+    criterion_3_squeezed_timescales,
+    criterion_4_steady_state,
+    criterion_5_detuning_sweep,
+    criterion_6_polariton_spectrum,
+    criterion_7_master_equation_reduction,
+    criterion_8_attenuation_moments,
+    criterion_9_thermal_calibration,
+    criterion_10_property_backstop,
+    criterion_11_drive_scaling,
+)
 
 
 def run_all() -> list[CriterionResult]:
     """Run every acceptance criterion."""
-    return [
-        criterion_1_vacuum_limit(),
-        criterion_2_t2_star(),
-        criterion_3_squeezed_timescales(),
-        criterion_4_steady_state(),
-        criterion_5_detuning_sweep(),
-        criterion_6_polariton_spectrum(),
-        criterion_7_master_equation_reduction(),
-        criterion_8_attenuation_moments(),
-        criterion_9_thermal_calibration(),
-        criterion_10_property_backstop(),
-        criterion_11_drive_scaling(),
-    ]
-
-
-CRITERIA = [
-    (1, "vacuum Ramsey envelope decays at 2 T1"),
-    (2, "T2* with pure dephasing"),
-    (3, "squeezed-vacuum timescales at the operating point"),
-    (4, "squeezed-vacuum steady state"),
-    (5, "effective decay constants vs squeezer detuning"),
-    (6, "polariton spectrum at the circuit parameters"),
-    (7, "multi-level master equation reduces to the Bloch dynamics"),
-    (8, "attenuation model accounts for the measured moments"),
-    (9, "thermal-floor calibration"),
-    (10, "property-suite backstop"),
-    (11, "steady <sy> scales linearly with the weak drive"),
-]
+    return [c() for c in CRITERIA]

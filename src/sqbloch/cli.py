@@ -468,77 +468,52 @@ def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
     """
     rates = _rates(cfg)
     t1 = _t1_of(cfg, rates)
-    t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     supplied = dict(cfg.trace_files)
-    decays = None
     if supplied:
         tx_t, tx_y = _read_trace_csv("trace_x", Path(supplied["trace_x"]))
         tz_t, tz_y = _read_trace_csv("trace_z", Path(supplied["trace_z"]))
-        tx_fit = estimation.fit_damped_sinusoid(tx_t, tx_y, cfg.omega_mod_mhz)
-        tz_fit = estimation.fit_exp(tz_t, tz_y)
-        source = "supplied"
+        fits = {
+            "Tx": estimation.fit_damped_sinusoid(tx_t, tx_y, cfg.omega_mod_mhz),
+            "Tz": estimation.fit_exp(tz_t, tz_y),
+        }
     else:
         gamma_int = 1.0 / (t1 * (2.0 * cfg.n_th + 1.0))
-        rates = DecayRates(
-            gamma=gamma_int,
-            gamma_phi=rates.gamma_phi,
-            N=cfg.n + cfg.n_th,
-            M_abs=cfg.m,
-        )
-        trace = protocols.ramsey(rates, 0.5 * math.pi, cfg.omega_mod_mhz, t)
-        tx_fit = estimation.fit_damped_sinusoid(t, trace.sz_values, cfg.omega_mod_mhz)
-        traj = protocols.tomography_trajectory(rates, (math.pi, 0.0), t)
-        tz_fit = estimation.fit_exp(t, np.array([s.sz for s in traj.states]))
-        # The remaining axes complete the decay table for the summary.
-        t_short = np.linspace(0.0, cfg.t_max_us / 3.0, cfg.n_samples)
-        ty_fit = estimation.fit_damped_sinusoid(
-            t_short,
-            protocols.ramsey(rates, math.pi, cfg.omega_mod_mhz, t_short).sz_values,
-            cfg.omega_mod_mhz,
-        )
+        rates = DecayRates(gamma_int, rates.gamma_phi, N=cfg.n + cfg.n_th, M_abs=cfg.m)
         # Squeezer off leaves the thermal floor in the bath.
-        rates_off = DecayRates(
-            gamma=gamma_int, gamma_phi=rates.gamma_phi, N=cfg.n_th, M_abs=0.0
-        )
-        off = protocols.ramsey(rates_off, 0.5 * math.pi, cfg.omega_mod_mhz, t)
-        t2s_fit = estimation.fit_damped_sinusoid(t, off.sz_values, cfg.omega_mod_mhz)
-        decays = estimation.DecayEstimate(
-            Tx=tx_fit.T,
-            Ty=ty_fit.T,
-            Tz=tz_fit.T,
-            T2_star=t2s_fit.T,
-            Tx_stderr=tx_fit.T_stderr,
-            Ty_stderr=ty_fit.T_stderr,
-            Tz_stderr=tz_fit.T_stderr,
-            T2_star_stderr=t2s_fit.T_stderr,
-            source=("ramsey_x_on", "ramsey_y_on", "tomography_z", "ramsey_x_off"),
-        )
-        source = "simulated"
-    for axis, fit in (("x", tx_fit), ("z", tz_fit)):
+        rates_off = replace(rates, N=cfg.n_th, M_abs=0.0)
+        t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
+        t_short = np.linspace(0.0, cfg.t_max_us / 3.0, cfg.n_samples)
+
+        def ramsey_fit(r: DecayRates, phi: float, tt: np.ndarray):
+            trace = protocols.ramsey(r, phi, cfg.omega_mod_mhz, tt)
+            return estimation.fit_damped_sinusoid(tt, trace.sz_values, cfg.omega_mod_mhz)
+
+        traj = protocols.tomography_trajectory(rates, (math.pi, 0.0), t)
+        # Ty and T2* complete the decay table for the summary.
+        fits = {
+            "Tx": ramsey_fit(rates, 0.5 * math.pi, t),
+            "Ty": ramsey_fit(rates, math.pi, t_short),
+            "Tz": estimation.fit_exp(t, np.array([s.sz for s in traj.states])),
+            "T2_star": ramsey_fit(rates_off, 0.5 * math.pi, t),
+        }
+    for k, fit in fits.items():
         if not (math.isfinite(fit.T) and fit.T > 0.0):
             raise UnphysicalRatesError(
-                f"fitted T{axis} = {fit.T:.6g} us is not a positive, finite decay time"
+                f"fitted {k} = {fit.T:.6g} us is not a positive, finite decay time"
             )
-    est = estimation.estimate_moments(t1, cfg.t_phi_us, tx_fit.T, tz_fit.T, cfg.n_th)
+    tx, tz = fits["Tx"].T, fits["Tz"].T
+    est = estimation.estimate_moments(t1, cfg.t_phi_us, tx, tz, cfg.n_th)
     summary = asdict(est) | {
-        "source": source,
-        "Tx_us": tx_fit.T,
-        "Tz_us": tz_fit.T,
-        "Tx_tilde_us": estimation.subtract_dephasing(tx_fit.T, cfg.t_phi_us),
+        "source": "supplied" if supplied else "simulated",
+        "Tx_us": tx,
+        "Tz_us": tz,
+        "Tx_tilde_us": estimation.subtract_dephasing(tx, cfg.t_phi_us),
     }
-    if decays is not None:
-        summary["decay_estimate"] = {
-            "Tx_us": decays.Tx,
-            "Ty_us": decays.Ty,
-            "Tz_us": decays.Tz,
-            "T2_star_us": decays.T2_star,
-            "stderr_us": {
-                "Tx": decays.Tx_stderr,
-                "Ty": decays.Ty_stderr,
-                "Tz": decays.Tz_stderr,
-                "T2_star": decays.T2_star_stderr,
-            },
-            "source": list(decays.source),
+    if not supplied:
+        summary["decay_estimate"] = {f"{k}_us": fit.T for k, fit in fits.items()} | {
+            "stderr_us": {k: fit.T_stderr for k, fit in fits.items()},
+            # The trace behind each fit, in the order of ``fits``.
+            "source": ["ramsey_x_on", "ramsey_y_on", "tomography_z", "ramsey_x_off"],
         }
     writer.json("moments.json", summary)
     try:

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentInputsError, NotSqueezedError, UnphysicalRatesError
-from .numerics import fit_least_squares
+from .numerics import FitResult, fit_least_squares
 from .reservoir import SqueezedReservoir, WignerGrid, variances, wigner_grid_for
 
 __all__ = [
-    "DecayEstimate",
     "ExpFit",
     "MomentEstimate",
     "SinusoidFit",
@@ -62,9 +61,21 @@ class SinusoidFit:
     converged: bool
 
 
-def _exp_model(t, p):
+def _envelope(t, T):
     # Clipping keeps trial steps with sign-flipped time constants finite.
-    return p[0] * np.exp(np.clip(-t / p[1], -700.0, 700.0)) + p[2]
+    return np.exp(np.clip(-t / T, -700.0, 700.0))
+
+
+def _T_stderr(res: FitResult) -> float:
+    """Linearized standard error of the time constant, parameter 1 of each
+    fit model (0 without a covariance or with a negative variance)."""
+    if res.covariance is not None and res.covariance[1, 1] >= 0.0:
+        return float(math.sqrt(res.covariance[1, 1]))
+    return 0.0
+
+
+def _exp_model(t, p):
+    return p[0] * _envelope(t, p[1]) + p[2]
 
 
 def _validate_trace(t, y):
@@ -110,14 +121,11 @@ def fit_exp(t, y) -> ExpFit:
         amp0 = float(np.sign(y[np.argmax(resid)] - offset0) * resid.max())
 
     res = fit_least_squares(_exp_model, t, y, [amp0, tau0, offset0])
-    stderr = 0.0
-    if res.covariance is not None and res.covariance[1, 1] >= 0.0:
-        stderr = float(math.sqrt(res.covariance[1, 1]))
     return ExpFit(
         amplitude=float(res.params[0]),
         T=float(res.params[1]),
         offset=float(res.params[2]),
-        T_stderr=stderr,
+        T_stderr=_T_stderr(res),
         converged=res.converged,
     )
 
@@ -148,23 +156,19 @@ def fit_damped_sinusoid(t, y, omega_mod: float) -> SinusoidFit:
     amp0 = 2.0 * z1 if z1 > 0.0 else float(np.ptp(y)) / 2.0
 
     def model(tt, p):
-        envelope = np.exp(np.clip(-tt / p[1], -700.0, 700.0))
-        return p[0] * envelope * np.sin(w * tt + p[2]) + p[3]
+        return p[0] * _envelope(tt, p[1]) * np.sin(w * tt + p[2]) + p[3]
 
     res = fit_least_squares(model, t, y, [amp0, tau0, phase0, c0])
     amp, tau, phase, c = (float(v) for v in res.params)
     if amp < 0.0:
         amp, phase = -amp, phase + math.pi
     phase = phase % (2.0 * math.pi)
-    stderr = 0.0
-    if res.covariance is not None and res.covariance[1, 1] >= 0.0:
-        stderr = float(math.sqrt(res.covariance[1, 1]))
     return SinusoidFit(
         amplitude=amp,
         T=tau,
         phase=phase,
         offset=c,
-        T_stderr=stderr,
+        T_stderr=_T_stderr(res),
         converged=res.converged,
     )
 
@@ -182,29 +186,6 @@ def subtract_dephasing(T_measured: float, T_phi: float) -> float:
             "nonpositive radiative rate"
         )
     return 1.0 / rate
-
-
-@dataclass(frozen=True)
-class DecayEstimate:
-    """Fitted axis decay times (us) with linearized standard errors."""
-
-    Tx: float
-    Ty: float
-    Tz: float
-    T2_star: float
-    Tx_stderr: float = 0.0
-    Ty_stderr: float = 0.0
-    Tz_stderr: float = 0.0
-    T2_star_stderr: float = 0.0
-    source: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        for name in ("Tx", "Ty", "Tz", "T2_star"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("Tx_stderr", "Ty_stderr", "Tz_stderr", "T2_star_stderr"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)

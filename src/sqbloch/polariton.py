@@ -195,10 +195,12 @@ def diagonalize_polaritons(
 
 def _transition(ps: PolaritonSystem, pair: tuple[int, int] | None) -> tuple[int, int]:
     """``pair`` (default: ground to lower polariton), checked to be a
-    transition i < j between levels of ``ps``."""
+    radiatively active transition i < j between levels of ``ps``."""
     i, j = pair if pair is not None else (0, ps.index_of("-"))
     if not 0 <= i < j < ps.energies.size:
         raise ValueError(f"invalid transition pair {(i, j)}")
+    if ps.A[i, j] == 0.0:
+        raise ValueError(f"transition {(i, j)} is radiatively dark")
     return i, j
 
 
@@ -227,8 +229,6 @@ def two_level_reduction(
 
     guard_mhz = 5.0 * r.bandwidth
     a_scale = abs(ps.A[i, j])
-    if a_scale == 0.0:
-        raise ValueError(f"transition {(i, j)} is radiatively dark")
     # Every other transition (m < n, row-major), skipping the dark ones
     # (a NaN element is not skipped, as a NaN offset never trips the guard).
     rows, cols = np.triu_indices(ps.energies.size, k=1)
@@ -291,8 +291,9 @@ def master_equation_rhs(
     on ``squeezed_transition`` (default: ground to lower polariton); all
     other transitions decay into plain vacuum.  Rates are normalized so a
     vacuum transition's population decays at |A_ij|^2 gamma_ij, matching the
-    two-level T1 convention.  A ``squeezed_transition`` that is not a pair
-    i < j of levels raises ``ValueError``.
+    two-level T1 convention.  A ``squeezed_transition`` that is not a
+    radiatively active pair i < j of levels raises ``ValueError``, as does a
+    squeezed reservoir (N > 0 or M != 0) whose pair gets no positive rate.
     """
     dim = ps.energies.size
     i, j = _transition(ps, squeezed_transition)
@@ -307,6 +308,11 @@ def master_equation_rhs(
     keep = ~(rate <= 0.0)  # keeps NaN rates, so they surface in the RHS
     rows, cols, rate = rows[keep], cols[keep], rate[keep]
     hit = np.flatnonzero((rows == i) & (cols == j))
+    if not hit.size and (r.N > 0.0 or r.M != 0.0):
+        raise ValueError(
+            f"squeezed transition {(i, j)} has no positive rate to carry "
+            f"N = {r.N:.6g}, |M| = {r.M_abs:.6g}"
+        )
 
     # (N+1)-type: (rate/2)(N+1)(2 S- rho S+ - {S+ S-, rho}) with S- = |i><j|;
     # the sandwich moves population j -> i.  Only the squeezed pair sees N.

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,36 @@ class TestMain:
         assert "numerical failure in 'estimate': UnphysicalRatesError" in err
         assert message in err
         assert sorted(p.name for p in out.glob("*")) == written
+
+    @pytest.mark.parametrize(
+        "edits, name",
+        [
+            ({"t_max_us = 5.0": "t_max_us = 0.1"}, "Tx"),
+            ({"t_max_us = 5.0": "t_max_us = 0.5", "n_samples = 201": "n_samples = 12"}, "Ty"),
+            ({"t_max_us = 5.0": "t_max_us = 50", "n_samples = 201": "n_samples = 8"}, "Tz"),
+        ],
+        ids=["Tx", "Ty", "Tz"],
+    )
+    def test_simulated_fit_failure_exit_3(self, tmp_path, capsys, edits, name):
+        # Sampling edits of the bundled config under which one simulated
+        # trace fits to a time that is not positive; the check runs before
+        # any file is written.
+        text = resources.files("sqbloch").joinpath("data/paper.conf").read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        conf = tmp_path / "c.conf"
+        conf.write_text(text)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["estimate", "--config", str(conf), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        prefix = f"numerical failure in 'estimate': UnphysicalRatesError: fitted {name} = "
+        assert prefix in err
+        assert err.rstrip().endswith("us is not a positive, finite decay time")
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "key, content, expected",

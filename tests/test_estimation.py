@@ -15,7 +15,6 @@ from sqbloch.errors import (
     UnphysicalRatesError,
 )
 from sqbloch.estimation import (
-    DecayEstimate,
     MomentEstimate,
     estimate_moments,
     fit_damped_sinusoid,
@@ -218,14 +217,6 @@ class TestReconstructWigner:
             bad = MomentEstimate(N=0.1, M=0.8)
         with pytest.raises(ValueError):
             reconstruct_wigner(bad)
-
-
-class TestDecayEstimate:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DecayEstimate(Tx=-1.0, Ty=0.3, Tz=0.2, T2_star=1.0)
-        est = DecayEstimate(Tx=1.6, Ty=0.25, Tz=0.24, T2_star=1.09, source=("a", "b"))
-        assert est.source == ("a", "b")
 
 
 class TestFullRoundTrip:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -486,13 +487,37 @@ class TestMasterEquation:
         assert phases == pytest.approx([two_delta, -two_delta], abs=1e-9)
 
     @pytest.mark.parametrize(
-        "pair", [(1, 0), (0, CIRCUIT.dim), (2, 2)], ids=["reversed", "past-last", "diagonal"]
+        "g, pair, gamma_map, message",
+        [
+            (CIRCUIT.g, (1, 0), 1.0, "invalid transition pair (1, 0)"),
+            (CIRCUIT.g, (0, CIRCUIT.dim), 1.0, f"invalid transition pair (0, {CIRCUIT.dim})"),
+            (CIRCUIT.g, (2, 2), 1.0, "invalid transition pair (2, 2)"),
+            # At g = 0 the cavity quadrature does not link g to t1p0 at all.
+            (0.0, (0, 1), 1.0, "transition (0, 1) is radiatively dark"),
+            # The map rates (0, 2) only, so the squeezed (0, 1) pair drops out
+            # of the generator and would take N and M with it.
+            (
+                CIRCUIT.g,
+                None,
+                {(0, 2): 1.0},
+                "squeezed transition (0, 1) has no positive rate to carry "
+                "N = 0.88, |M| = 1.08",
+            ),
+        ],
+        ids=["reversed", "past-last", "diagonal", "dark", "unrated"],
     )
-    def test_invalid_squeezed_transition_rejected(self, circuit_system, pair):
-        r = resonant_reservoir(circuit_system)
-        with pytest.raises(ValueError) as reduction:
-            two_level_reduction(circuit_system, 1.0, r, transition=pair)
+    def test_invalid_squeezed_transition_rejected(
+        self, circuit_system, g, pair, gamma_map, message
+    ):
+        ps = circuit_system
+        if g != CIRCUIT.g:
+            p = replace(CIRCUIT, g=g)
+            ps = diagonalize_polaritons(build_hamiltonian(p), p)
+        r = resonant_reservoir(ps)
         with pytest.raises(ValueError) as assembly:
-            master_equation_rhs(circuit_system, r, 1.0, squeezed_transition=pair)
-        assert str(assembly.value) == str(reduction.value)
-        assert str(reduction.value) == f"invalid transition pair {pair}"
+            master_equation_rhs(ps, r, gamma_map, squeezed_transition=pair)
+        assert str(assembly.value) == message
+        if not isinstance(gamma_map, dict):  # the reduction shares the pair rules
+            with pytest.raises(ValueError) as reduction:
+                two_level_reduction(ps, 1.0, r, transition=pair)
+            assert str(reduction.value) == message
