@@ -410,7 +410,9 @@ def criterion_10_property_backstop(res: CriterionResult) -> None:
     # Fit round trip.
     t = np.linspace(0.0, 5.0, 64)
     y = 1.7 * np.exp(-t / 0.9) + 0.2
-    fit = fit_least_squares(lambda tt, p: p[0] * np.exp(-tt / p[1]) + p[2], t, y, [1.0, 1.5, 0.0])
+    fit = fit_least_squares(
+        estimation._exp_model, t, y, [1.0, 1.5, 0.0], jac=estimation._exp_jac
+    )
     res.check(
         bool(
             fit.converged

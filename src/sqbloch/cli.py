@@ -166,6 +166,10 @@ def load_config(path: str | Path | None) -> RunConfig:
     n_th = _get(parser, errors, "reservoir", "n_th", float, default=0.0)
     eta = _get(parser, errors, "reservoir", "eta", float, default=1.0)
     omega0 = _get(parser, errors, "reservoir", "omega0_ghz", float)
+    try:
+        reservoir.SqueezedReservoir(N=n, M=m, bandwidth=bandwidth, N_th=n_th)
+    except ValueError as exc:
+        errors.append(f"[reservoir] invalid moments: {exc}")
 
     omega_mod = _get(parser, errors, "protocol", "omega_mod_mhz", float, default=5.0)
     t_max = _get(parser, errors, "protocol", "t_max_us", float, default=5.0)

@@ -3,7 +3,8 @@
 Fits wrap the damped Gauss-Newton kernel with decay-specific initialization
 (offset from the trace tail, time constant from a log-linear regression,
 amplitude from the first sample), which removes initial-guess sensitivity on
-the trace shapes this package produces.  Moment extraction follows the
+the trace shapes this package produces; each fit model comes with its
+closed-form derivative.  Moment extraction follows the
 measured-timescale route: pure dephasing is subtracted from the transverse
 time, then (Tz, Tx~) invert the axis-timescale map for (N, M), with the
 thermal floor folded into the T1 calibration and subtracted from N.
@@ -66,6 +67,14 @@ def _envelope(t, T):
     return np.exp(np.clip(-t / T, -700.0, 700.0))
 
 
+def _envelope_dT(t, T):
+    """The envelope and its T derivative ``envelope * t / T**2``, which is
+    zero wherever the clip is active."""
+    e = _envelope(t, T)
+    x = t / T
+    return e, np.where(np.abs(x) <= 700.0, e * x / T, 0.0)
+
+
 def _T_stderr(res: FitResult) -> float:
     """Linearized standard error of the time constant, parameter 1 of each
     fit model (0 without a covariance or with a negative variance)."""
@@ -76,6 +85,24 @@ def _T_stderr(res: FitResult) -> float:
 
 def _exp_model(t, p):
     return p[0] * _envelope(t, p[1]) + p[2]
+
+
+def _exp_jac(t, p):
+    """Derivative of :func:`_exp_model` in (a, T, c)."""
+    e, de = _envelope_dT(t, p[1])
+    return np.column_stack([e, p[0] * de, np.ones_like(t)])
+
+
+def _sine_model(t, p, w):
+    return p[0] * _envelope(t, p[1]) * np.sin(w * t + p[2]) + p[3]
+
+
+def _sine_jac(t, p, w):
+    """Derivative of :func:`_sine_model` in (a, T, phase, c) at fixed w."""
+    e, de = _envelope_dT(t, p[1])
+    arg = w * t + p[2]
+    s = np.sin(arg)
+    return np.column_stack([e * s, p[0] * de * s, p[0] * e * np.cos(arg), np.ones_like(t)])
 
 
 def _validate_trace(t, y):
@@ -120,7 +147,7 @@ def fit_exp(t, y) -> ExpFit:
     if amp0 == 0.0:
         amp0 = float(np.sign(y[np.argmax(resid)] - offset0) * resid.max())
 
-    res = fit_least_squares(_exp_model, t, y, [amp0, tau0, offset0])
+    res = fit_least_squares(_exp_model, t, y, [amp0, tau0, offset0], jac=_exp_jac)
     return ExpFit(
         amplitude=float(res.params[0]),
         T=float(res.params[1]),
@@ -155,10 +182,10 @@ def fit_damped_sinusoid(t, y, omega_mod: float) -> SinusoidFit:
     phase0 = float(np.angle(np.mean(z[:half]))) + 0.5 * math.pi
     amp0 = 2.0 * z1 if z1 > 0.0 else float(np.ptp(y)) / 2.0
 
-    def model(tt, p):
-        return p[0] * _envelope(tt, p[1]) * np.sin(w * tt + p[2]) + p[3]
-
-    res = fit_least_squares(model, t, y, [amp0, tau0, phase0, c0])
+    res = fit_least_squares(
+        lambda tt, p: _sine_model(tt, p, w), t, y, [amp0, tau0, phase0, c0],
+        jac=lambda tt, p: _sine_jac(tt, p, w),
+    )
     amp, tau, phase, c = (float(v) for v in res.params)
     if amp < 0.0:
         amp, phase = -amp, phase + math.pi

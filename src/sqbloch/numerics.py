@@ -8,7 +8,7 @@ three entry points are
 * :func:`integrate_ode` -- embedded Dormand-Prince 5(4) with PI step control
   and dense output,
 * :func:`fit_least_squares` -- damped Gauss-Newton (Levenberg-Marquardt style
-  damping schedule).
+  damping schedule) on a Jacobian that the caller supplies in closed form.
 
 All routines are pure functions of their inputs; reruns on one numpy/BLAS
 build are byte-identical.  Time is measured in microseconds and rates in
@@ -295,22 +295,6 @@ class FitResult:
     covariance: np.ndarray | None = None
 
 
-def _numeric_jacobian(
-    model: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    t: np.ndarray,
-    p: np.ndarray,
-) -> np.ndarray:
-    jac = np.empty((t.size, p.size))
-    for i in range(p.size):
-        step = 6e-6 * max(abs(p[i]), 1e-3)
-        pp = p.copy()
-        pm = p.copy()
-        pp[i] += step
-        pm[i] -= step
-        jac[:, i] = (model(t, pp) - model(t, pm)) / (2.0 * step)
-    return jac
-
-
 # Stopping rules of fit_least_squares (see FitResult.converged).
 _GTOL = 1e-8
 _XTOL = 1e-12
@@ -322,15 +306,25 @@ def fit_least_squares(
     t: Sequence[float] | np.ndarray,
     y: Sequence[float] | np.ndarray,
     initial_guess: Sequence[float] | np.ndarray,
+    *,
+    jac: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> FitResult:
     """Minimize ``sum((model(t, p) - y)**2)`` over the parameter vector.
 
     Damped Gauss-Newton with a Levenberg-Marquardt damping schedule on the
-    scaled normal equations.  Deterministic given identical inputs; the
-    Jacobian is formed by central differences.
+    scaled normal equations.  Deterministic given identical inputs.
+
+    ``jac(t, p)`` is the derivative of ``model`` with respect to ``p``: a
+    C-contiguous float array of shape ``(t.size, p.size)`` whose column ``i``
+    is ``d model(t, p) / d p[i]`` (another memory layout takes another BLAS
+    path through ``j.T @ j`` and rounds differently).  It is evaluated once
+    at the start and once after each accepted step; ``model`` once per trial
+    step.
 
     Raises
     ------
+    ValueError
+        If ``jac`` returns an array of the wrong shape.
     DegenerateFitError
         If the Jacobian is rank deficient beyond what damping can recover
         (no descent direction found while the gradient is still large).
@@ -349,21 +343,27 @@ def fit_least_squares(
             raise DegenerateFitError("model returned non-finite residuals")
         return r
 
+    def jacobian(params: np.ndarray) -> np.ndarray:
+        j = jac(t, params)
+        if j.shape != (t.size, p.size):
+            raise ValueError(f"jac returned shape {j.shape}, expected {(t.size, p.size)}")
+        return j
+
     r = residuals(p)
     cost = float(r @ r)
     lam = 1e-3
     iterations = 0
     converged = False
-    jac = _numeric_jacobian(model, t, p)
+    j = jacobian(p)
 
     for iterations in range(1, _MAX_ITER + 1):
-        grad = 2.0 * (jac.T @ r)
+        grad = 2.0 * (j.T @ r)
         gnorm = float(np.abs(grad).max())
         if gnorm <= _GTOL * max(1.0, cost):
             converged = True
             break
 
-        jtj = jac.T @ jac
+        jtj = j.T @ j
         diag = np.diag(jtj).copy()
         diag = np.maximum(diag, 1e-12 * max(diag.max(), 1e-300))
         stepped = False
@@ -400,7 +400,7 @@ def fit_least_squares(
             raise DegenerateFitError(
                 f"no descent direction found (gradient norm {gnorm:.3e})"
             )
-        jac = _numeric_jacobian(model, t, p)
+        j = jacobian(p)
         if float(np.abs(delta).max()) <= _XTOL * (_XTOL + float(np.abs(p).max())):
             converged = True
             break
@@ -409,7 +409,7 @@ def fit_least_squares(
     dof = t.size - p.size
     if dof > 0:
         try:
-            jtj_inv = np.linalg.pinv(jac.T @ jac)
+            jtj_inv = np.linalg.pinv(j.T @ j)
             covariance = jtj_inv * (cost / dof)
         except np.linalg.LinAlgError:
             covariance = None

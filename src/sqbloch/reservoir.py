@@ -47,6 +47,10 @@ class SqueezedReservoir:
     N_th: float = 0.0
 
     def __post_init__(self):
+        values = {"N": self.N, "|M|": abs(self.M), "bandwidth": self.bandwidth, "N_th": self.N_th}
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.N < 0.0:
             raise ValueError(f"N must be nonnegative, got {self.N}")
         if self.N_th < 0.0:

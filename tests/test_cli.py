@@ -408,6 +408,35 @@ class TestMain:
         err = capsys.readouterr().err
         assert f"config error: [polariton] invalid parameters: {message}" in err
 
+    @pytest.mark.parametrize(
+        "command", ["estimate", "ramsey", "sweep-detuning", "trajectory", "wigner", "sweep-gain"]
+    )
+    @pytest.mark.parametrize(
+        "line, bad_line, message",
+        [
+            ("n = 0.88", "n = 0", "unphysical moments: |M|^2 = 1.1664 exceeds N(N+1) = 0"),
+            ("n = 0.88", "n = -1", "N must be nonnegative, got -1.0"),
+            ("n_th = 0.019", "n_th = -1", "N_th must be nonnegative, got -1.0"),
+            ("bandwidth_mhz = 13.0", "bandwidth_mhz = 0", "bandwidth must be positive, got 0.0"),
+            ("bandwidth_mhz = 13.0", "bandwidth_mhz = -1", "bandwidth must be positive, got -1.0"),
+            ("n = 0.88", "n = nan", "N must be finite, got nan"),
+            ("m = 1.08", "m = inf", "|M| must be finite, got inf"),
+            ("n_th = 0.019", "n_th = nan", "N_th must be finite, got nan"),
+        ],
+    )
+    def test_invalid_reservoir_exit_2(self, tmp_path, capsys, command, line, bad_line, message):
+        bundled = resources.files("sqbloch").joinpath("data/paper.conf").read_text()
+        assert line in bundled
+        conf = tmp_path / "r.conf"
+        conf.write_text(bundled.replace(line, bad_line))
+        out = tmp_path / "o"
+        code = main([command, "--config", str(conf), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"config error: [reservoir] invalid moments: {message}" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists() or not any(out.iterdir())
+
     def test_byte_identical_reruns(self, fast_conf, tmp_path):
         pol_conf = tmp_path / "p.conf"
         pol_conf.write_text(POLARITON_CONF)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqbloch import estimation
 from sqbloch.errors import DegenerateFitError, StiffnessError
 from sqbloch.numerics import (
     eigh,
@@ -197,19 +198,38 @@ def _exp_model(t, p):
     return p[0] * np.exp(-t / p[1])
 
 
+def _exp_jac(t, p):
+    e = np.exp(-t / p[1])
+    return np.stack([e, p[0] * e * t / p[1] ** 2], axis=1)
+
+
 def _exp_offset_model(t, p):
     return p[0] * np.exp(-t / p[1]) + p[2]
+
+
+def _exp_offset_jac(t, p):
+    e = np.exp(-t / p[1])
+    return np.stack([e, p[0] * e * t / p[1] ** 2, np.ones_like(t)], axis=1)
 
 
 def _damped_sine_model(t, p):
     return p[0] * np.exp(-t / p[1]) * np.sin(p[2] * t + p[3]) + p[4]
 
 
+def _damped_sine_jac(t, p):
+    e = np.exp(-t / p[1])
+    s = np.sin(p[2] * t + p[3])
+    c = p[0] * e * np.cos(p[2] * t + p[3])
+    return np.stack(
+        [e * s, p[0] * e * s * t / p[1] ** 2, c * t, c, np.ones_like(t)], axis=1
+    )
+
+
 class TestFitLeastSquares:
     def test_exact_exponential_recovery(self):
         t = np.linspace(0.0, 5.0, 50)
         y = _exp_model(t, [2.0, 1.5])
-        res = fit_least_squares(_exp_model, t, y, [1.0, 1.0])
+        res = fit_least_squares(_exp_model, t, y, [1.0, 1.0], jac=_exp_jac)
         assert res.converged
         assert res.params == pytest.approx([2.0, 1.5], rel=1e-6)
         assert res.residual_norm <= 1e-8
@@ -217,7 +237,7 @@ class TestFitLeastSquares:
     def test_constant_data_degenerate_amplitude(self):
         t = np.linspace(0.0, 5.0, 40)
         y = np.full_like(t, 0.5)
-        res = fit_least_squares(_exp_offset_model, t, y, [0.3, 1.0, 0.0])
+        res = fit_least_squares(_exp_offset_model, t, y, [0.3, 1.0, 0.0], jac=_exp_offset_jac)
         assert abs(res.params[0]) <= 1e-6
         assert res.params[2] == pytest.approx(0.5, abs=1e-6)
 
@@ -225,7 +245,7 @@ class TestFitLeastSquares:
         true = np.array([0.8, 1.3, 2.0 * np.pi * 5.0, 0.7, 0.1])
         t = np.linspace(0.0, 3.0, 200)
         y = _damped_sine_model(t, true)
-        res = fit_least_squares(_damped_sine_model, t, y, true * 1.05)
+        res = fit_least_squares(_damped_sine_model, t, y, true * 1.05, jac=_damped_sine_jac)
         assert res.converged
         assert res.params == pytest.approx(true, rel=1e-6)
 
@@ -239,7 +259,7 @@ class TestFitLeastSquares:
         t = np.linspace(0.0, 3.0 * tau, 60)
         y = _exp_offset_model(t, [a, tau, c])
         res = fit_least_squares(
-            _exp_offset_model, t, y, [a * 1.2, tau * 0.8, c + 0.05]
+            _exp_offset_model, t, y, [a * 1.2, tau * 0.8, c + 0.05], jac=_exp_offset_jac
         )
         assert res.converged
         assert res.params[0] == pytest.approx(a, rel=1e-6, abs=1e-7)
@@ -249,18 +269,18 @@ class TestFitLeastSquares:
     def test_deterministic(self):
         t = np.linspace(0.0, 5.0, 50)
         y = _exp_model(t, [2.0, 1.5]) + 0.01 * np.sin(17.0 * t)
-        r1 = fit_least_squares(_exp_model, t, y, [1.0, 1.0])
-        r2 = fit_least_squares(_exp_model, t, y, [1.0, 1.0])
+        r1 = fit_least_squares(_exp_model, t, y, [1.0, 1.0], jac=_exp_jac)
+        r2 = fit_least_squares(_exp_model, t, y, [1.0, 1.0], jac=_exp_jac)
         assert np.array_equal(r1.params, r2.params)
         assert r1.iterations == r2.iterations
 
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError):
-            fit_least_squares(_exp_model, [0.0], [1.0], [1.0, 1.0])
+            fit_least_squares(_exp_model, [0.0], [1.0], [1.0, 1.0], jac=_exp_jac)
 
     def test_non_finite_guess_rejected(self):
         with pytest.raises(ValueError):
-            fit_least_squares(_exp_model, [0.0, 1.0], [1.0, 0.5], [np.nan, 1.0])
+            fit_least_squares(_exp_model, [0.0, 1.0], [1.0, 0.5], [np.nan, 1.0], jac=_exp_jac)
 
     def test_degenerate_model_raises(self):
         # Model ignores its parameters entirely and cannot match the data:
@@ -270,12 +290,112 @@ class TestFitLeastSquares:
         def bad(t, p):
             return np.where(t > 0, np.nan, 1.0) * p[0]
 
+        def bad_jac(t, p):
+            return np.where(t > 0, np.nan, 1.0)[:, None]
+
         with pytest.raises(DegenerateFitError):
-            fit_least_squares(bad, np.linspace(0, 1, 10), np.ones(10), [1.0])
+            fit_least_squares(bad, np.linspace(0, 1, 10), np.ones(10), [1.0], jac=bad_jac)
 
     def test_covariance_shape(self):
         t = np.linspace(0.0, 5.0, 50)
         y = _exp_model(t, [2.0, 1.5])
-        res = fit_least_squares(_exp_model, t, y, [1.0, 1.0])
+        res = fit_least_squares(_exp_model, t, y, [1.0, 1.0], jac=_exp_jac)
         assert res.covariance is not None
         assert res.covariance.shape == (2, 2)
+
+
+# Every closed-form derivative handed to fit_least_squares, as (model, jac,
+# parameters from (a, T, phase, c, w), whether the envelope is clipped).
+# Parameter 1 is the time constant in each; the fixed-frequency sinusoid
+# runs at the 5 MHz operating-point modulation.
+JACOBIAN_CASES = {
+    "fit_exp": (
+        estimation._exp_model, estimation._exp_jac,
+        lambda a, tau, phase, c, w: [a, tau, c], True,
+    ),
+    "fit_damped_sinusoid": (
+        lambda t, p: estimation._sine_model(t, p, 31.4),
+        lambda t, p: estimation._sine_jac(t, p, 31.4),
+        lambda a, tau, phase, c, w: [a, tau, phase, c], True,
+    ),
+    "exp": (_exp_model, _exp_jac, lambda a, tau, phase, c, w: [a, tau], False),
+    "exp_offset": (
+        _exp_offset_model, _exp_offset_jac, lambda a, tau, phase, c, w: [a, tau, c], False,
+    ),
+    "damped_sine": (
+        _damped_sine_model, _damped_sine_jac,
+        lambda a, tau, phase, c, w: [a, tau, w, phase, c], False,
+    ),
+}
+
+
+class TestJacobians:
+    @pytest.mark.parametrize("name", list(JACOBIAN_CASES))
+    @given(
+        a=st.floats(min_value=-2.0, max_value=2.0).filter(lambda v: abs(v) >= 0.1),
+        log_tau=st.floats(min_value=-3.0, max_value=2.0),
+        phase=st.floats(min_value=-np.pi, max_value=2.0 * np.pi),
+        c=st.floats(min_value=-1.0, max_value=1.0),
+        w=st.floats(min_value=0.5, max_value=60.0),
+        t_max=st.floats(min_value=0.5, max_value=10.0),
+        n=st.integers(min_value=8, max_value=64),
+    )
+    # The clip is active beyond t = 0.7 here.
+    @example(a=0.7, log_tau=-3.0, phase=0.4, c=0.1, w=31.4, t_max=10.0, n=201)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_central_difference(self, name, a, log_tau, phase, c, w, t_max, n):
+        model, jac, params, clipped = JACOBIAN_CASES[name]
+        tau = 10.0**log_tau
+        p = np.array(params(a, tau, phase, c, w))
+        t = np.linspace(0.0, t_max, n)
+        j = jac(t, p)
+        assert j.dtype == np.float64 and j.flags.c_contiguous
+        assert j.shape == (t.size, p.size)
+        f = model(t, p)
+        for i in range(p.size):
+            # Central difference at a step relative to the parameter.  It is
+            # good only to its rounding, eps * |f| / step, so the error is
+            # relative to the column or to |f| per unit of the parameter.
+            size = max(abs(p[i]), 1e-2)
+            up, down = p.copy(), p.copy()
+            up[i] += 1e-6 * size
+            down[i] -= 1e-6 * size
+            fd = (model(t, up) - model(t, down)) / (up[i] - down[i])
+            scale = max(np.abs(j[:, i]).max(), np.abs(f).max() / size)
+            assert np.abs(j[:, i] - fd).max() <= 1e-6 * scale, (name, i)
+        if clipped:
+            active = np.abs(t / tau) > 700.0
+            assert np.all(j[active, 1] == 0.0)
+
+    def test_fit_exp_pays_no_model_calls_for_derivatives(self, monkeypatch):
+        # fit_exp on an exact trace, from its own initial guess: one jac call
+        # at the start and at most one per iteration, and one model call per
+        # trial step (at most one damping retry per iteration on average).
+        calls = {"model": 0, "jac": 0}
+        results = []
+
+        def counted(model, t, y, guess, *, jac):
+            def counted_model(tt, p):
+                calls["model"] += 1
+                return model(tt, p)
+
+            def counted_jac(tt, p):
+                calls["jac"] += 1
+                return jac(tt, p)
+
+            results.append(fit_least_squares(counted_model, t, y, guess, jac=counted_jac))
+            return results[-1]
+
+        monkeypatch.setattr(estimation, "fit_least_squares", counted)
+        t = np.linspace(0.0, 5.0, 201)
+        fit = estimation.fit_exp(t, 0.6 * np.exp(-t / 0.8) + 0.3)
+        (res,) = results
+        assert res.converged and fit.T == pytest.approx(0.8, rel=1e-9)
+        assert 1 <= calls["jac"] <= res.iterations + 1
+        assert calls["model"] <= 2 * (res.iterations + 1)
+
+    def test_jacobian_shape_checked(self):
+        t = np.linspace(0.0, 5.0, 50)
+        y = _exp_model(t, [2.0, 1.5])
+        with pytest.raises(ValueError, match="shape"):
+            fit_least_squares(_exp_model, t, y, [1.0, 1.0], jac=lambda tt, p: _exp_jac(tt, p).T)

@@ -36,6 +36,14 @@ class TestSqueezedReservoir:
         with pytest.raises(ValueError, match="unphysical"):
             SqueezedReservoir(N=0.5, M=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"N": math.nan}, {"M": complex(0.0, math.inf)}, {"bandwidth": math.inf},
+                   {"N_th": math.nan}],
+    )
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            SqueezedReservoir(**{"N": 0.5, "M": 0.1, **kwargs})
+
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             SqueezedReservoir(N=-0.1, M=0.0)
