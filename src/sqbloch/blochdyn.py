@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnphysicalRatesError
+from .errors import NumericalFailure, UnphysicalRatesError
 
 __all__ = [
     "AxisTimescales",
@@ -210,9 +210,16 @@ def decay_eigenrates(r: DecayRates) -> tuple[complex, complex]:
     regime).  The negatives of the returned values are the eigenvalues of the
     polarization propagator generator.
     """
-    delta_rad = 2.0 * math.pi * r.delta
-    root = complex(r.gamma_M**2 - delta_rad**2) ** 0.5
+    root = _kappa(r)
     return (r.gamma_N + root, r.gamma_N - root)
+
+
+def _kappa(r: DecayRates) -> complex:
+    """``sqrt(G_M^2 - (2 pi delta)^2)``, imaginary when underdamped."""
+    try:
+        return complex(r.gamma_M**2 - (2.0 * math.pi * r.delta) ** 2) ** 0.5
+    except OverflowError:
+        raise NumericalFailure(f"kappa^2 overflows at delta = {r.delta:.6g} MHz") from None
 
 
 def _closed_form(r: DecayRates, t, b: np.ndarray) -> np.ndarray:
@@ -222,8 +229,11 @@ def _closed_form(r: DecayRates, t, b: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("propagation time must be nonnegative")
+    kappa = _kappa(r)
+    # cosh and sinh overflow past Re(kappa t) ~ 710, where exp(-G_N t) is 0.
+    if kappa.real * np.max(t, initial=0.0) > 700.0:
+        raise NumericalFailure("closed-form propagator overflows: Re(kappa) t exceeds 700")
     t = t[..., None, None]
-    kappa = complex(r.gamma_M**2 - (2.0 * math.pi * r.delta) ** 2) ** 0.5
     z = kappa * t
     # The series keeps the kappa -> 0 limit exact to double precision; at
     # kappa = 0 every sample takes it, so the division never sees zero.

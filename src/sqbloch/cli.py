@@ -16,7 +16,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -68,166 +68,142 @@ class RunConfig:
     trace_files: tuple[tuple[str, str], ...] = ()
 
 
-def _get(parser, errors, section, key, cast, default=None, required=False):
-    if not parser.has_section(section):
-        if required:
-            errors.append(f"missing [{section}] section")
-        return default
-    if not parser.has_option(section, key):
-        if required:
-            errors.append(f"[{section}] is missing '{key}'")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        errors.append(f"[{section}] {key} = {raw!r} is not a valid {cast.__name__}")
-        return default
-
-
 def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.replace(",", " ").split())
 
 
+def _one_of(*choices):
+    return (lambda v: v in choices, " or ".join(map(repr, choices)))
+
+
+_REQUIRED = object()  # table default of a key that its section, when present, must set
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+
+# Every config key once: section, key, cast, default and the domain rule as
+# (test, what the value must be).  A rule of None leaves the value to the
+# domain object that checks it on construction: TransmonCavityParams for the
+# circuit, SqueezedReservoir for the moments.
+_FIELDS = (
+    ("system", "type", str, _REQUIRED, _one_of("direct", "polariton")),
+    ("system", "t1_us", float, math.nan, _POSITIVE),
+    ("system", "t_phi_us", float, math.inf, (lambda v: v > 0.0, "positive (inf: no dephasing)")),
+    ("polariton", "e_c_ghz", float, _REQUIRED, None),
+    ("polariton", "e_j_ghz", float, _REQUIRED, None),
+    ("polariton", "omega_c_ghz", float, _REQUIRED, None),
+    ("polariton", "g_ghz", float, _REQUIRED, None),
+    ("polariton", "n_transmon", int, None, None),
+    ("polariton", "n_photon", int, None, None),
+    ("polariton", "n_charge", int, None, None),
+    ("polariton", "gamma_over_2pi_mhz", float, None, _POSITIVE),
+    ("reservoir", "n", float, 0.0, None),
+    # m is |M|; SqueezedReservoir takes a complex M and names a NaN or inf m.
+    ("reservoir", "m", float, 0.0, (lambda v: not v < 0.0, "nonnegative")),
+    ("reservoir", "bandwidth_mhz", float, 13.0, None),
+    ("reservoir", "n_th", float, 0.0, None),
+    ("reservoir", "eta", float, 1.0, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+    ("reservoir", "omega0_ghz", float, None, _FINITE),
+    ("protocol", "omega_mod_mhz", float, 5.0, _POSITIVE),
+    ("protocol", "t_max_us", float, 5.0, _POSITIVE),
+    ("protocol", "n_samples", int, 201,
+     (lambda v: v >= estimation.MIN_SAMPLES, f"at least {estimation.MIN_SAMPLES}")),
+    ("protocol", "phi_grid_pi", _float_list, (0.5, 1.0),
+     (lambda v: v and all(map(math.isfinite, v)), "a non-empty list of finite numbers")),
+    ("protocol", "delta_max_mhz", float, 2.0, _FINITE),
+    ("protocol", "delta_points", int, 21, _AT_LEAST_1),
+    ("protocol", "n_max", float, 3.0, (lambda v: 0.0 <= v < math.inf, "nonnegative and finite")),
+    ("protocol", "n_points", int, 25, _AT_LEAST_1),
+    ("protocol", "prep_theta_pi", float, 0.67, _FINITE),
+    ("protocol", "prep_phi_pi", float, 0.83, _FINITE),
+    ("output", "formats", str, "both", _one_of("csv", "json", "both")),
+    ("estimate", "trace_x", str, None, None),
+    ("estimate", "trace_z", str, None, None),
+)
+_ONE_SYSTEM = "exactly one system specification is allowed"
+
+
 def load_config(path: str | Path | None) -> RunConfig:
-    """Parse and validate a configuration file (bundled default when None)."""
+    """Parse and validate a configuration file (bundled default when None).
+
+    Relative ``[estimate]`` trace paths resolve against the file's directory.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is None:
-        text = resources.files("sqbloch").joinpath("data/paper.conf").read_text()
-        parser.read_string(text)
+        parser.read_string(resources.files("sqbloch").joinpath("data/paper.conf").read_text())
     else:
         path = Path(path)
         if not path.exists():
             raise ConfigError([f"config file {path} does not exist"])
         parser.read_string(path.read_text())
 
-    errors: list[str] = []
-    system_type = _get(parser, errors, "system", "type", str, required=True)
-    if system_type not in (None, "direct", "polariton"):
-        errors.append(
-            f"[system] type must be 'direct' or 'polariton', got {system_type!r}"
-        )
+    has = parser.has_option
+    errors = [] if parser.has_section("system") else ["missing [system] section"]
+    v = {}
+    for section, key, cast, default, rule in _FIELDS:
+        v[key] = None if default is _REQUIRED else default
+        if not has(section, key):
+            if default is _REQUIRED and parser.has_section(section):
+                errors.append(f"[{section}] is missing '{key}'")
+            continue
+        raw = parser.get(section, key)
+        try:
+            value = cast(raw)
+        except ValueError:
+            kind = cast.__name__.strip("_").replace("_", " ")
+            errors.append(f"[{section}] {key} = {raw!r} is not a valid {kind}")
+            continue
+        if rule is not None and not rule[0](value):
+            errors.append(f"[{section}] {key} must be {rule[1]}, got {raw!r}")
+            continue
+        v[key] = value
 
-    t_phi = _get(parser, errors, "system", "t_phi_us", float, default=math.inf)
-    t1 = None
-    pol_params = None
-    gamma_over_2pi = None
-    if system_type == "direct":
-        t1 = _get(parser, errors, "system", "t1_us", float, required=True)
-        if parser.has_option("system", "gamma_over_2pi_mhz"):
-            errors.append(
-                "[system] gamma_over_2pi_mhz belongs to the polariton "
-                "calibration; exactly one system specification is allowed"
-            )
-    if parser.has_section("polariton"):
-        kwargs = {}
-        for key, attr in (
-            ("e_c_ghz", "E_C"),
-            ("e_j_ghz", "E_J"),
-            ("omega_c_ghz", "omega_c"),
-            ("g_ghz", "g"),
-        ):
-            value = _get(parser, errors, "polariton", key, float, required=True)
-            if value is not None:
-                kwargs[attr] = value
-        for key, attr in (
-            ("n_transmon", "n_transmon"),
-            ("n_photon", "n_photon"),
-            ("n_charge", "n_charge"),
-        ):
-            value = _get(parser, errors, "polariton", key, int)
-            if value is not None:
-                kwargs[attr] = value
-        if not errors:
-            try:
-                pol_params = polariton.TransmonCavityParams(**kwargs)
-            except ValueError as exc:
-                errors.append(f"[polariton] invalid parameters: {exc}")
-        gamma_over_2pi = _get(
-            parser, errors, "polariton", "gamma_over_2pi_mhz", float
-        )
-    if system_type == "polariton":
+    if v["type"] == "direct":
+        if not has("system", "t1_us"):
+            errors.append("[system] is missing 't1_us'")
+        if has("system", "gamma_over_2pi_mhz"):
+            errors.append(f"[system] gamma_over_2pi_mhz belongs to [polariton]; {_ONE_SYSTEM}")
+    if v["type"] == "polariton":
         if not parser.has_section("polariton"):
             errors.append("[system] type = polariton but no [polariton] section")
-        if gamma_over_2pi is None:
-            errors.append(
-                "[polariton] gamma_over_2pi_mhz is required for a "
-                "polariton-derived system"
-            )
-        if parser.has_option("system", "t1_us"):
-            errors.append(
-                "[system] t1_us conflicts with the polariton calibration; "
-                "exactly one system specification is allowed"
-            )
-
-    n = _get(parser, errors, "reservoir", "n", float, default=0.0)
-    m = _get(parser, errors, "reservoir", "m", float, default=0.0)
-    bandwidth = _get(parser, errors, "reservoir", "bandwidth_mhz", float, default=13.0)
-    n_th = _get(parser, errors, "reservoir", "n_th", float, default=0.0)
-    eta = _get(parser, errors, "reservoir", "eta", float, default=1.0)
-    omega0 = _get(parser, errors, "reservoir", "omega0_ghz", float)
-    try:
-        reservoir.SqueezedReservoir(N=n, M=m, bandwidth=bandwidth, N_th=n_th)
-    except ValueError as exc:
-        errors.append(f"[reservoir] invalid moments: {exc}")
-
-    omega_mod = _get(parser, errors, "protocol", "omega_mod_mhz", float, default=5.0)
-    t_max = _get(parser, errors, "protocol", "t_max_us", float, default=5.0)
-    n_samples = _get(parser, errors, "protocol", "n_samples", int, default=201)
-    phi_grid = _get(
-        parser, errors, "protocol", "phi_grid_pi", _float_list, default=(0.5, 1.0)
-    )
-    delta_max = _get(parser, errors, "protocol", "delta_max_mhz", float, default=2.0)
-    delta_points = _get(parser, errors, "protocol", "delta_points", int, default=21)
-    n_max = _get(parser, errors, "protocol", "n_max", float, default=3.0)
-    n_points = _get(parser, errors, "protocol", "n_points", int, default=25)
-    prep_theta = _get(parser, errors, "protocol", "prep_theta_pi", float, default=0.67)
-    prep_phi = _get(parser, errors, "protocol", "prep_phi_pi", float, default=0.83)
-    formats = _get(parser, errors, "output", "formats", str, default="both")
-    if formats not in ("csv", "json", "both"):
-        errors.append(f"[output] formats must be csv, json or both, got {formats!r}")
-
-    keys = [k for k in ("trace_x", "trace_z") if parser.has_option("estimate", k)]
-    trace_files = [(k, parser.get("estimate", k)) for k in keys]
-    if len(keys) == 1:
-        missing = "trace_z" if keys == ["trace_x"] else "trace_x"
+        if not has("polariton", "gamma_over_2pi_mhz"):
+            errors.append("[polariton] gamma_over_2pi_mhz is required for type = polariton")
+        if has("system", "t1_us"):
+            errors.append(f"[system] t1_us conflicts with type = polariton; {_ONE_SYSTEM}")
+    traces = [k for k in ("trace_x", "trace_z") if v[k] is not None]
+    if len(traces) == 1:
+        missing = "trace_z" if traces == ["trace_x"] else "trace_x"
         errors.append(f"[estimate] {missing} is not set; give both traces or neither")
 
-    if n_samples is not None and n_samples < 2:
-        errors.append("[protocol] n_samples must be at least 2")
-    if delta_points is not None and delta_points < 1:
-        errors.append("[protocol] delta_points must be at least 1")
-    if n_points is not None and n_points < 1:
-        errors.append("[protocol] n_points must be at least 1")
-    if phi_grid is not None and len(phi_grid) == 0:
-        errors.append("[protocol] phi_grid_pi must be non-empty")
+    pol_params = None
+    if parser.has_section("polariton"):
+        names = {"e_c_ghz": "E_C", "e_j_ghz": "E_J", "omega_c_ghz": "omega_c", "g_ghz": "g"}
+        keys = (*names, "n_transmon", "n_photon", "n_charge")  # unset: the class default
+        circuit = {names.get(k, k): v[k] for k in keys if v[k] is not None}
+        try:
+            pol_params = polariton.TransmonCavityParams(**circuit)
+        except ValueError as exc:
+            errors.append(f"[polariton] invalid parameters: {exc}")
+    try:
+        reservoir.SqueezedReservoir(v["n"], v["m"], bandwidth=v["bandwidth_mhz"], N_th=v["n_th"])
+    except ValueError as exc:
+        errors.append(f"[reservoir] invalid moments: {exc}")
     if errors:
         raise ConfigError(errors)
 
-    deltas = tuple(np.linspace(-delta_max, delta_max, delta_points))
-    n_grid = tuple(np.linspace(0.0, n_max, n_points))
+    base = Path() if path is None else path.parent
+    delta_max = v["delta_max_mhz"]
     return RunConfig(
-        system_type=system_type,
-        t1_us=t1 if t1 is not None else math.nan,
-        t_phi_us=t_phi,
+        # Fields named after their key take its value as is.
+        **{f.name: v[f.name] for f in fields(RunConfig) if f.name in v},
+        system_type=v["type"],
         polariton_params=pol_params,
-        gamma_over_2pi_mhz=gamma_over_2pi,
-        n=n,
-        m=m,
-        bandwidth_mhz=bandwidth,
-        n_th=n_th,
-        eta=eta,
-        omega0_ghz=omega0,
-        omega_mod_mhz=omega_mod,
-        t_max_us=t_max,
-        n_samples=n_samples,
-        phi_grid=tuple(phi_grid),
-        delta_grid_mhz=deltas,
-        n_grid=n_grid,
-        prep_theta=prep_theta * math.pi,
-        prep_phi=prep_phi * math.pi,
-        formats=formats,
-        trace_files=tuple(trace_files),
+        phi_grid=v["phi_grid_pi"],
+        delta_grid_mhz=tuple(np.linspace(-delta_max, delta_max, v["delta_points"])),
+        n_grid=tuple(np.linspace(0.0, v["n_max"], v["n_points"])),
+        prep_theta=v["prep_theta_pi"] * math.pi,
+        prep_phi=v["prep_phi_pi"] * math.pi,
+        trace_files=tuple((k, str(base / v[k])) for k in traces),
     )
 
 
@@ -246,11 +222,9 @@ def _rates(cfg: RunConfig) -> DecayRates:
         )
     system = _polariton_system(cfg)
     i_minus = system.index_of("-")
-    omega0 = (
-        cfg.omega0_ghz
-        if cfg.omega0_ghz is not None
-        else system.transition_frequency(0, i_minus)
-    )
+    omega0 = cfg.omega0_ghz
+    if omega0 is None:  # the squeezer defaults to resonance
+        omega0 = system.transition_frequency(0, i_minus)
     resv = reservoir.SqueezedReservoir(
         N=cfg.n, M=cfg.m, omega0=omega0, bandwidth=cfg.bandwidth_mhz, N_th=cfg.n_th
     )
@@ -275,7 +249,11 @@ class _Writer:
 
     def json(self, name: str, payload) -> None:
         if self.formats in ("json", "both"):
-            self._write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            try:
+                text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+            except ValueError as exc:  # NaN or inf: no JSON number holds it
+                raise NumericalFailure(f"{name} would hold a non-finite value: {exc}") from None
+            self._write(name, text + "\n")
 
     def _write(self, name: str, text: str) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)

@@ -112,6 +112,9 @@ def _validate_trace(t, y):
         raise ValueError("time and value arrays must have equal length")
     if t.size < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    for name, values in (("t", t), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite value")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     return t, y
@@ -259,6 +262,8 @@ def moments_from_decays(
     n_raw = 0.5 * (t1_int / Tz - 1.0)
     m = n_raw + 0.5 - t1_int / Tx_tilde
     n = n_raw - N_th
+    if not math.isfinite(m * m + n * n):
+        raise UnphysicalRatesError(f"moments N = {n:.6g}, M = {m:.6g} overflow their squares")
     if n < -1e-12:
         raise InconsistentInputsError(
             f"inversion gives N = {n:.6g} < 0 (Tz = {Tz:.6g}, T1 = {T1:.6g})"

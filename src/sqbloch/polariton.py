@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blochdyn import DecayRates
-from .errors import MultiTransitionError
+from .errors import MultiTransitionError, UnphysicalRatesError
 from .numerics import eigh, hermitian_defect
 from .reservoir import SqueezedReservoir
 
@@ -107,7 +107,7 @@ def transmon_levels(p: TransmonCavityParams) -> tuple[np.ndarray, np.ndarray]:
     n_op = vectors.conj().T @ np.diag(charges) @ vectors
     n01 = n_op[0, 1]
     if abs(n01) < 1e-12:
-        raise ValueError("vanishing 0-1 charge matrix element")
+        raise UnphysicalRatesError("vanishing 0-1 charge matrix element")
     lowering = np.triu(n_op, k=1) / n01
     return energies, lowering
 
@@ -200,7 +200,7 @@ def _transition(ps: PolaritonSystem, pair: tuple[int, int] | None) -> tuple[int,
     if not 0 <= i < j < ps.energies.size:
         raise ValueError(f"invalid transition pair {(i, j)}")
     if ps.A[i, j] == 0.0:
-        raise ValueError(f"transition {(i, j)} is radiatively dark")
+        raise UnphysicalRatesError(f"transition {(i, j)} is radiatively dark")
     return i, j
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._table import _format_rows, csv_table
+from .errors import NumericalFailure
 
 __all__ = [
     "QuadratureVariances",
@@ -57,9 +58,10 @@ class SqueezedReservoir:
             raise ValueError(f"N_th must be nonnegative, got {self.N_th}")
         if self.bandwidth <= 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if abs(self.M) ** 2 > self.N * (self.N + 1.0) + _PHYSICALITY_SLACK:
+        # A product, not **, so a huge |M| squares to inf instead of raising.
+        if self.M_abs * self.M_abs > self.N * (self.N + 1.0) + _PHYSICALITY_SLACK:
             raise ValueError(
-                f"unphysical moments: |M|^2 = {abs(self.M) ** 2:.6g} exceeds "
+                f"unphysical moments: |M|^2 = {self.M_abs * self.M_abs:.6g} exceeds "
                 f"N(N+1) = {self.N * (self.N + 1.0):.6g}"
             )
 
@@ -122,7 +124,10 @@ def eta_curve(n_measured: float, eta: float) -> float:
     minimum-uncertainty source degraded only by transmission ``eta``."""
     if n_measured < 0.0:
         raise ValueError(f"N must be nonnegative, got {n_measured}")
-    return math.sqrt(n_measured**2 + eta * n_measured) - n_measured
+    try:
+        return math.sqrt(n_measured**2 + eta * n_measured) - n_measured
+    except OverflowError:
+        raise NumericalFailure(f"M - N at N = {n_measured:.6g} overflows") from None
 
 
 def thermal_from_population(p_e: float) -> float:

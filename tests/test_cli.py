@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqbloch.blochdyn import DecayRates
 from sqbloch import errors
@@ -83,6 +89,27 @@ def _supplied_traces_conf(tmp_path, trace_x: str, trace_z: str) -> str:
         + f"trace_z = {tmp_path / 'z.csv'}\n"
     )
     return str(conf)
+
+
+BUNDLED = resources.files("sqbloch").joinpath("data/paper.conf").read_text()
+SIX_COMMANDS = ["ramsey", "estimate", "sweep-gain", "wigner", "trajectory", "sweep-detuning"]
+
+
+def _with_field(text: str, key: str, value: str) -> str:
+    """``text`` with the line of ``key`` set to ``value``."""
+    edited, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1, key
+    return edited
+
+
+# The bundled config with its direct rates swapped for the polariton
+# calibration of its own [polariton] section.
+BASES = {
+    "direct": BUNDLED,
+    "polariton": re.sub(
+        r"^t1_us = .*\n", "", _with_field(BUNDLED, "type", "polariton"), flags=re.M
+    ),
+}
 
 
 @pytest.fixture
@@ -422,6 +449,7 @@ class TestMain:
             ("n = 0.88", "n = nan", "N must be finite, got nan"),
             ("m = 1.08", "m = inf", "|M| must be finite, got inf"),
             ("n_th = 0.019", "n_th = nan", "N_th must be finite, got nan"),
+            ("m = 1.08", "m = 1e300", "unphysical moments: |M|^2 = inf exceeds N(N+1) = 1.6544"),
         ],
     )
     def test_invalid_reservoir_exit_2(self, tmp_path, capsys, command, line, bad_line, message):
@@ -436,6 +464,103 @@ class TestMain:
         assert f"config error: [reservoir] invalid moments: {message}" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", SIX_COMMANDS)
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("system", "t1_us", "-1"),
+            ("system", "t1_us", "nan"),
+            ("system", "t_phi_us", "0"),
+            ("system", "t_phi_us", "-5"),
+            ("protocol", "n_samples", "3"),
+            ("protocol", "t_max_us", "0"),
+            ("protocol", "t_max_us", "inf"),
+            ("protocol", "omega_mod_mhz", "0"),
+            ("protocol", "phi_grid_pi", "nan"),
+            ("protocol", "delta_max_mhz", "inf"),
+            ("protocol", "prep_theta_pi", "nan"),
+            ("protocol", "prep_phi_pi", "inf"),
+            ("reservoir", "eta", "nan"),
+            ("reservoir", "eta", "2"),
+            ("reservoir", "eta", "0"),
+            ("reservoir", "eta", "-0.5"),
+            ("protocol", "n_max", "nan"),
+            ("protocol", "n_max", "-1"),
+            ("polariton", "gamma_over_2pi_mhz", "-1"),
+            ("reservoir", "m", "-1"),
+        ],
+    )
+    def test_field_edit_exit_2(self, tmp_path, capsys, command, section, key, value):
+        # Each single-field edit of the bundled config is refused at load,
+        # under every subcommand, by a message that names the field.
+        conf = tmp_path / "c.conf"
+        conf.write_text(_with_field(BUNDLED, key, value))
+        out = tmp_path / "o"
+        code = main([command, "--config", str(conf), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: [{section}] {key} must be " in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "base, key, value, command, message",
+        [
+            ("direct", "t_max_us", "1e300", "ramsey", "closed-form propagator overflows"),
+            ("direct", "t_max_us", "1e300", "estimate", "closed-form propagator overflows"),
+            ("direct", "t_max_us", "1e300", "sweep-detuning", "closed-form propagator overflows"),
+            ("direct", "delta_max_mhz", "1e300", "sweep-detuning",
+             "kappa^2 overflows at delta = -1e+300 MHz"),
+            ("direct", "n_max", "1e300", "sweep-gain", "M - N at N = 4.16667e+298 overflows"),
+            ("direct", "n_th", "1e300", "estimate", "overflow their squares"),
+            ("direct", "t1_us", "1e300", "trajectory",
+             "trajectory_summary.json would hold a non-finite value"),
+            ("direct", "e_c_ghz", "1e300", "polariton", "vanishing 0-1 charge matrix element"),
+            ("polariton", "g_ghz", "0", "ramsey", "transition (0, 1) is radiatively dark"),
+        ],
+    )
+    def test_numerical_edge_exit_3(self, tmp_path, capsys, base, key, value, command, message):
+        # Valid but extreme single-field edits that the computation cannot
+        # carry: each names the operation that fails.
+        conf = tmp_path / "c.conf"
+        conf.write_text(_with_field(BASES[base], key, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the E_J/E_C transmon-regime warning
+            code = main([command, "--config", str(conf), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"numerical failure in '{command}'" in captured.err
+        assert message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_relative_trace_paths(self, tmp_path, monkeypatch):
+        # Relative trace names resolve against the config file's directory,
+        # whatever the working directory; the result matches absolute names.
+        t = np.linspace(0.0, 4.0, 160)
+        x = np.exp(-t / 1.6312) * np.sin(2.0 * math.pi * 5.0 * t + 0.3)
+        z = 0.3623 + 0.6377 * np.exp(-t / 0.23551)
+        data = tmp_path / "data"
+        (data / "traces").mkdir(parents=True)
+        for name, y in (("x.csv", x), ("traces/z.csv", z)):
+            (data / name).write_text("".join(f"{a:.9g},{b:.9g}\n" for a, b in zip(t, y)))
+        (data / "rel.conf").write_text(
+            FAST_CONF + "[estimate]\ntrace_x = x.csv\ntrace_z = traces/z.csv\n"
+        )
+        (data / "abs.conf").write_text(
+            FAST_CONF + f"[estimate]\ntrace_x = {data / 'x.csv'}\n"
+            f"trace_z = {data / 'traces/z.csv'}\n"
+        )
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["estimate", "--config", str(data / "rel.conf"), "--out", "rel"]) == 0
+        assert main(["estimate", "--config", "../data/rel.conf", "--out", "rel2"]) == 0
+        assert main(["estimate", "--config", str(data / "abs.conf"), "--out", "abs"]) == 0
+        expected = (elsewhere / "abs" / "moments.json").read_bytes()
+        assert json.loads(expected)["source"] == "supplied"
+        for out in ("rel", "rel2"):
+            assert (elsewhere / out / "moments.json").read_bytes() == expected
 
     def test_byte_identical_reruns(self, fast_conf, tmp_path):
         pol_conf = tmp_path / "p.conf"
@@ -497,6 +622,40 @@ class TestMain:
         assert len(report["criteria"]) == 11
         stdout = capsys.readouterr().out
         assert stdout.count("[PASS]") == 11
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(BASES)).flatmap(
+        lambda base: st.tuples(
+            st.just(base), st.sampled_from(re.findall(r"^(\w+) = ", BASES[base], flags=re.M))
+        )
+    ),
+    st.sampled_from(["-1", "-1e300", "0", "nan", "inf", "-inf", "1e300", "soon", ""]),
+    st.sampled_from(SIX_COMMANDS + ["polariton"]),
+)
+def test_single_field_edits_keep_exit_contract(base_key, value, command):
+    # Any single-field edit ends in exit 0, 2 or 3 without a traceback, and a
+    # successful run writes only strict JSON.
+    base, key = base_key
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "c.conf"
+        conf.write_text(_with_field(BASES[base], key, value))
+        out = Path(tmp) / "o"
+        stderr, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stdout):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main([command, "--config", str(conf), "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr.getvalue() + stdout.getvalue()
+        if code == 0:
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def test_cli_import_leaves_acceptance_unloaded():

@@ -100,6 +100,18 @@ class TestFitDampedSinusoid:
             fit_damped_sinusoid(np.linspace(0, 1, 16), np.zeros(16), 0.0)
 
 
+@pytest.mark.parametrize("fit", [fit_exp, lambda t, y: fit_damped_sinusoid(t, y, 5.0)],
+                         ids=["exp", "sinusoid"])
+@pytest.mark.parametrize("name, bad", [("t", math.nan), ("t", math.inf), ("y", math.nan)])
+def test_fitters_reject_non_finite_samples(fit, name, bad):
+    # The last sample keeps t strictly increasing up to the bad value.
+    t = np.linspace(0.0, 2.0, 40)
+    y = np.exp(-t) * np.sin(2.0 * math.pi * 5.0 * t)
+    {"t": t, "y": y}[name][-1] = bad
+    with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
+        fit(t, y)
+
+
 class TestSubtractDephasing:
     def test_reference_values(self):
         assert subtract_dephasing(1.67, 6.6) == pytest.approx(2.236, abs=1e-3)
