@@ -42,6 +42,7 @@ def csv_table(schema: str, header: str, *columns) -> str:
 
 _BLOCK_CELLS = 4096
 _PLACES = (10 ** np.arange(8, -1, -1, dtype=np.int32))[:, None]
+_DIGIT = np.arange(9, dtype=np.int32)[:, None]  # digit position, leading first
 # Row e + 16 of these tables serves exponent e.  |x| * _UP / _DOWN is
 # |x| * 10**(8 - e) with one rounding for e in [-14, 30]; the rows for
 # e = -16, -15, 31 and 32 only steer the log10 correction.
@@ -57,9 +58,9 @@ def _decimal9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.abs(x)
     ok = (a >= 1e-14) & (a < 1e31)
     a = np.where(ok, a, 1.0)
-    row = np.floor(np.log10(a)).astype(np.intp) + 16
+    row = np.floor(np.log10(a)).astype(np.int32) + 16
     y = a * _UP[row] / _DOWN[row]
-    row += (y >= 1e9).astype(np.intp) - (y < 1e8)  # log10 near a power of ten
+    row += (y >= 1e9).astype(np.int32) - (y < 1e8)  # log10 near a power of ten
     y = a * _UP[row] / _DOWN[row]
     m = np.rint(y)
     ok &= (row >= 2) & (row <= 46) & (y >= 1e8) & (y < 1e9)  # e in [-14, 30]
@@ -75,10 +76,13 @@ def _format_rows(rows: np.ndarray) -> str:
     x = rows.ravel()
     m, e, ok = _decimal9(x)
     q = m // _PLACES  # (9, cells): the leading 1..9 digits
-    digits = q.copy()
-    digits[1:] -= 10 * q[:-1]
-    nonzero_tail = (q[:-1] * _PLACES[:-1] != m).view(np.uint8)
-    n_sig = 1 + nonzero_tail.sum(axis=0, dtype=np.uint8)
+    n_sig = 1 + (q[:-1] * _PLACES[:-1] != m).sum(axis=0, dtype=np.uint8)
+    # Digit i is q[i] - 10 q[i-1], in 0..9, so uint8 arithmetic (mod 256)
+    # gets it exactly in one byte per digit.
+    digits = q.astype(np.uint8)
+    del q
+    digits[1:] -= 10 * digits[:-1]
+    digits += ord("0")
     # Fixed notation for -4 <= e < 9, with -e zeros before the digits when
     # e < 0 ("0.00ddd"); else one digit before the point and an exponent.
     sci = (e < -4) | (e >= 9)
@@ -87,25 +91,28 @@ def _format_rows(rows: np.ndarray) -> str:
     length = np.maximum(n_int, n_lead + n_sig)  # without the point
     point = length > n_int
     neg = x < 0
-    size = neg + length + point + 4 * sci + 1
+    size = (neg + length + point + 4 * sci + 1).astype(np.int32)  # as every offset below
     # Cells left to Python are laid out as "1" or "-1" below, and their own
     # text, never shorter, is written over that last.
     fallback = {k: ("%.9g" % x[k]).encode() for k in np.flatnonzero(~ok)}
     for k, text in fallback.items():
         size[k] = len(text) + 1
-    end = np.cumsum(size)  # each cell ends with its separator
+    end = np.cumsum(size, dtype=np.int32)  # each cell ends with its separator
     start = end - size
     base = start + neg
     trash = end[-1]
 
-    buf = np.empty(trash + 1, np.uint8)  # the extra byte takes cut digits
+    # Every byte not written below is a zero of "0.000"; the extra byte
+    # takes cut digits.
+    buf = np.full(trash + 1, ord("0"), np.uint8)
     buf[start[neg]] = ord("-")
-    c = np.arange(5)[:, None]
-    lead = n_lead > 0
-    buf[np.where(c <= n_lead[lead], base[lead] + c, trash)] = ord("0")  # "0.000"
-    j = np.arange(9)[:, None]
-    slot = base + n_lead + j + (j >= n_int - n_lead)
-    buf[np.where(j < length - n_lead, slot, trash)] = (digits + ord("0")).astype(np.uint8)
+    # Digit j's byte, past the point once j reaches the integer digits; a
+    # digit beyond the cell's length goes to the extra byte.  One (9, cells)
+    # int32 index array, updated in place.
+    slot = base + n_lead + _DIGIT
+    slot += _DIGIT >= n_int - n_lead
+    np.putmask(slot, _DIGIT >= length - n_lead, trash)
+    buf[slot] = digits
     buf[np.where(point, base + n_int, trash)] = ord(".")
     at = (base + length + point)[sci]
     buf[at + np.arange(4)[:, None]] = np.take(_EXPONENTS, e[sci] + 16, axis=1)

@@ -18,8 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentInputsError, NotSqueezedError, UnphysicalRatesError
-from .numerics import FitResult, fit_least_squares
+from .errors import (
+    DegenerateFitError,
+    InconsistentInputsError,
+    NotSqueezedError,
+    UnphysicalRatesError,
+)
+from .numerics import FitResult, fit_least_squares, fit_least_squares_stack
 from .reservoir import SqueezedReservoir, WignerGrid, variances, wigner_grid_for
 
 __all__ = [
@@ -29,6 +34,7 @@ __all__ = [
     "estimate_moments",
     "fit_damped_sinusoid",
     "fit_exp",
+    "fit_exp_stack",
     "infer_eta",
     "moments_from_decays",
     "reconstruct_wigner",
@@ -64,14 +70,16 @@ class SinusoidFit:
 
 def _envelope(t, T):
     # Clipping keeps trial steps with sign-flipped time constants finite.
-    return np.exp(np.clip(-t / T, -700.0, 700.0))
+    x = -t / T
+    return np.exp(np.minimum(np.maximum(x, -700.0, out=x), 700.0, out=x), out=x)
 
 
 def _envelope_dT(t, T):
     """The envelope and its T derivative ``envelope * t / T**2``, which is
     zero wherever the clip is active."""
-    e = _envelope(t, T)
     x = t / T
+    e = np.negative(x)  # -(t / T) is -t / T exactly
+    np.exp(np.minimum(np.maximum(e, -700.0, out=e), 700.0, out=e), out=e)
     return e, np.where(np.abs(x) <= 700.0, e * x / T, 0.0)
 
 
@@ -83,14 +91,22 @@ def _T_stderr(res: FitResult) -> float:
     return 0.0
 
 
+# The exponential model and its Jacobian take one parameter vector (a, T, c)
+# or a stack of them, shape (rows, 3), for rows of values over ``t``.
+
+
 def _exp_model(t, p):
-    return p[0] * _envelope(t, p[1]) + p[2]
+    return p[..., 0, None] * _envelope(t, p[..., 1, None]) + p[..., 2, None]
 
 
 def _exp_jac(t, p):
-    """Derivative of :func:`_exp_model` in (a, T, c)."""
-    e, de = _envelope_dT(t, p[1])
-    return np.column_stack([e, p[0] * de, np.ones_like(t)])
+    """Derivative of :func:`_exp_model` in (a, T, c), C-contiguous."""
+    e, de = _envelope_dT(t, p[..., 1, None])
+    j = np.empty(e.shape + (3,))
+    j[..., 0] = e
+    np.multiply(p[..., 0, None], de, out=j[..., 1])
+    j[..., 2] = 1.0
+    return j
 
 
 def _sine_model(t, p, w):
@@ -102,32 +118,56 @@ def _sine_jac(t, p, w):
     e, de = _envelope_dT(t, p[1])
     arg = w * t + p[2]
     s = np.sin(arg)
-    return np.column_stack([e * s, p[0] * de * s, p[0] * e * np.cos(arg), np.ones_like(t)])
+    j = np.empty((t.size, 4))
+    np.multiply(e, s, out=j[:, 0])
+    np.multiply(p[0] * de, s, out=j[:, 1])
+    np.multiply(p[0] * e, np.cos(arg), out=j[:, 2])
+    j[:, 3] = 1.0
+    return j
 
 
 def _validate_trace(t, y):
+    """``t`` and ``y`` as float arrays; ``y`` is one trace over ``t`` or a
+    ``(rows, t.size)`` stack of them."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if t.size != y.size:
+    if y.shape[-1:] != (t.size,):
         raise ValueError("time and value arrays must have equal length")
     if t.size < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     for name, values in (("t", t), ("y", y)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} holds a non-finite value")
-    if np.any(np.diff(t) <= 0.0):
+    if (t[1:] <= t[:-1]).any():
         raise ValueError("sample times must be strictly increasing")
     return t, y
 
 
-def fit_exp(t, y) -> ExpFit:
-    """Fit a trace to ``a exp(-t/T) + c``.
+def _exp_guess(t, y) -> list[float] | None:
+    """Initial (a, T, c) of :func:`fit_exp` for one trace, or None for a trace
+    with no resolvable decay."""
+    lo, hi = float(y.min()), float(y.max())
+    if hi - lo <= 1e-10 * max(1.0, -lo, hi):  # -lo or hi is max |y|
+        return None
+    tail = max(2, t.size // 10)
+    offset0 = float(y[-tail:].mean())
+    amp0 = float(y[0] - offset0)
+    resid = np.abs(y - offset0)
+    mask = resid > 1e-3 * resid.max()
+    if np.count_nonzero(mask) >= 2:
+        slope = np.polyfit(t[mask], np.log(resid[mask]), 1)[0]
+        tau0 = -1.0 / slope if slope < 0.0 else float(t[-1] - t[0])
+    else:
+        tau0 = float(t[-1] - t[0])
+    if amp0 == 0.0:
+        amp0 = float(np.sign(y[np.argmax(resid)] - offset0) * resid.max())
+    return [amp0, tau0, offset0]
 
-    A trace with no resolvable decay returns T = inf with ``no_decay`` set.
-    """
-    t, y = _validate_trace(t, y)
-    spread = float(np.ptp(y))
-    if spread <= 1e-10 * max(1.0, float(np.abs(y).max())):
+
+def _exp_fit(y, res: FitResult | None) -> ExpFit:
+    """The :class:`ExpFit` of a least-squares result, or of a flat trace
+    ``y`` without one."""
+    if res is None:
         return ExpFit(
             amplitude=0.0,
             T=math.inf,
@@ -136,21 +176,6 @@ def fit_exp(t, y) -> ExpFit:
             converged=True,
             no_decay=True,
         )
-
-    tail = max(2, t.size // 10)
-    offset0 = float(np.mean(y[-tail:]))
-    amp0 = float(y[0] - offset0)
-    resid = np.abs(y - offset0)
-    mask = resid > 1e-3 * resid.max()
-    if mask.sum() >= 2:
-        slope = np.polyfit(t[mask], np.log(resid[mask]), 1)[0]
-        tau0 = -1.0 / slope if slope < 0.0 else float(t[-1] - t[0])
-    else:
-        tau0 = float(t[-1] - t[0])
-    if amp0 == 0.0:
-        amp0 = float(np.sign(y[np.argmax(resid)] - offset0) * resid.max())
-
-    res = fit_least_squares(_exp_model, t, y, [amp0, tau0, offset0], jac=_exp_jac)
     return ExpFit(
         amplitude=float(res.params[0]),
         T=float(res.params[1]),
@@ -158,6 +183,47 @@ def fit_exp(t, y) -> ExpFit:
         T_stderr=_T_stderr(res),
         converged=res.converged,
     )
+
+
+def fit_exp(t, y) -> ExpFit:
+    """Fit a trace to ``a exp(-t/T) + c``.
+
+    A trace with no resolvable decay returns T = inf with ``no_decay`` set.
+    """
+    t, y = _validate_trace(t, y)
+    guess = _exp_guess(t, y)
+    if guess is None:
+        return _exp_fit(y, None)
+    return _exp_fit(y, fit_least_squares(_exp_model, t, y, guess, jac=_exp_jac))
+
+
+def fit_exp_stack(t, y) -> list[ExpFit | DegenerateFitError]:
+    """:func:`fit_exp` of every row of a ``(rows, t.size)`` stack, with the
+    decaying rows fitted in one :func:`~sqbloch.numerics.fit_least_squares_stack`
+    call.
+
+    Each row gets the initial guess and the result :func:`fit_exp` gives it.
+    A row whose fit fails gets the :class:`DegenerateFitError` that
+    :func:`fit_exp` would raise, returned rather than raised; the other rows
+    are unaffected.  A ``ValueError`` from the inputs is raised for the
+    whole stack.
+    """
+    t, y = _validate_trace(t, y)
+    if y.ndim != 2:
+        raise ValueError(f"expected a (rows, {t.size}) stack, got shape {y.shape}")
+    guesses = [_exp_guess(t, row) for row in y]
+    decaying = [b for b, g in enumerate(guesses) if g is not None]
+    fits = {}
+    if decaying:
+        stack = [guesses[b] for b in decaying]
+        fits = dict(
+            zip(decaying, fit_least_squares_stack(_exp_model, t, y[decaying], stack, jac=_exp_jac))
+        )
+    out: list[ExpFit | DegenerateFitError] = []
+    for b, row in enumerate(y):
+        fit = fits.get(b)
+        out.append(fit if isinstance(fit, DegenerateFitError) else _exp_fit(row, fit))
+    return out
 
 
 def fit_damped_sinusoid(t, y, omega_mod: float) -> SinusoidFit:
@@ -172,18 +238,19 @@ def fit_damped_sinusoid(t, y, omega_mod: float) -> SinusoidFit:
         raise ValueError("omega_mod must be positive")
     w = 2.0 * math.pi * omega_mod
 
-    c0 = float(np.mean(y))
+    c0 = float(y.mean())
     z = (y - c0) * np.exp(-1j * w * t)
     half = t.size // 2
-    z1 = np.abs(np.mean(z[:half]))
-    z2 = np.abs(np.mean(z[half:]))
+    z_early = z[:half].mean()
+    z1 = np.abs(z_early)
+    z2 = np.abs(z[half:].mean())
     if z1 > 0.0 and 0.0 < z2 < z1:
         dt = float(np.mean(t[half:]) - np.mean(t[:half]))
         tau0 = dt / math.log(z1 / z2)
     else:
         tau0 = float(t[-1] - t[0])
-    phase0 = float(np.angle(np.mean(z[:half]))) + 0.5 * math.pi
-    amp0 = 2.0 * z1 if z1 > 0.0 else float(np.ptp(y)) / 2.0
+    phase0 = float(np.angle(z_early)) + 0.5 * math.pi
+    amp0 = 2.0 * z1 if z1 > 0.0 else float(y.max() - y.min()) / 2.0
 
     res = fit_least_squares(
         lambda tt, p: _sine_model(tt, p, w), t, y, [amp0, tau0, phase0, c0],

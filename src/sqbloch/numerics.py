@@ -1,14 +1,18 @@
 """Self-contained numerical kernel used by every other module.
 
 Dense complex matrices are plain ``numpy.ndarray`` in row-major order.  The
-three entry points are
+entry points are
 
 * :func:`eigh` -- Hermitian eigendecomposition (LAPACK through numpy) with a
   deterministic ordering and phase gauge,
 * :func:`integrate_ode` -- embedded Dormand-Prince 5(4) with PI step control
   and dense output,
-* :func:`fit_least_squares` -- damped Gauss-Newton (Levenberg-Marquardt style
-  damping schedule) on a Jacobian that the caller supplies in closed form.
+* :func:`fit_least_squares_stack` -- damped Gauss-Newton (Levenberg-Marquardt
+  style damping schedule) on a Jacobian that the caller supplies in closed
+  form, run as one loop over a ``(B, n)`` stack of independent fits: each row
+  keeps its own damping, cost, iteration count and stopping rules, and a row
+  that fails is reported, not raised.  :func:`fit_least_squares` is its
+  one-row call for a single fit.
 
 All routines are pure functions of their inputs; reruns on one numpy/BLAS
 build are byte-identical.  Time is measured in microseconds and rates in
@@ -18,6 +22,7 @@ on that convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,6 +37,7 @@ __all__ = [
     "OdeSolution",
     "eigh",
     "fit_least_squares",
+    "fit_least_squares_stack",
     "hermitian_defect",
     "integrate_ode",
 ]
@@ -295,10 +301,13 @@ class FitResult:
     covariance: np.ndarray | None = None
 
 
-# Stopping rules of fit_least_squares (see FitResult.converged).
+# Stopping rules of the least-squares loop (see FitResult.converged), and its
+# damping schedule: start, floor, and the ceiling at which a row stops with no
+# descent.
 _GTOL = 1e-8
 _XTOL = 1e-12
 _MAX_ITER = 200
+_LAM_START, _LAM_MIN, _LAM_MAX = 1e-3, 1e-14, 1e15
 
 
 def fit_least_squares(
@@ -312,111 +321,221 @@ def fit_least_squares(
     """Minimize ``sum((model(t, p) - y)**2)`` over the parameter vector.
 
     Damped Gauss-Newton with a Levenberg-Marquardt damping schedule on the
-    scaled normal equations.  Deterministic given identical inputs.
+    scaled normal equations.  Deterministic given identical inputs.  This is
+    the one-row call of :func:`fit_least_squares_stack`, which runs the loop.
 
     ``jac(t, p)`` is the derivative of ``model`` with respect to ``p``: a
     C-contiguous float array of shape ``(t.size, p.size)`` whose column ``i``
     is ``d model(t, p) / d p[i]`` (another memory layout takes another BLAS
     path through ``j.T @ j`` and rounds differently).  It is evaluated once
     at the start and once after each accepted step; ``model`` once per trial
-    step.
+    step.  A fit gives the same bytes here as in any stack of
+    :func:`fit_least_squares_stack` whose model and Jacobian compute its row
+    as ``model`` and ``jac`` do.
 
     Raises
     ------
     ValueError
         If ``jac`` returns an array of the wrong shape.
     DegenerateFitError
-        If the Jacobian is rank deficient beyond what damping can recover
-        (no descent direction found while the gradient is still large).
+        If the model is non-finite at the initial guess, or the Jacobian is
+        rank deficient beyond what damping can recover (no descent direction
+        found while the gradient is still large).
+    """
+    (res,) = fit_least_squares_stack(
+        lambda tt, ps: np.asarray(model(tt, ps[0]), dtype=float)[None],
+        t,
+        np.asarray(y, dtype=float)[None],
+        np.asarray(initial_guess, dtype=float)[None],
+        jac=lambda tt, ps: jac(tt, ps[0])[None],
+    )
+    if isinstance(res, DegenerateFitError):
+        raise res
+    return res
+
+
+def fit_least_squares_stack(
+    model: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    t: Sequence[float] | np.ndarray,
+    y: np.ndarray,
+    initial_guess: np.ndarray,
+    *,
+    jac: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> list[FitResult | DegenerateFitError]:
+    """Fit each row of a ``(B, n)`` stack ``y`` by one damped Gauss-Newton loop.
+
+    Row ``b`` minimizes ``sum((model(t, p)[b] - y[b])**2)`` from
+    ``initial_guess[b]``, a ``(B, k)`` array.  ``model(t, p)`` takes a
+    ``(rows, k)`` stack of parameter vectors and returns the ``(rows, n)``
+    model values; ``jac(t, p)`` returns their derivatives as a C-contiguous
+    ``(rows, n, k)`` float array, so that each ``[b]`` slice is the
+    C-contiguous ``(n, k)`` layout :func:`fit_least_squares` asks of a single
+    Jacobian (a stack in another layout, such as a transposed view, takes
+    another BLAS path and rounds differently).  Both are called on the rows
+    still iterating, in stack order, and row ``b`` of the output may depend on
+    row ``b`` of ``p`` only.
+
+    Each row keeps its own damping, cost and iteration count, stops by the
+    rules of :class:`FitResult` and leaves the loop when it stops.  Every
+    per-row product and solve is a stacked ``matmul`` or LAPACK call, which
+    runs the same kernel on each slice, so a row's result is byte-identical
+    whether it is fitted alone or inside any stack.
+
+    Returns one entry per row: its :class:`FitResult`, or the
+    :class:`DegenerateFitError` (returned, not raised) of a row whose model
+    is non-finite at its initial guess or that found no descent direction
+    while its gradient was still large.  The other rows are unaffected.
+
+    Raises
+    ------
+    ValueError
+        If the shapes disagree, a row has fewer samples than parameters, the
+        initial guess is not finite, or ``jac`` returns an array of the wrong
+        shape.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = np.asarray(initial_guess, dtype=float).copy()
-    if t.size < p.size:
+    p = np.array(initial_guess, dtype=float)
+    if p.ndim != 2 or y.shape != (len(p), t.size):
+        raise ValueError(
+            f"expected a (B, {t.size}) stack and a (B, k) guess, got {y.shape} and {p.shape}"
+        )
+    n_rows, k = p.shape
+    n = t.size
+    if n < k:
         raise ValueError("need at least as many samples as parameters")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("initial guess must be finite")
+    if not n_rows:
+        return []
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        r = np.asarray(model(t, params), dtype=float) - y
-        if not np.all(np.isfinite(r)):
-            raise DegenerateFitError("model returned non-finite residuals")
-        return r
-
-    def jacobian(params: np.ndarray) -> np.ndarray:
+    def normal_equations(params, r):
+        # Gradient, its infinity norm and J^T J, per row.
         j = jac(t, params)
-        if j.shape != (t.size, p.size):
-            raise ValueError(f"jac returned shape {j.shape}, expected {(t.size, p.size)}")
-        return j
+        if j.shape != (len(params), n, k):
+            raise ValueError(f"jac returned shape {j.shape}, expected {(len(params), n, k)}")
+        jt = j.transpose(0, 2, 1)
+        grad = 2.0 * (jt @ r[:, :, None])
+        return grad, _amax(np.abs(grad), axis=(1, 2)), jt @ j
 
-    r = residuals(p)
-    cost = float(r @ r)
-    lam = 1e-3
-    iterations = 0
-    converged = False
-    j = jacobian(p)
+    eye = np.eye(k)
+    failures: dict[int, str] = {}
+    r = np.asarray(model(t, p), dtype=float) - y
+    live = np.arange(n_rows)
+    finite = np.isfinite(r).all(axis=1)
+    if np.count_nonzero(finite) < n_rows:
+        for row in np.flatnonzero(~finite):
+            failures[int(row)] = "model returned non-finite residuals"
+        live, p, r, y = live[finite], p[finite], r[finite], y[finite]
+        if not len(live):
+            return [DegenerateFitError(failures[row]) for row in range(n_rows)]
 
-    for iterations in range(1, _MAX_ITER + 1):
-        grad = 2.0 * (j.T @ r)
-        gnorm = float(np.abs(grad).max())
-        if gnorm <= _GTOL * max(1.0, cost):
-            converged = True
-            break
+    # Per live row: parameters, residuals, data, cost, damping, iteration
+    # number, and the gradient and J^T J at the parameters.  Rows that stop
+    # leave the loop together as one entry of ``finished``.
+    cost = np.vecdot(r, r)  # per row, the BLAS dot of a 1-D ``r @ r``
+    lam = np.full(len(live), _LAM_START)
+    iterations = np.ones(len(live), dtype=int)
+    grad, gnorm, jtj = normal_equations(p, r)
+    converged = stop = gnorm <= _GTOL * np.maximum(1.0, cost)
+    finished = []
 
-        jtj = j.T @ j
-        diag = np.diag(jtj).copy()
-        diag = np.maximum(diag, 1e-12 * max(diag.max(), 1e-300))
-        stepped = False
-        while lam < 1e15:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -0.5 * grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            try:
-                r_try = residuals(p + delta)
-            except DegenerateFitError:
-                lam *= 10.0
-                continue
-            with np.errstate(over="ignore"):
-                cost_try = float(r_try @ r_try)
-            if not math.isfinite(cost_try):
-                lam *= 10.0
-                continue
-            if cost_try < cost:
-                p = p + delta
-                r = r_try
-                cost = cost_try
-                lam = max(lam / 3.0, 1e-14)
-                stepped = True
+    # A row's iteration number grows by at most one per round.
+    for rounds in itertools.count(1):
+        n_stop = np.count_nonzero(stop)
+        if n_stop:
+            state = (live, p, cost, jtj, iterations, converged)
+            if n_stop == len(live):
+                finished.append(state)
                 break
-            lam *= 10.0
-        if not stepped:
-            # No descent at any damping: either we are at a (numerical)
-            # optimum, or the Jacobian is genuinely degenerate.
-            if gnorm <= 1e-6 * max(1.0, cost):
-                converged = True
-                break
-            raise DegenerateFitError(
-                f"no descent direction found (gradient norm {gnorm:.3e})"
+            finished.append(tuple(v[stop] for v in state))
+            keep = ~stop
+            live, p, r, y, cost, lam, iterations, grad, gnorm, jtj = (
+                v[keep] for v in (live, p, r, y, cost, lam, iterations, grad, gnorm, jtj)
             )
-        j = jacobian(p)
-        if float(np.abs(delta).max()) <= _XTOL * (_XTOL + float(np.abs(p).max())):
-            converged = True
-            break
 
-    covariance = None
-    dof = t.size - p.size
-    if dof > 0:
-        try:
-            jtj_inv = np.linalg.pinv(j.T @ j)
-            covariance = jtj_inv * (cost / dof)
-        except np.linalg.LinAlgError:
-            covariance = None
-    return FitResult(
-        params=p,
-        residual_norm=float(np.sqrt(cost)),
-        converged=converged,
-        iterations=iterations,
-        covariance=covariance,
-    )
+        # One trial step per row: solve (J^T J + lam D) delta = -grad / 2,
+        # D the diagonal of J^T J with a floor relative to its largest entry.
+        diag = jtj.diagonal(axis1=1, axis2=2)
+        diag = np.maximum(diag, 1e-12 * _amax(diag, axis=1, keepdims=True, initial=1e-300))
+        delta = _solve_rows(jtj + (lam[:, None] * diag)[:, :, None] * eye, -0.5 * grad)
+        p_try = p + delta
+        r_try = np.asarray(model(t, p_try), dtype=float) - y
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost_try = np.vecdot(r_try, r_try)
+            step = cost_try < cost  # False for a non-finite residual
+        stuck = None
+        n_step = np.count_nonzero(step)
+        if n_step == len(step):
+            p, r, cost = p_try, r_try, cost_try
+            lam = np.maximum(lam / 3.0, _LAM_MIN)
+        else:
+            lam = np.where(step, np.maximum(lam / 3.0, _LAM_MIN), lam * 10.0)
+            # No descent at any damping: a (numerical) optimum, or a
+            # genuinely degenerate Jacobian.
+            stuck = ~step & (lam >= _LAM_MAX)
+            optimum = stuck & (gnorm <= 1e-6 * np.maximum(1.0, cost))
+            failed = stuck & ~optimum
+            for row, g in zip(live[failed], gnorm[failed]):
+                failures[int(row)] = f"no descent direction found (gradient norm {g:.3e})"
+            if not n_step:
+                stop, converged = stuck, optimum
+                continue
+            p = np.where(step[:, None], p_try, p)
+            r = np.where(step[:, None], r_try, r)
+            cost = np.where(step, cost_try, cost)
+            delta[~step] = np.inf  # only a step taken can be small
+        # A row that did not step re-derives the same normal equations, and
+        # fails both tests below as it did before.
+        grad, gnorm, jtj = normal_equations(p, r)
+        small = _amax(np.abs(delta), axis=1) <= _XTOL * (_XTOL + _amax(np.abs(p), axis=1))
+        iterations += step > small
+        stop = converged = small | (gnorm <= _GTOL * np.maximum(1.0, cost))
+        if stuck is not None:
+            stop, converged = stop | stuck, converged | optimum
+        if rounds >= _MAX_ITER:
+            spent = iterations > _MAX_ITER
+            iterations[spent] = _MAX_ITER
+            stop, converged = stop | spent, converged & ~spent
+
+    if len(finished) > 1:
+        finished = [tuple(np.concatenate(v) for v in zip(*finished))]
+    ((live, p, cost, jtj, iterations, converged),) = finished
+    covariances = _covariances(jtj, cost / (n - k)) if n > k else [None] * len(live)
+    at = dict(zip(live.tolist(), range(len(live))))
+    return [
+        DegenerateFitError(failures[row])
+        if row in failures
+        else FitResult(
+            params=p[at[row]],
+            residual_norm=math.sqrt(cost[at[row]]),
+            converged=bool(converged[at[row]]),
+            iterations=int(iterations[at[row]]),
+            covariance=covariances[at[row]],
+        )
+        for row in range(n_rows)
+    ]
+
+
+_amax = np.maximum.reduce  # ndarray.max without its Python-level wrapper
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve each ``a[i] x = b[i]`` (``b`` is ``(rows, k, 1)``); a singular
+    row gets NaN, which no trial step accepts."""
+    try:
+        return np.linalg.solve(a, b)[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(a.shape[:2], np.nan)
+        return np.concatenate([_solve_rows(a[i : i + 1], b[i : i + 1]) for i in range(len(a))])
+
+
+def _covariances(jtj: np.ndarray, scale: np.ndarray) -> list[np.ndarray | None]:
+    """``pinv(jtj[i]) * scale[i]`` per row; None for a row whose SVD fails."""
+    try:
+        return list(np.linalg.pinv(jtj) * scale[:, None, None])
+    except np.linalg.LinAlgError:
+        if len(jtj) == 1:
+            return [None]
+        return [c for i in range(len(jtj)) for c in _covariances(jtj[i : i + 1], scale[i : i + 1])]

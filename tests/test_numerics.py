@@ -1,13 +1,18 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqbloch import estimation
+from sqbloch import estimation, protocols
+from sqbloch.blochdyn import DecayRates
 from sqbloch.errors import DegenerateFitError, StiffnessError
 from sqbloch.numerics import (
     eigh,
     fit_least_squares,
+    fit_least_squares_stack,
     hermitian_defect,
     integrate_ode,
 )
@@ -399,3 +404,118 @@ class TestJacobians:
         y = _exp_model(t, [2.0, 1.5])
         with pytest.raises(ValueError, match="shape"):
             fit_least_squares(_exp_model, t, y, [1.0, 1.0], jac=lambda tt, p: _exp_jac(tt, p).T)
+
+
+def _sweep_envelopes(seed, n_points=7):
+    """The demodulated envelopes of a seeded sweep-detuning run: direct rates
+    drawn as the benchmark draws them, 201 samples over 5 us, a grid
+    symmetric about zero detuning."""
+    rng = np.random.default_rng([seed, 20261018])
+    n = rng.uniform(0.3, 1.5)
+    rates = DecayRates.from_times(
+        T1=rng.uniform(0.4, 0.9),
+        T_phi=rng.uniform(4.0, 10.0),
+        N=n,
+        M=rng.uniform(0.5, 1.0) * math.sqrt(n * (n + 1.0)),
+    )
+    phi = (0.5 * math.pi, math.pi)[seed % 2]
+    t = np.linspace(0.0, 5.0, 201)
+    deltas = rng.uniform(1.0, 2.5) * np.linspace(-1.0, 1.0, n_points)
+    envelopes = [
+        protocols._demodulated_envelope(replace(rates, delta=d), phi, 5.0, t)[1] for d in deltas
+    ]
+    return t, np.array(envelopes)
+
+
+# Rows that fail on purpose, picked out by their initial guess: an amplitude
+# above 50 makes the model non-finite, and an offset below -50 flips the sign
+# of the Jacobian, so that every step climbs and no damping gives descent.
+def _failing_model(t, p, model=estimation._exp_model):
+    return np.where(p[..., 0, None] > 50.0, np.nan, model(t, p))
+
+
+def _failing_jac(t, p):
+    flip = np.where(p[..., 2] < -50.0, -1.0, 1.0)
+    return estimation._exp_jac(t, p) * flip[..., None, None]
+
+
+def _outcome(res):
+    """Every byte of a stack entry: the failure text, or each result field."""
+    if isinstance(res, DegenerateFitError):
+        return ("failed", str(res))
+    cov = None if res.covariance is None else res.covariance.tobytes()
+    return (res.params.tobytes(), res.residual_norm, res.converged, res.iterations, cov)
+
+
+class TestFitLeastSquaresStack:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_row_does_not_depend_on_its_stack(self, seed):
+        t, y = _sweep_envelopes(seed)
+        guesses = [estimation._exp_guess(t, row) for row in y]
+        # Two rows that fail, in the middle: one non-finite at its guess, one
+        # with no descent direction.
+        y = np.insert(y, 3, [0.3 * np.exp(-t / 0.7) + 0.1, 0.5 * np.exp(-t) - 100.0], axis=0)
+        guesses[3:3] = [[100.0, 0.5, 0.1], [0.4, 0.8, -99.0]]
+        stack = fit_least_squares_stack(_failing_model, t, y, guesses, jac=_failing_jac)
+        assert len(stack) == len(y)
+        for b, res in enumerate(stack):
+            alone = fit_least_squares_stack(
+                _failing_model, t, y[b : b + 1], guesses[b : b + 1], jac=_failing_jac
+            )
+            assert _outcome(res) == _outcome(alone[0]), b
+            # The one-row call: the same numbers, or the same error raised.
+            if isinstance(res, DegenerateFitError):
+                with pytest.raises(DegenerateFitError) as exc:
+                    fit_least_squares(_failing_model, t, y[b], guesses[b], jac=_failing_jac)
+                assert str(exc.value) == str(res)
+            else:
+                single = fit_least_squares(_failing_model, t, y[b], guesses[b], jac=_failing_jac)
+                assert _outcome(single) == _outcome(res), b
+        assert str(stack[3]) == "model returned non-finite residuals"
+        assert str(stack[4]).startswith("no descent direction found (gradient norm ")
+        assert sum(isinstance(res, DegenerateFitError) for res in stack) == 2
+
+    def test_iterations_differ_across_the_stack(self):
+        # The rows stop at different rounds, so rows leave the loop while
+        # others go on.
+        t, y = _sweep_envelopes(5)
+        guesses = [estimation._exp_guess(t, row) for row in y]
+        stack = fit_least_squares_stack(
+            estimation._exp_model, t, y, guesses, jac=estimation._exp_jac
+        )
+        assert all(res.converged for res in stack)
+        assert len({res.iterations for res in stack}) > 1
+
+    def test_shapes_checked(self):
+        t = np.linspace(0.0, 5.0, 50)
+        y = np.ones((2, 50))
+        with pytest.raises(ValueError, match="stack"):
+            fit_least_squares_stack(_exp_model, t, y, [1.0, 1.0], jac=_exp_jac)
+        with pytest.raises(ValueError, match="stack"):
+            fit_least_squares_stack(_exp_model, t, y[:, :40], [[1.0, 1.0]] * 2, jac=_exp_jac)
+        assert fit_least_squares_stack(_exp_model, t, y[:0], np.ones((0, 2)), jac=_exp_jac) == []
+
+
+class TestFitExpStack:
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_matches_fit_exp_row_by_row(self, seed, monkeypatch):
+        monkeypatch.setattr(estimation, "_exp_model", _failing_model)
+        t, y = _sweep_envelopes(seed)
+        # A flat row and a row whose model is non-finite at its guess (its
+        # amplitude guess is above 50), in the middle.
+        y = np.insert(y, 3, [np.full(t.size, 0.25), 300.0 * np.exp(-t / 0.9)], axis=0)
+        fits = estimation.fit_exp_stack(t, y)
+        assert len(fits) == len(y)
+        assert fits[3].no_decay and fits[3].T == math.inf
+        assert str(fits[4]) == "model returned non-finite residuals"
+        for b, (row, fit) in enumerate(zip(y, fits)):
+            if isinstance(fit, DegenerateFitError):
+                with pytest.raises(DegenerateFitError, match=f"^{fit}$"):
+                    estimation.fit_exp(t, row)
+            else:
+                assert fit == estimation.fit_exp(t, row), b
+
+    def test_rejects_a_single_trace(self):
+        t = np.linspace(0.0, 5.0, 50)
+        with pytest.raises(ValueError, match="stack"):
+            estimation.fit_exp_stack(t, np.exp(-t))

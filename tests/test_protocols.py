@@ -15,6 +15,7 @@ from sqbloch.blochdyn import (
     steady_state,
     transverse_propagator_xy,
 )
+from sqbloch.errors import DegenerateFitError
 from sqbloch.estimation import fit_damped_sinusoid, fit_exp
 from sqbloch.protocols import (
     Pulse,
@@ -339,6 +340,61 @@ class TestDetuningSweep:
         a, b = fit_exp(t, env), fit_exp(t, nudged)
         assert a.converged and b.converged
         assert b.T == pytest.approx(a.T, rel=1e-8)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_resonant_point_of_a_seeded_sweep_matches_closed_form(self, seed):
+        # Direct rates drawn as the benchmark's sweep workload draws them,
+        # on a 7-point grid whose middle point is exactly zero.
+        rng = np.random.default_rng([seed, 20261018])
+        n = rng.uniform(0.3, 1.5)
+        rates = DecayRates.from_times(
+            T1=rng.uniform(0.4, 0.9),
+            T_phi=rng.uniform(4.0, 10.0),
+            N=n,
+            M=rng.uniform(0.5, 1.0) * ideal_M(n),
+        )
+        deltas = rng.uniform(1.0, 2.5) * np.array([-1.0, -2 / 3, -1 / 3, 0.0, 1 / 3, 2 / 3, 1.0])
+        t = np.linspace(0.0, 5.0, 201)
+        ts = axis_timescales(rates)
+        for phi, expected in ((0.5 * math.pi, ts.Tx), (math.pi, ts.Ty)):
+            pts = detuning_sweep(rates, deltas, phi, t)
+            assert [p.delta for p in pts] == list(deltas)
+            assert pts[3].converged and pts[3].message == ""
+            assert pts[3].T_eff == pytest.approx(expected, rel=1e-6)
+
+    def test_failing_point_keeps_its_place_and_message(self, monkeypatch):
+        # One point's envelope is scaled past an amplitude at which the model
+        # turns non-finite, so its fit fails; every point must come back, in
+        # grid order, as fitting each envelope on its own reports it.
+        from sqbloch import estimation, protocols
+
+        model = estimation._exp_model
+        monkeypatch.setattr(
+            estimation,
+            "_exp_model",
+            lambda t, p: np.where(p[..., 0, None] > 50.0, np.nan, model(t, p)),
+        )
+        envelope = protocols._demodulated_envelope
+
+        def scaled(r, phi, omega_mod, t):
+            trace, env = envelope(r, phi, omega_mod, t)
+            return trace, env * (1000.0 if r.delta == 0.3 else 1.0)
+
+        monkeypatch.setattr(protocols, "_demodulated_envelope", scaled)
+        deltas = [-0.9, 0.3, 0.0, 1.4, 0.6]
+        t = np.linspace(0.0, 5.0, 201)
+        pts = detuning_sweep(SQUEEZED, deltas, 0.5 * math.pi, t)
+        assert [p.delta for p in pts] == deltas
+        for p in pts:
+            _, env = scaled(replace(SQUEEZED, delta=p.delta), 0.5 * math.pi, 5.0, t)
+            try:
+                fit = fit_exp(t, env)
+            except DegenerateFitError as exc:
+                assert math.isnan(p.T_eff) and not p.converged
+                assert p.message == str(exc) == "model returned non-finite residuals"
+                assert p.delta == 0.3
+            else:
+                assert (p.T_eff, p.converged, p.message) == (fit.T, True, "")
 
     def test_csv(self):
         pts = detuning_sweep(self.RADIATIVE, [0.0, 0.5], 0.5 * math.pi, np.linspace(0, 4, 81))
