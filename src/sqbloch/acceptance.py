@@ -2,10 +2,10 @@
 
 Each criterion is a no-argument callable returning a :class:`CriterionResult`
 with the computed-versus-expected details; its number and name are written
-once, in its ``_criterion`` decorator.  ``CRITERIA`` lists them in order and
-:func:`run_all` executes the list.  The pytest acceptance module and the
-``validate`` CLI subcommand both consume these, so the gate is a single
-implementation.
+once, in its ``_criterion`` decorator, which appends it to ``CRITERIA``; the
+criteria are defined in number order, and :func:`run_all` executes the list.
+The pytest acceptance module and the ``validate`` CLI subcommand both consume
+these, so the gate is a single implementation.
 
 Reference operating point: T1 = 0.65 us, T_phi = 6.6 us, N = 0.88, M = 1.08,
 modulation 5 MHz, squeezing bandwidth 13 MHz, thermal floor from a 1.8%
@@ -49,9 +49,13 @@ class CriterionResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.number}: {self.name}"
 
 
+CRITERIA = []
+
+
 def _criterion(number: int, name: str):
     """Make ``check(res)`` a criterion: a no-argument callable returning the
-    filled :class:`CriterionResult`, with ``number`` and ``name`` attached."""
+    filled :class:`CriterionResult`, with ``number`` and ``name`` attached,
+    and append it to ``CRITERIA``."""
 
     def wrap(check):
         @functools.wraps(check)
@@ -61,14 +65,15 @@ def _criterion(number: int, name: str):
             return res
 
         run.number, run.name = number, name
+        CRITERIA.append(run)
         return run
 
     return wrap
 
 
-def _fit_ramsey_t(rates: DecayRates, phi: float, t_max: float, squeezing_on=True) -> float:
+def _fit_ramsey_t(rates: DecayRates, phi: float, t_max: float) -> float:
     t = np.linspace(0.0, t_max, 241)
-    trace = protocols.ramsey(rates, phi, OMEGA_MOD, t, squeezing_on=squeezing_on)
+    trace = protocols.ramsey(rates, phi, OMEGA_MOD, t)
     return estimation.fit_damped_sinusoid(t, trace.sz_values, OMEGA_MOD).T
 
 
@@ -85,7 +90,7 @@ def criterion_1_vacuum_limit(res: CriterionResult) -> None:
 @_criterion(2, "T2* with pure dephasing")
 def criterion_2_t2_star(res: CriterionResult) -> None:
     rates = DecayRates.from_times(T1=T1, T_phi=T_PHI)
-    t2s = _fit_ramsey_t(rates, 0.5 * math.pi, 5.0, squeezing_on=False)
+    t2s = _fit_ramsey_t(rates, 0.5 * math.pi, 5.0)
     res.check(abs(t2s - 1.086) <= 1e-3, f"fitted T2* = {t2s:.6f} us vs 1.086 us")
     res.check(1.04 <= t2s <= 1.12, "T2* inside the quoted 1.08(4) us interval")
 
@@ -442,21 +447,6 @@ def criterion_11_drive_scaling(res: CriterionResult) -> None:
         f"linear to {worst:.2e} over 1-20 kHz (slope {slope:.4f} per rad/us, "
         f"|sy| at 10 kHz = {abs(slope) * 2.0 * math.pi * 0.01:.4f})",
     )
-
-
-CRITERIA = (
-    criterion_1_vacuum_limit,
-    criterion_2_t2_star,
-    criterion_3_squeezed_timescales,
-    criterion_4_steady_state,
-    criterion_5_detuning_sweep,
-    criterion_6_polariton_spectrum,
-    criterion_7_master_equation_reduction,
-    criterion_8_attenuation_moments,
-    criterion_9_thermal_calibration,
-    criterion_10_property_backstop,
-    criterion_11_drive_scaling,
-)
 
 
 def run_all() -> list[CriterionResult]:

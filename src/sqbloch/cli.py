@@ -128,17 +128,23 @@ def load_config(path: str | Path | None) -> RunConfig:
 
     Relative ``[estimate]`` trace paths resolve against the file's directory.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    where = f"config file {path}"
     if path is None:
         parser.read_string(resources.files("sqbloch").joinpath("data/paper.conf").read_text())
     else:
         path = Path(path)
-        if not path.exists():
-            raise ConfigError([f"config file {path} does not exist"])
-        parser.read_string(path.read_text())
+        try:
+            parser.read_string(path.read_text(), source=str(path))
+        except FileNotFoundError:
+            raise ConfigError([f"{where} does not exist"]) from None
+        except OSError as exc:
+            raise ConfigError([f"{where}: {exc.strerror}"]) from None
+        except (UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError([f"{where}: {' '.join(str(exc).split())}"]) from None
 
     has = parser.has_option
-    errors = [] if parser.has_section("system") else ["missing [system] section"]
+    errors = [] if parser.has_section("system") else [f"{where}: missing [system] section"]
     v = {}
     for section, key, cast, default, rule in _FIELDS:
         v[key] = None if default is _REQUIRED else default
@@ -151,7 +157,7 @@ def load_config(path: str | Path | None) -> RunConfig:
             value = cast(raw)
         except ValueError:
             kind = cast.__name__.strip("_").replace("_", " ")
-            errors.append(f"[{section}] {key} = {raw!r} is not a valid {kind}")
+            errors.append(f"[{section}] {key} must be a valid {kind}, got {raw!r}")
             continue
         if rule is not None and not rule[0](value):
             errors.append(f"[{section}] {key} must be {rule[1]}, got {raw!r}")
@@ -291,14 +297,15 @@ def _cmd_polariton(cfg: RunConfig, writer: _Writer) -> int:
 
 
 def _cmd_ramsey(cfg: RunConfig, writer: _Writer) -> int:
-    rates = _rates(cfg)
+    rates_on = _rates(cfg)
+    rates_off = replace(rates_on, N=0.0, M_abs=0.0)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     summary = {"omega_mod_mhz": cfg.omega_mod_mhz, "phi_grid_pi": list(cfg.phi_grid)}
     fits = {}
     for idx, phi_pi in enumerate(cfg.phi_grid):
         phi = phi_pi * math.pi
-        for state, tag in ((False, "off"), (True, "on")):
-            trace = protocols.ramsey(rates, phi, cfg.omega_mod_mhz, t, squeezing_on=state)
+        for rates, tag in ((rates_off, "off"), (rates_on, "on")):
+            trace = protocols.ramsey(rates, phi, cfg.omega_mod_mhz, t)
             writer.csv(f"ramsey_{tag}_phi{idx:02d}.csv", trace.to_csv())
             fit = estimation.fit_damped_sinusoid(t, trace.sz_values, cfg.omega_mod_mhz)
             fits[f"{tag}_phi{idx:02d}"] = {
@@ -418,11 +425,13 @@ def _read_trace_csv(key: str, path: Path):
         text = path.read_text()
     except OSError as exc:
         raise ConfigError([f"{where}: {exc.strerror}"]) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{where}: {exc}"]) from None
     lines = [(n, s) for n, s in enumerate(text.splitlines(), 1) if s and s[0] != "#"]
     rows: list[tuple[float, float]] = []
     for k, (lineno, line) in enumerate(lines):
         try:
-            a, b = line.split(",")[:2]
+            a, b = line.split(",")
             tk, yk = float(a), float(b)
         except ValueError:
             if k == 0 and line[0].isalpha():

@@ -3,6 +3,8 @@ detuning sweeps, and gain sweeps.
 
 Pulses are instantaneous ideal rotations (right-hand rule about equatorial
 axes); squeezing toggles instantaneously between pulse and evolution windows.
+The closed-form routines take the squeezer state from the rates alone: for
+"squeezer off", pass rates with N = M = 0 (``replace(r, N=0.0, M_abs=0.0)``).
 A Ramsey run prepares |pi/2, phi> with a pi/2 pulse about the
 ``-x cos(phi) + y sin(phi)`` axis, evolves, then applies a second pi/2 pulse
 about an axis rotating at the modulation frequency, which yields fringes
@@ -180,7 +182,6 @@ class RamseyTrace:
     omega_mod: float
     times: np.ndarray
     sz_values: np.ndarray
-    squeezing_on: bool
 
     def __post_init__(self):
         if np.any(np.abs(self.sz_values) > 1.0 + 1e-9):
@@ -192,42 +193,32 @@ class RamseyTrace:
         return csv_table("ramsey-trace-v1", "t_us,sz", self.times, self.sz_values)
 
 
-def _fringe(r: DecayRates, phi: float, omega_mod: float, t: np.ndarray, squeezing_on: bool):
+def _fringe(r: DecayRates, phi: float, omega_mod: float, t: np.ndarray):
     """Fringe and its quadrature partner as ``I + iQ = exp(i theta) (x + i y)``.
 
     I is the fringe of the module docstring; Q is read with the second pulse's
-    axis a quarter turn behind, ``sin(theta) x + cos(theta) y``.  With
-    squeezing off, evolution uses N = M = 0 at the same gamma and gamma_phi.
+    axis a quarter turn behind, ``sin(theta) x + cos(theta) y``.
     """
-    if not squeezing_on:
-        r = replace(r, N=0.0, M_abs=0.0)
     s0 = np.array([math.sin(phi), math.cos(phi)])
     x, y = (frame_rotation(r, t) @ transverse_propagator_xy(r, t) @ s0).T
     return np.exp(2j * math.pi * omega_mod * t) * (x + 1j * y)
 
 
-def ramsey(
-    r: DecayRates,
-    phi: float,
-    omega_mod: float,
-    t_samples,
-    squeezing_on: bool = True,
-) -> RamseyTrace:
+def ramsey(r: DecayRates, phi: float, omega_mod: float, t_samples) -> RamseyTrace:
     """Angle-resolved Ramsey trace.
 
     ``omega_mod`` is the modulation frequency of the second pi/2 pulse in
-    ordinary MHz.  With squeezing off, evolution uses N = M = 0 at the same
-    gamma and gamma_phi, giving a phase-uniform decay at T2*.  The fringe is
-    the closed form of the module docstring, evaluated over all samples at
-    once.
+    ordinary MHz.  For the squeezer off, pass rates with N = M = 0, e.g.
+    ``replace(r, N=0.0, M_abs=0.0)``: the same gamma and gamma_phi give a
+    phase-uniform decay at T2*.  The fringe is the closed form of the module
+    docstring, evaluated over all samples at once.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     return RamseyTrace(
         phi=phi,
         omega_mod=omega_mod,
         times=t_samples,
-        sz_values=_fringe(r, phi, omega_mod, t_samples, squeezing_on).real,
-        squeezing_on=squeezing_on,
+        sz_values=_fringe(r, phi, omega_mod, t_samples).real,
     )
 
 
@@ -293,9 +284,9 @@ def _demodulated_envelope(r, phi, omega_mod, t_samples):
     """In-phase Ramsey trace and |transverse coherence| in the frame rotating
     with modulation and squeezer, reconstructed from the fringe and its
     quadrature partner (both read from one evaluation of (sx, sy))."""
-    iq = _fringe(r, phi, omega_mod, t_samples, True)
+    iq = _fringe(r, phi, omega_mod, t_samples)
     omega_rel = 2.0 * math.pi * (omega_mod - r.delta)  # rad/us, lab fringe rate
-    trace = RamseyTrace(phi, omega_mod, t_samples, iq.real, squeezing_on=True)
+    trace = RamseyTrace(phi, omega_mod, t_samples, iq.real)
     return trace, np.abs(iq * np.exp(-1j * omega_rel * t_samples))
 
 

@@ -1,7 +1,10 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -174,12 +177,34 @@ class TestLoadConfig:
 
 
 class TestMain:
-    def test_empty_config_exit_2(self, tmp_path, capsys):
-        conf = tmp_path / "empty.conf"
-        conf.write_text("\n")
-        code = main(["ramsey", "--config", str(conf), "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\n", "missing [system] section"),
+            (None, "does not exist"),
+            (b"t1_us = 0.65\n[system]\ntype = direct\n", "no section headers"),
+            (b"[system]\ntype = direct\ntype = polariton\n", "option 'type' in section 'system'"),
+            ("dir", "Is a directory"),
+            (b"\xff\xfe[system]\n", "can't decode byte 0xff"),
+        ],
+        ids=["empty", "missing", "no-section-header", "duplicate-key", "directory", "not-utf8"],
+    )
+    def test_empty_config_exit_2(self, tmp_path, capsys, content, message):
+        # A config file that cannot be read or parsed is refused by name,
+        # like one whose values fail their rules.
+        conf = tmp_path / "c.conf"
+        if content == "dir":
+            conf.mkdir()
+        elif content is not None:
+            conf.write_bytes(content)
+        out = tmp_path / "o"
+        code = main(["ramsey", "--config", str(conf), "--out", str(out)])
+        captured = capsys.readouterr()
         assert code == 2
-        assert "missing [system]" in capsys.readouterr().err
+        assert f"config error: config file {conf}" in captured.err
+        assert message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists() or not any(out.iterdir())
 
     def test_wigner_outputs(self, fast_conf, tmp_path):
         out = tmp_path / "w"
@@ -360,6 +385,18 @@ class TestMain:
             ("trace_x", "t_us,sz\n0.0,1.0\n1,abc\n", "line 3 ('1,abc')"),
             ("trace_z", "0.0,1.0\n0.5\n", "line 2 ('0.5')"),
             pytest.param(
+                "trace_z",
+                "t_us,sz\n0.0,1.0,7\n" + TRACE_ROWS,
+                "line 2 ('0.0,1.0,7') is not a pair of numbers",
+                id="trace_z-three-fields",
+            ),
+            pytest.param(
+                "trace_x",
+                b"\xff\xfe0.0,1.0\n",
+                "can't decode byte 0xff",
+                id="trace_x-not-utf8",
+            ),
+            pytest.param(
                 "trace_x",
                 "t_us,sz\n0.0,1.0\nx1,0.2\n" + TRACE_ROWS,
                 "line 3 ('x1,0.2') is not a pair of numbers",
@@ -410,6 +447,8 @@ class TestMain:
             lines = Path(conf).read_text().splitlines(keepends=True)
             Path(conf).write_text("".join(x for x in lines if not x.startswith(key)))
             prefix = f"config error: [estimate] {key}"
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
         else:
             path.write_text(content)
         code = main(["estimate", "--config", conf, "--out", str(tmp_path / "o")])
@@ -471,6 +510,7 @@ class TestMain:
         [
             ("system", "t1_us", "-1"),
             ("system", "t1_us", "nan"),
+            ("system", "t1_us", "0.65%"),
             ("system", "t_phi_us", "0"),
             ("system", "t_phi_us", "-5"),
             ("protocol", "n_samples", "3"),
@@ -674,6 +714,23 @@ def test_cli_import_leaves_acceptance_unloaded():
         timeout=120,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_package_surface():
+    # Each public name has one import route, its module: every __all__ name
+    # resolves there, and the root binds the submodules and __version__ but
+    # no function or class of its own.
+    import sqbloch
+
+    for info in pkgutil.iter_modules(sqbloch.__path__):
+        module = importlib.import_module(f"sqbloch.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)
+    for name in ("blochdyn", "estimation", "numerics", "polariton", "protocols", "reservoir"):
+        assert inspect.ismodule(getattr(sqbloch, name)), name
+    assert sqbloch.__version__ == "0.1.0"
+    bound = [n for n, v in vars(sqbloch).items() if inspect.isfunction(v) or inspect.isclass(v)]
+    assert bound == []
 
 
 def test_every_error_is_a_numerical_failure():

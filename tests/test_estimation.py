@@ -72,7 +72,7 @@ class TestFitDampedSinusoid:
     def test_ramsey_vacuum_phase_and_t2(self):
         rates = DecayRates.from_times(T1=0.65, T_phi=6.6)
         t = np.linspace(0.0, 5.0, 201)
-        tr = ramsey(rates, 0.5 * math.pi, 5.0, t, squeezing_on=False)
+        tr = ramsey(rates, 0.5 * math.pi, 5.0, t)
         fit = fit_damped_sinusoid(t, tr.sz_values, 5.0)
         assert fit.T == pytest.approx(1.086, abs=1e-3)
         assert fit.phase == pytest.approx(0.5 * math.pi, abs=1e-6)

@@ -79,12 +79,12 @@ def _long_trace(n=3000, seed=5):
     rng = np.random.default_rng(seed)
     t = np.cumsum(rng.exponential(size=n)) - 7.0
     sz = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-320, 1, n)
-    return RamseyTrace(0.5 * math.pi, 5.0, t, sz, squeezing_on=True)
+    return RamseyTrace(0.5 * math.pi, 5.0, t, sz)
 
 
 def _edge_trace(shift=0):
     sz = np.roll(SZ, shift)
-    return RamseyTrace(0.5 * math.pi, 5.0, np.array(TIMES), sz, squeezing_on=True)
+    return RamseyTrace(0.5 * math.pi, 5.0, np.array(TIMES), sz)
 
 
 @pytest.mark.parametrize("trace", [_edge_trace(), _long_trace()], ids=["edge", "long"])
