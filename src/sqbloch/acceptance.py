@@ -73,8 +73,8 @@ def _criterion(number: int, name: str):
 
 def _fit_ramsey_t(rates: DecayRates, phi: float, t_max: float) -> float:
     t = np.linspace(0.0, t_max, 241)
-    trace = protocols.ramsey(rates, phi, OMEGA_MOD, t)
-    return estimation.fit_damped_sinusoid(t, trace.sz_values, OMEGA_MOD).T
+    sz = protocols.ramsey(rates, phi, OMEGA_MOD, t)
+    return estimation.fit_damped_sinusoid(t, sz, OMEGA_MOD).T
 
 
 @_criterion(1, "vacuum Ramsey envelope decays at 2 T1")
@@ -152,8 +152,8 @@ def criterion_4_steady_state(res: CriterionResult) -> None:
         rates, (0.67 * math.pi, 0.83 * math.pi), [30.0]
     )
     res.check(
-        abs(traj.states[-1].sx) < 1e-6,
-        f"<sx> -> {traj.states[-1].sx:.2e} (below 1e-6)",
+        abs(traj[-1, 0]) < 1e-6,
+        f"<sx> -> {traj[-1, 0]:.2e} (below 1e-6)",
     )
 
 
@@ -365,12 +365,12 @@ def criterion_10_property_backstop(res: CriterionResult) -> None:
         t_x = np.linspace(0.0, min(4.0 * ts.Tx, 20.0), 256)
         tx = estimation.fit_damped_sinusoid(
             t_x,
-            protocols.ramsey(rates, 0.5 * math.pi, OMEGA_MOD, t_x).sz_values,
+            protocols.ramsey(rates, 0.5 * math.pi, OMEGA_MOD, t_x),
             OMEGA_MOD,
         ).T
         t_z = np.linspace(0.0, 5.0 * ts.Tz, 128)
         traj = protocols.tomography_trajectory(rates, (math.pi, 0.0), t_z)
-        tz = estimation.fit_exp(t_z, np.array([s.sz for s in traj.states])).T
+        tz = estimation.fit_exp(t_z, traj[:, 2]).T
         est = estimation.estimate_moments(T1, T_PHI, tx, tz)
         worst = max(worst, abs(est.N - n) / max(n, 1.0), abs(est.M - m) / max(m, 1.0))
     res.check(worst <= 1e-3, f"estimation round trip to 1e-3 (worst {worst:.1e})")

@@ -120,15 +120,19 @@ _FIELDS = (
     ("estimate", "trace_x", str, None, None),
     ("estimate", "trace_z", str, None, None),
 )
+_KEYS = {section: {k for s, k, *_ in _FIELDS if s == section} for section, *_ in _FIELDS}
 _ONE_SYSTEM = "exactly one system specification is allowed"
 
 
 def load_config(path: str | Path | None) -> RunConfig:
     """Parse and validate a configuration file (bundled default when None).
 
-    Relative ``[estimate]`` trace paths resolve against the file's directory.
+    Relative ``[estimate]`` trace paths resolve against the file's directory;
+    a key or section outside ``_FIELDS`` is an error, ``[DEFAULT]`` included.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    parser = configparser.ConfigParser(  # "" is no header: [DEFAULT] is a plain section
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+    )
     where = f"config file {path}"
     if path is None:
         parser.read_string(resources.files("sqbloch").joinpath("data/paper.conf").read_text())
@@ -163,12 +167,25 @@ def load_config(path: str | Path | None) -> RunConfig:
             errors.append(f"[{section}] {key} must be {rule[1]}, got {raw!r}")
             continue
         v[key] = value
+    for section in parser.sections():
+        if section not in _KEYS:
+            errors.append(f"[{section}] is not a known section")
+            continue
+        for key in parser.options(section):
+            if (section, key) == ("system", "gamma_over_2pi_mhz"):
+                errors.append(f"[system] {key} belongs to [polariton]; {_ONE_SYSTEM}")
+            elif key not in _KEYS[section]:
+                errors.append(f"[{section}] {key} is not a known key")
 
-    if v["type"] == "direct":
-        if not has("system", "t1_us"):
-            errors.append("[system] is missing 't1_us'")
-        if has("system", "gamma_over_2pi_mhz"):
-            errors.append(f"[system] gamma_over_2pi_mhz belongs to [polariton]; {_ONE_SYSTEM}")
+    # linspace repeats times below a normal-range step; estimate also uses t_max_us / 3.
+    t_max, n = v["t_max_us"], v["n_samples"]
+    for t in (t_max, t_max / 3.0):
+        if t / sys.float_info.min < n - 1 and np.any(np.diff(np.linspace(0.0, t, n)) <= 0.0):
+            raw = parser.get("protocol", "t_max_us")
+            errors.append(f"[protocol] t_max_us must be large enough for {n} times, got {raw!r}")
+            break
+    if v["type"] == "direct" and not has("system", "t1_us"):
+        errors.append("[system] is missing 't1_us'")
     if v["type"] == "polariton":
         if not parser.has_section("polariton"):
             errors.append("[system] type = polariton but no [polariton] section")
@@ -305,9 +322,10 @@ def _cmd_ramsey(cfg: RunConfig, writer: _Writer) -> int:
     for idx, phi_pi in enumerate(cfg.phi_grid):
         phi = phi_pi * math.pi
         for rates, tag in ((rates_off, "off"), (rates_on, "on")):
-            trace = protocols.ramsey(rates, phi, cfg.omega_mod_mhz, t)
-            writer.csv(f"ramsey_{tag}_phi{idx:02d}.csv", trace.to_csv())
-            fit = estimation.fit_damped_sinusoid(t, trace.sz_values, cfg.omega_mod_mhz)
+            sz = protocols.ramsey(rates, phi, cfg.omega_mod_mhz, t)
+            table = csv_table("ramsey-trace-v1", "t_us,sz", t, sz)
+            writer.csv(f"ramsey_{tag}_phi{idx:02d}.csv", table)
+            fit = estimation.fit_damped_sinusoid(t, sz, cfg.omega_mod_mhz)
             fits[f"{tag}_phi{idx:02d}"] = {
                 "phi_pi": phi_pi,
                 "T_us": fit.T,
@@ -326,9 +344,8 @@ def _cmd_trajectory(cfg: RunConfig, writer: _Writer) -> int:
     rates = _rates(cfg)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     traj = protocols.tomography_trajectory(rates, (cfg.prep_theta, cfg.prep_phi), t)
-    writer.csv("trajectory.csv", traj.to_csv())
-    sz = np.array([s.sz for s in traj.states])
-    fit = estimation.fit_exp(t, sz)
+    writer.csv("trajectory.csv", csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj))
+    fit = estimation.fit_exp(t, traj[:, 2])
     writer.json(
         "trajectory_summary.json",
         {
@@ -336,11 +353,7 @@ def _cmd_trajectory(cfg: RunConfig, writer: _Writer) -> int:
             "prep_phi_pi": cfg.prep_phi / math.pi,
             "Tz_us": fit.T,
             "sz_steady": fit.offset,
-            "final_state": {
-                "sx": traj.states[-1].sx,
-                "sy": traj.states[-1].sy,
-                "sz": traj.states[-1].sz,
-            },
+            "final_state": dict(zip(("sx", "sy", "sz"), traj[-1].tolist())),
         },
     )
     print(f"fitted Tz = {fit.T:.4f} us, steady <sz> = {fit.offset:.4f}")
@@ -369,8 +382,7 @@ def _cmd_wigner(cfg: RunConfig, writer: _Writer) -> int:
 
 def _trace_grid_csv(deltas, t, traces) -> str:
     header = "t_us," + ",".join(f"delta_{d:+.4g}" for d in deltas)
-    columns = [tr.sz_values for tr in traces]
-    return csv_table("detuning-trace-grid-v1", header, t, *columns)
+    return csv_table("detuning-trace-grid-v1", header, t, *traces)
 
 
 def _cmd_sweep_detuning(cfg: RunConfig, writer: _Writer) -> int:
@@ -476,15 +488,15 @@ def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
         t_short = np.linspace(0.0, cfg.t_max_us / 3.0, cfg.n_samples)
 
         def ramsey_fit(r: DecayRates, phi: float, tt: np.ndarray):
-            trace = protocols.ramsey(r, phi, cfg.omega_mod_mhz, tt)
-            return estimation.fit_damped_sinusoid(tt, trace.sz_values, cfg.omega_mod_mhz)
+            sz = protocols.ramsey(r, phi, cfg.omega_mod_mhz, tt)
+            return estimation.fit_damped_sinusoid(tt, sz, cfg.omega_mod_mhz)
 
         traj = protocols.tomography_trajectory(rates, (math.pi, 0.0), t)
         # Ty and T2* complete the decay table for the summary.
         fits = {
             "Tx": ramsey_fit(rates, 0.5 * math.pi, t),
             "Ty": ramsey_fit(rates, math.pi, t_short),
-            "Tz": estimation.fit_exp(t, np.array([s.sz for s in traj.states])),
+            "Tz": estimation.fit_exp(t, traj[:, 2]),
             "T2_star": ramsey_fit(rates_off, 0.5 * math.pi, t),
         }
     for k, fit in fits.items():

@@ -45,12 +45,10 @@ from ._table import csv_table
 from . import blochdyn
 
 __all__ = [
-    "BlochTrajectory",
     "DetuningSweepPoint",
     "GainSweepPoint",
     "Pulse",
     "PulseSequence",
-    "RamseyTrace",
     "apply_rotation",
     "detuning_sweep",
     "gain_sweep",
@@ -174,25 +172,6 @@ def run_sequence(seq: PulseSequence, rates: DecayRates) -> float:
     return read_component(s, seq.measurement_basis)
 
 
-@dataclass(frozen=True)
-class RamseyTrace:
-    """<sz>(t) of an angle-resolved Ramsey run."""
-
-    phi: float
-    omega_mod: float
-    times: np.ndarray
-    sz_values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.abs(self.sz_values) > 1.0 + 1e-9):
-            raise ValueError("|<sz>| must not exceed 1")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-
-    def to_csv(self) -> str:
-        return csv_table("ramsey-trace-v1", "t_us,sz", self.times, self.sz_values)
-
-
 def _fringe(r: DecayRates, phi: float, omega_mod: float, t: np.ndarray):
     """Fringe and its quadrature partner as ``I + iQ = exp(i theta) (x + i y)``.
 
@@ -201,38 +180,26 @@ def _fringe(r: DecayRates, phi: float, omega_mod: float, t: np.ndarray):
     """
     s0 = np.array([math.sin(phi), math.cos(phi)])
     x, y = (frame_rotation(r, t) @ transverse_propagator_xy(r, t) @ s0).T
-    return np.exp(2j * math.pi * omega_mod * t) * (x + 1j * y)
+    iq = np.exp(2j * math.pi * omega_mod * t) * (x + 1j * y)
+    if np.any(np.abs(iq.real) > 1.0 + 1e-9):
+        raise ValueError("|<sz>| must not exceed 1")
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError("times must be strictly increasing")
+    return iq
 
 
-def ramsey(r: DecayRates, phi: float, omega_mod: float, t_samples) -> RamseyTrace:
-    """Angle-resolved Ramsey trace.
+def ramsey(r: DecayRates, phi: float, omega_mod: float, t_samples) -> np.ndarray:
+    """Angle-resolved Ramsey trace: the array of <sz> over ``t_samples``.
 
     ``omega_mod`` is the modulation frequency of the second pi/2 pulse in
     ordinary MHz.  For the squeezer off, pass rates with N = M = 0, e.g.
     ``replace(r, N=0.0, M_abs=0.0)``: the same gamma and gamma_phi give a
     phase-uniform decay at T2*.  The fringe is the closed form of the module
-    docstring, evaluated over all samples at once.
+    docstring, evaluated over all samples at once.  Raises ValueError if the
+    samples are not strictly increasing or some |<sz>| exceeds 1.
     """
     t_samples = np.asarray(t_samples, dtype=float)
-    return RamseyTrace(
-        phi=phi,
-        omega_mod=omega_mod,
-        times=t_samples,
-        sz_values=_fringe(r, phi, omega_mod, t_samples).real,
-    )
-
-
-@dataclass(frozen=True)
-class BlochTrajectory:
-    """Tomographically read Bloch vector under squeezed-vacuum decay."""
-
-    times: np.ndarray
-    states: tuple[BlochState, ...]
-    prep: tuple[float, float]
-
-    def to_csv(self) -> str:
-        xyz = [s.as_array() for s in self.states]
-        return csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", self.times, xyz)
+    return _fringe(r, phi, omega_mod, t_samples).real
 
 
 def tomography_trajectory(
@@ -240,21 +207,20 @@ def tomography_trajectory(
     prep: tuple[float, float],
     t_samples,
     drive: np.ndarray | None = None,
-) -> BlochTrajectory:
-    """Bloch-vector trajectory from a prepared state |theta, phi>.
+) -> np.ndarray:
+    """Bloch vectors (sx, sy, sz) from |theta, phi>, as a (len(t_samples), 3) array.
 
     Readout is ideal tomography (the rotate-then-read bookkeeping is the
     ``read_component`` helper, verified to agree exactly).  An optional weak
     drive adds its torque; with a drive the trajectory is integrated
-    numerically, otherwise the closed-form propagator is used.
+    numerically, otherwise the closed-form propagator is used.  Raises
+    ValueError if some sample leaves the Bloch ball (norm^2 above 1).
     """
     t_samples = np.asarray(t_samples, dtype=float)
-    theta, phi = prep
-    s0 = BlochState.from_angles(theta, phi)
+    s0 = BlochState.from_angles(*prep)
     if drive is None:
         prop = frame_rotation(r, t_samples) @ transverse_propagator_xy(r, t_samples)
         s = np.column_stack([prop @ s0.as_array()[:2], _sz_relax(s0.sz, r, t_samples)])
-        states = tuple(BlochState.from_array(row) for row in s)
     else:
         from .numerics import integrate_ode
 
@@ -265,19 +231,22 @@ def tomography_trajectory(
             tol=1e-10,
             t_eval=t_samples,
         )
-        states = tuple(BlochState.from_array(y) for y in sol.y)
-    return BlochTrajectory(times=t_samples, states=states, prep=(theta, phi))
+        s = sol.y
+    norm_sq = (s**2).sum(axis=1)
+    if np.any(norm_sq > 1.0 + 1e-9):  # BlochState's bound, on every sample
+        raise ValueError(f"Bloch vector norm^2 = {norm_sq.max():.6g} exceeds 1")
+    return s
 
 
 @dataclass(frozen=True)
 class DetuningSweepPoint:
-    """One fitted detuning point and the in-phase Ramsey trace it was fit from."""
+    """One fitted detuning point and the in-phase <sz> array it was fit from."""
 
     delta: float
     T_eff: float
     converged: bool
     message: str = ""
-    trace: RamseyTrace | None = field(default=None, repr=False, compare=False)
+    trace: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _demodulated_envelope(r, phi, omega_mod, t_samples):
@@ -286,8 +255,7 @@ def _demodulated_envelope(r, phi, omega_mod, t_samples):
     quadrature partner (both read from one evaluation of (sx, sy))."""
     iq = _fringe(r, phi, omega_mod, t_samples)
     omega_rel = 2.0 * math.pi * (omega_mod - r.delta)  # rad/us, lab fringe rate
-    trace = RamseyTrace(phi, omega_mod, t_samples, iq.real)
-    return trace, np.abs(iq * np.exp(-1j * omega_rel * t_samples))
+    return iq.real, np.abs(iq * np.exp(-1j * omega_rel * t_samples))
 
 
 def detuning_sweep(

@@ -164,6 +164,20 @@ class TestLoadConfig:
             load_config(path)
         assert any("t1_us" in m for m in err.value.messages)
 
+    @pytest.mark.parametrize("system_type", ["direct", "polariton"])
+    def test_system_gamma_reported_once(self, tmp_path, system_type):
+        # A [polariton] key put in [system] keeps its own message under
+        # either system type, and is reported once.
+        path = tmp_path / "c.conf"
+        gamma = "[system]\ngamma_over_2pi_mhz = 0.24\n"
+        path.write_text(BASES[system_type].replace("[system]\n", gamma, 1))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.messages == [
+            "[system] gamma_over_2pi_mhz belongs to [polariton]; "
+            "exactly one system specification is allowed"
+        ]
+
     def test_polariton_config_resolves_calibrated_t1(self, tmp_path):
         path = tmp_path / "p.conf"
         path.write_text(POLARITON_CONF)
@@ -529,6 +543,10 @@ class TestMain:
             ("protocol", "n_max", "-1"),
             ("polariton", "gamma_over_2pi_mhz", "-1"),
             ("reservoir", "m", "-1"),
+            # Positive and finite, but linspace repeats times on its grids; at
+            # 1.01e-321 only on estimate's t_max_us / 3 grid.
+            ("protocol", "t_max_us", "5e-324"),
+            ("protocol", "t_max_us", "1.01e-321"),
         ],
     )
     def test_field_edit_exit_2(self, tmp_path, capsys, command, section, key, value):
@@ -544,12 +562,42 @@ class TestMain:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", SIX_COMMANDS + ["polariton", "validate"])
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("t_phi_us =", "t_phi_uss =", "[system] t_phi_uss is not a known key"),
+            ("[protocol]", "[protocl]", "[protocl] is not a known section"),
+            ("[system]", "[DEFAULT]\nt1_us = 0.65\n[system]", "[DEFAULT] is not a known section"),
+        ],
+        ids=["misspelled-key", "unknown-section", "default-section"],
+    )
+    def test_unknown_key_or_section_exit_2(self, tmp_path, capsys, command, old, new, message):
+        # A key or section the field table does not name would otherwise be
+        # ignored, and a misspelled key would silently take its default.
+        assert BUNDLED.count(old) == 1
+        conf = tmp_path / "c.conf"
+        conf.write_text(BUNDLED.replace(old, new))
+        out = tmp_path / "o"
+        code = main([command, "--config", str(conf), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: {message}" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize(
         "base, key, value, command, message",
         [
             ("direct", "t_max_us", "1e300", "ramsey", "closed-form propagator overflows"),
             ("direct", "t_max_us", "1e300", "estimate", "closed-form propagator overflows"),
             ("direct", "t_max_us", "1e300", "sweep-detuning", "closed-form propagator overflows"),
+            # 1e-310 still gives distinct sample times: the load-time grid
+            # rule passes it and the fits fail.
+            ("direct", "t_max_us", "1e-310", "ramsey", "no descent direction found"),
+            ("direct", "t_max_us", "1e-310", "estimate", "no descent direction found"),
+            ("direct", "t_max_us", "1e-310", "trajectory",
+             "trajectory_summary.json would hold a non-finite value"),
             ("direct", "delta_max_mhz", "1e300", "sweep-detuning",
              "kappa^2 overflows at delta = -1e+300 MHz"),
             ("direct", "n_max", "1e300", "sweep-gain", "M - N at N = 4.16667e+298 overflows"),
@@ -628,7 +676,7 @@ class TestMain:
                 T1=cfg.t1_us, T_phi=cfg.t_phi_us, N=cfg.n, M=cfg.m, delta=delta
             )
             trace = ramsey(rates, 0.5 * math.pi, cfg.omega_mod_mhz, t)
-            assert list(column) == [f"{v:.9g}" for v in trace.sz_values]
+            assert list(column) == [f"{v:.9g}" for v in trace]
 
     def test_format_override(self, fast_conf, tmp_path):
         out = tmp_path / "fmt"

@@ -73,7 +73,7 @@ class TestFitDampedSinusoid:
         rates = DecayRates.from_times(T1=0.65, T_phi=6.6)
         t = np.linspace(0.0, 5.0, 201)
         tr = ramsey(rates, 0.5 * math.pi, 5.0, t)
-        fit = fit_damped_sinusoid(t, tr.sz_values, 5.0)
+        fit = fit_damped_sinusoid(t, tr, 5.0)
         assert fit.T == pytest.approx(1.086, abs=1e-3)
         assert fit.phase == pytest.approx(0.5 * math.pi, abs=1e-6)
         assert fit.amplitude == pytest.approx(1.0, abs=1e-6)
@@ -241,11 +241,11 @@ class TestFullRoundTrip:
 
         t_x = np.linspace(0.0, min(4.0 * ts.Tx, 20.0), 256)
         trace_x = ramsey(rates, 0.5 * math.pi, omega_mod, t_x)
-        tx = fit_damped_sinusoid(t_x, trace_x.sz_values, omega_mod).T
+        tx = fit_damped_sinusoid(t_x, trace_x, omega_mod).T
 
         t_z = np.linspace(0.0, 5.0 * ts.Tz, 128)
         traj = tomography_trajectory(rates, (math.pi, 0.0), t_z)
-        tz = fit_exp(t_z, np.array([s.sz for s in traj.states])).T
+        tz = fit_exp(t_z, traj[:, 2]).T
 
         est = estimate_moments(t1, t_phi, tx, tz)
         return est

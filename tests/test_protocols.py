@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqbloch._table import csv_table
 from sqbloch.blochdyn import (
     BlochState,
     DecayRates,
@@ -148,12 +149,12 @@ class TestRamsey:
         lam = 1.0 / axis_timescales(VACUUM_RATES).Tx
         w = 2.0 * math.pi * 5.0
         expected = -np.exp(-lam * t) * np.sin(w * t - 0.3)
-        assert np.abs(tr.sz_values - expected).max() <= 1e-12
+        assert np.abs(tr - expected).max() <= 1e-12
 
     def test_vacuum_uniform_t2_star(self):
         t = np.linspace(0.0, 5.0, 201)
         fits = [
-            fit_damped_sinusoid(t, ramsey(VACUUM_RATES, phi, 5.0, t).sz_values, 5.0)
+            fit_damped_sinusoid(t, ramsey(VACUUM_RATES, phi, 5.0, t), 5.0)
             for phi in (0.0, 0.9, 0.5 * math.pi, math.pi)
         ]
         for f in fits:
@@ -163,12 +164,12 @@ class TestRamsey:
         ts = axis_timescales(SQUEEZED)
         t_long = np.linspace(0.0, 5.0, 201)
         fx = fit_damped_sinusoid(
-            t_long, ramsey(SQUEEZED, 0.5 * math.pi, 5.0, t_long).sz_values, 5.0
+            t_long, ramsey(SQUEEZED, 0.5 * math.pi, 5.0, t_long), 5.0
         )
         assert fx.T == pytest.approx(ts.Tx, rel=1e-8)
         t_short = np.linspace(0.0, 1.5, 201)
         fy = fit_damped_sinusoid(
-            t_short, ramsey(SQUEEZED, math.pi, 5.0, t_short).sz_values, 5.0
+            t_short, ramsey(SQUEEZED, math.pi, 5.0, t_short), 5.0
         )
         assert fy.T == pytest.approx(ts.Ty, rel=1e-8)
 
@@ -178,21 +179,33 @@ class TestRamsey:
         tr = ramsey(rates, 0.7, 5.0, t)
         w = 2.0 * math.pi * 5.0
         expected = -np.sin(w * t - 0.7)
-        assert np.abs(tr.sz_values - expected).max() <= 1e-12
+        assert np.abs(tr - expected).max() <= 1e-12
 
     def test_phase_mirror(self):
         t = np.linspace(0.0, 3.0, 64)
-        a = ramsey(SQUEEZED, 0.4, 5.0, t).sz_values
-        b = ramsey(SQUEEZED, 0.4 + math.pi, 5.0, t).sz_values
+        a = ramsey(SQUEEZED, 0.4, 5.0, t)
+        b = ramsey(SQUEEZED, 0.4 + math.pi, 5.0, t)
         assert np.abs(a + b).max() <= 1e-12
 
     def test_csv(self):
         t = np.linspace(0.0, 1.0, 9)
-        text = ramsey(SQUEEZED, 0.0, 5.0, t).to_csv()
+        text = csv_table("ramsey-trace-v1", "t_us,sz", t, ramsey(SQUEEZED, 0.0, 5.0, t))
         lines = text.strip().split("\n")
         assert lines[0] == "#schema=ramsey-trace-v1"
         assert lines[1] == "t_us,sz"
         assert len(lines) == 11
+
+    @pytest.mark.parametrize("t", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
+    def test_rejects_non_increasing_times(self, t):
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            ramsey(SQUEEZED, 0.4, 5.0, t)
+
+    def test_rejects_growing_fringe(self):
+        # |M| > sqrt(N(N+1)) makes the x quadrature grow past the Bloch ball.
+        with pytest.warns(UserWarning, match="violate"):
+            growing = DecayRates(gamma=1.0, N=0.0, M_abs=1.0)
+        with pytest.raises(ValueError, match=r"\|<sz>\| must not exceed 1"):
+            ramsey(growing, 0.5 * math.pi, 5.0, np.linspace(0.0, 5.0, 201))
 
 
 def _ramsey_oracle(r, phi, omega_mod, t, squeezing_on):
@@ -222,7 +235,7 @@ class TestClosedFormOracle:
         r_ramsey = r if squeezing_on else replace(r, N=0.0, M_abs=0.0)
         t = np.linspace(0.0, 3.0, 61)
         for phi in (0.0, 0.4, 0.5 * math.pi, math.pi, 4.0):
-            got = ramsey(r_ramsey, phi, 5.0, t).sz_values
+            got = ramsey(r_ramsey, phi, 5.0, t)
             expected = _ramsey_oracle(r, phi, 5.0, t, squeezing_on)
             assert np.abs(got - expected).max() <= 1e-12
 
@@ -251,45 +264,53 @@ class TestClosedFormOracle:
         s0 = BlochState.from_angles(0.67 * math.pi, 0.83 * math.pi)
         t = np.linspace(0.0, 3.0, 31)
         traj = tomography_trajectory(r, (0.67 * math.pi, 0.83 * math.pi), t)
-        for tk, s in zip(t, traj.states):
+        for tk, s in zip(t, traj):
             expected = _evolve_lab(s0, r, 0.0, tk).as_array()
-            assert np.abs(s.as_array() - expected).max() <= 1e-12
+            assert np.abs(s - expected).max() <= 1e-12
 
 
 class TestTomography:
     def test_initial_state_exact(self):
         traj = tomography_trajectory(SQUEEZED, (0.67 * math.pi, 0.83 * math.pi), [0.0, 1.0])
         expected = BlochState.from_angles(0.67 * math.pi, 0.83 * math.pi)
-        assert traj.states[0].as_array() == pytest.approx(expected.as_array(), abs=1e-12)
+        assert traj[0] == pytest.approx(expected.as_array(), abs=1e-12)
 
     def test_vacuum_relaxation(self):
         rates = DecayRates.from_times(T1=0.65)
         t = np.linspace(0.0, 3.0, 31)
         traj = tomography_trajectory(rates, (math.pi, 0.0), t)
-        sz = np.array([s.sz for s in traj.states])
+        sz = traj[:, 2]
         assert np.abs(sz - (1.0 - 2.0 * np.exp(-t / 0.65))).max() <= 1e-12
 
     def test_late_time_steady_state(self):
         traj = tomography_trajectory(SQUEEZED, (0.67 * math.pi, 0.83 * math.pi), [30.0])
-        s = traj.states[-1]
-        assert abs(s.sx) <= 1e-6
-        assert abs(s.sy) <= 1e-6
-        assert s.sz == pytest.approx(0.3623, abs=1e-4)
+        sx, sy, sz = traj[-1]
+        assert abs(sx) <= 1e-6
+        assert abs(sy) <= 1e-6
+        assert sz == pytest.approx(0.3623, abs=1e-4)
 
     def test_driven_trajectory_reaches_driven_steady_state(self):
         omega = np.array([2.0 * math.pi * 0.01, 0.0, 0.0])
         traj = tomography_trajectory(SQUEEZED, (0.0, 0.0), [25.0], drive=omega)
         target = steady_state(SQUEEZED, drive=omega)
-        assert traj.states[-1].as_array() == pytest.approx(
+        assert traj[-1] == pytest.approx(
             target.as_array(), abs=1e-6
         )
 
     def test_csv(self):
-        traj = tomography_trajectory(SQUEEZED, (0.5, 0.5), np.linspace(0.0, 1.0, 5))
-        lines = traj.to_csv().strip().split("\n")
+        t = np.linspace(0.0, 1.0, 5)
+        traj = tomography_trajectory(SQUEEZED, (0.5, 0.5), t)
+        text = csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj)
+        lines = text.strip().split("\n")
         assert lines[0] == "#schema=bloch-trajectory-v1"
         assert lines[1] == "t_us,sx,sy,sz"
         assert len(lines) == 7
+
+    def test_rejects_state_outside_bloch_ball(self):
+        with pytest.warns(UserWarning, match="violate"):
+            growing = DecayRates(gamma=1.0, N=0.0, M_abs=1.0)
+        with pytest.raises(ValueError, match=r"Bloch vector norm\^2 = .* exceeds 1"):
+            tomography_trajectory(growing, (0.5 * math.pi, 0.0), np.linspace(0.0, 5.0, 201))
 
 
 class TestDetuningSweep:
@@ -316,12 +337,17 @@ class TestDetuningSweep:
         assert math.isinf(pts[0].T_eff)
         assert pts[0].message == "no decay"
 
+    def test_rejects_non_increasing_times(self):
+        t = np.array([0.0, 2.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            detuning_sweep(SQUEEZED, [0.0, 0.5], 0.5 * math.pi, t)
+
     def test_points_carry_their_in_phase_trace(self):
         t = np.linspace(0.0, 3.0, 61)
         for p in detuning_sweep(SQUEEZED, [-0.4, 0.0, 0.9], math.pi, t):
             expected = ramsey(replace(SQUEEZED, delta=p.delta), math.pi, 5.0, t)
-            assert np.array_equal(p.trace.sz_values, expected.sz_values)
-            assert np.array_equal(p.trace.times, t)
+            assert np.array_equal(p.trace, expected)
+            assert p.trace.shape == t.shape
 
     @pytest.mark.parametrize(
         "phi, delta", [(0.5 * math.pi, -0.9), (0.5 * math.pi, 0.7), (math.pi, -0.2)]

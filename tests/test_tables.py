@@ -1,8 +1,9 @@
 """Every CSV table against the per-value ``f"{v:.9g}"`` writer it replaced.
 
-The oracles below are those writers, kept verbatim.  The cells cover signed
-zeros, subnormals, 1e300, negatives, inf and nan, and the long tables span
-more than one encoder block.
+The oracles below are those writers, kept verbatim but for their arguments:
+the Ramsey and trajectory ones take the arrays the protocols return.  The
+cells cover signed zeros, subnormals, 1e300, negatives, inf and nan, and the
+long tables span more than one encoder block.
 """
 
 import math
@@ -10,13 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from sqbloch.blochdyn import BlochState
+from sqbloch._table import csv_table
 from sqbloch.cli import _trace_grid_csv
 from sqbloch.protocols import (
-    BlochTrajectory,
     DetuningSweepPoint,
     GainSweepPoint,
-    RamseyTrace,
     detuning_sweep_to_csv,
     gain_sweep_to_csv,
 )
@@ -27,17 +26,17 @@ SZ = [-1.0, -0.0, 0.0, 5e-324, -1e-310, -1.0 / 3.0, 0.999999999, 1e-300]
 EDGE = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, -2.5, 2.0 / 3.0]
 
 
-def _ramsey_oracle(trace):
+def _ramsey_oracle(times, sz):
     lines = ["#schema=ramsey-trace-v1", "t_us,sz"]
-    for t, v in zip(trace.times, trace.sz_values):
+    for t, v in zip(times, sz):
         lines.append(f"{t:.9g},{v:.9g}")
     return "\n".join(lines) + "\n"
 
 
-def _trajectory_oracle(traj):
+def _trajectory_oracle(times, xyz):
     lines = ["#schema=bloch-trajectory-v1", "t_us,sx,sy,sz"]
-    for t, s in zip(traj.times, traj.states):
-        lines.append(f"{t:.9g},{s.sx:.9g},{s.sy:.9g},{s.sz:.9g}")
+    for t, (sx, sy, sz) in zip(times, xyz):
+        lines.append(f"{t:.9g},{sx:.9g},{sy:.9g},{sz:.9g}")
     return "\n".join(lines) + "\n"
 
 
@@ -62,7 +61,7 @@ def _trace_grid_oracle(deltas, t, traces):
     lines = ["#schema=detuning-trace-grid-v1", header]
     for k, tk in enumerate(t):
         lines.append(
-            f"{tk:.9g}," + ",".join(f"{tr.sz_values[k]:.9g}" for tr in traces)
+            f"{tk:.9g}," + ",".join(f"{tr[k]:.9g}" for tr in traces)
         )
     return "\n".join(lines) + "\n"
 
@@ -79,34 +78,36 @@ def _long_trace(n=3000, seed=5):
     rng = np.random.default_rng(seed)
     t = np.cumsum(rng.exponential(size=n)) - 7.0
     sz = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-320, 1, n)
-    return RamseyTrace(0.5 * math.pi, 5.0, t, sz)
+    return t, sz
 
 
 def _edge_trace(shift=0):
-    sz = np.roll(SZ, shift)
-    return RamseyTrace(0.5 * math.pi, 5.0, np.array(TIMES), sz)
+    return np.array(TIMES), np.roll(SZ, shift)
 
 
 @pytest.mark.parametrize("trace", [_edge_trace(), _long_trace()], ids=["edge", "long"])
 def test_ramsey_trace(trace):
-    assert trace.to_csv() == _ramsey_oracle(trace)
+    # The table the ramsey subcommand writes for each trace.
+    assert csv_table("ramsey-trace-v1", "t_us,sz", *trace) == _ramsey_oracle(*trace)
 
 
 def test_bloch_trajectory():
-    states = [
-        BlochState(-0.0, 0.0, 5e-324),
-        BlochState(-1e-310, 0.6, -0.8),
-        BlochState(1.0 / 3.0, -2.0 / 3.0, 0.0),
-        BlochState(5e-324, -5e-324, -1.0),
-        BlochState(1e-300, -0.0, 0.999999999),
-        BlochState(-0.5, 0.5, 0.5),
-        BlochState(0.0, 0.0, 0.0),
-        BlochState(-1e-5, 1e-4, 0.25),
-    ]
-    traj = BlochTrajectory(np.array(TIMES), tuple(states), prep=(0.0, 0.0))
-    assert traj.to_csv() == _trajectory_oracle(traj)
-    empty = BlochTrajectory(np.array([]), (), prep=(0.0, 0.0))
-    assert empty.to_csv() == _trajectory_oracle(empty)
+    # The table the trajectory subcommand writes.
+    xyz = np.array([
+        (-0.0, 0.0, 5e-324),
+        (-1e-310, 0.6, -0.8),
+        (1.0 / 3.0, -2.0 / 3.0, 0.0),
+        (5e-324, -5e-324, -1.0),
+        (1e-300, -0.0, 0.999999999),
+        (-0.5, 0.5, 0.5),
+        (0.0, 0.0, 0.0),
+        (-1e-5, 1e-4, 0.25),
+    ])
+    t = np.array(TIMES)
+    text = csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", t, xyz)
+    assert text == _trajectory_oracle(t, xyz)
+    empty = csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", np.array([]), np.empty((0, 3)))
+    assert empty == _trajectory_oracle([], [])
 
 
 def test_detuning_sweep():
@@ -128,11 +129,11 @@ def test_gain_sweep():
 @pytest.mark.parametrize("long", [False, True], ids=["edge", "long"])
 def test_trace_grid(long):
     if long:
-        traces = [_long_trace(seed=s) for s in range(8)]
-        t = traces[0].times
+        t = _long_trace(seed=0)[0]
+        traces = [_long_trace(seed=s)[1] for s in range(8)]
     else:
-        traces = [_edge_trace(shift) for shift in range(3)]
         t = np.array(TIMES)
+        traces = [_edge_trace(shift)[1] for shift in range(3)]
     deltas = np.linspace(-0.6, 0.6, len(traces))
     assert _trace_grid_csv(deltas, t, traces) == _trace_grid_oracle(deltas, t, traces)
 
