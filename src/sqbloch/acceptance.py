@@ -166,8 +166,11 @@ def criterion_5_detuning_sweep(res: CriterionResult) -> None:
     deltas = [0.0] + half + [-d for d in half]
     t_x = np.linspace(0.0, 6.0, 241)
     t_y = np.linspace(0.0, 2.5, 241)
-    tx = {p.delta: p.T_eff for p in protocols.detuning_sweep(rates, deltas, 0.5 * math.pi, t_x)}
-    ty = {p.delta: p.T_eff for p in protocols.detuning_sweep(rates, deltas, math.pi, t_y)}
+    # One sweep per axis, since the two time grids differ.
+    (x_points,) = protocols.detuning_sweep(rates, deltas, [0.5 * math.pi], t_x)
+    (y_points,) = protocols.detuning_sweep(rates, deltas, [math.pi], t_y)
+    tx = {p.delta: p.T_eff for p in x_points}
+    ty = {p.delta: p.T_eff for p in y_points}
 
     sym_err = max(
         max(abs(tx[d] - tx[-d]) / tx[d] for d in half),

@@ -210,36 +210,38 @@ def decay_eigenrates(r: DecayRates) -> tuple[complex, complex]:
     regime).  The negatives of the returned values are the eigenvalues of the
     polarization propagator generator.
     """
-    root = _kappa(r)
+    root = _kappa(r, r.delta)
     return (r.gamma_N + root, r.gamma_N - root)
 
 
-def _kappa(r: DecayRates) -> complex:
+def _kappa(r: DecayRates, delta: float) -> complex:
     """``sqrt(G_M^2 - (2 pi delta)^2)``, imaginary when underdamped."""
     try:
-        return complex(r.gamma_M**2 - (2.0 * math.pi * r.delta) ** 2) ** 0.5
+        return complex(r.gamma_M**2 - (2.0 * math.pi * delta) ** 2) ** 0.5
     except OverflowError:
-        raise NumericalFailure(f"kappa^2 overflows at delta = {r.delta:.6g} MHz") from None
+        raise NumericalFailure(f"kappa^2 overflows at delta = {delta:.6g} MHz") from None
 
 
-def _closed_form(r: DecayRates, t, b: np.ndarray) -> np.ndarray:
+def _closed_form(r: DecayRates, deltas: np.ndarray, t, b: np.ndarray) -> np.ndarray:
     """``exp(-G_N t) (cosh(kappa t) 1 + sinh(kappa t)/kappa b)`` with
-    ``kappa^2 = G_M^2 - (2 pi delta)^2``: one 2x2 map per entry of ``t``
-    (shape ``t.shape + (2, 2)``, a plain 2x2 array for scalar ``t``)."""
+    ``kappa^2 = G_M^2 - (2 pi delta)^2``: one 2x2 map per detuning (MHz) of
+    ``deltas`` and entry of ``t``, shape ``(len(deltas),) + t.shape + (2, 2)``;
+    ``b`` stacks one 2x2 matrix per detuning."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("propagation time must be nonnegative")
-    kappa = _kappa(r)
+    kappa = np.array([_kappa(r, delta) for delta in deltas], dtype=complex)
     # cosh and sinh overflow past Re(kappa t) ~ 710, where exp(-G_N t) is 0.
-    if kappa.real * np.max(t, initial=0.0) > 700.0:
+    if np.any(kappa.real * np.max(t, initial=0.0) > 700.0):
         raise NumericalFailure("closed-form propagator overflows: Re(kappa) t exceeds 700")
-    t = t[..., None, None]
+    lead = (len(kappa),) + (1,) * t.ndim
+    kappa, b, t = kappa.reshape(lead + (1, 1)), b.reshape(lead + (2, 2)), t[..., None, None]
     z = kappa * t
-    # The series keeps the kappa -> 0 limit exact to double precision; at
+    # The series keeps the kappa -> 0 limit exact to double precision; where
     # kappa = 0 every sample takes it, so the division never sees zero.
     small = np.abs(z) < 1e-6
     ch = np.where(small, 1.0 + z * z / 2.0, np.cosh(z))
-    shc = np.where(small, t * (1.0 + z * z / 6.0), np.sinh(z) / (kappa or 1.0))
+    shc = np.where(small, t * (1.0 + z * z / 6.0), np.sinh(z) / np.where(kappa == 0, 1, kappa))
     return np.exp(-r.gamma_N * t) * (ch * np.eye(2) + shc * b)
 
 
@@ -255,28 +257,36 @@ def polarization_propagator(r: DecayRates, t) -> np.ndarray:
     """
     delta_rad = 2.0 * math.pi * r.delta
     b = np.array([[-1j * delta_rad, r.gamma_M], [r.gamma_M, 1j * delta_rad]])
-    return _closed_form(r, t, b)
+    return _closed_form(r, [r.delta], t, b)[0]
 
 
-def transverse_propagator_xy(r: DecayRates, t) -> np.ndarray:
+def transverse_propagator_xy(r: DecayRates, t, deltas=None) -> np.ndarray:
     """Real map of (sx~, sy~) in the frame co-rotating with the squeezer.
 
     Derived from the same closed form as :func:`polarization_propagator`;
     at delta = 0 it is diag(exp(-t/Tx), exp(-t/Ty)).  Lab-frame components
     are recovered by rotating the output by ``-2 pi delta t`` about z (see
-    :func:`frame_rotation`).  An array ``t`` gives a stack of maps.
+    :func:`frame_rotation`).  An array ``t`` gives a stack of maps.  A
+    sequence ``deltas`` (MHz) stacks the maps of ``replace(r, delta=d)`` for
+    each ``d`` along a new leading axis.
     """
-    delta_rad = 2.0 * math.pi * r.delta
-    c = np.array([[r.gamma_M, -delta_rad], [delta_rad, -r.gamma_M]])
-    return _closed_form(r, t, c).real
+    d = np.array([r.delta] if deltas is None else deltas, dtype=float)
+    c = np.array([[[r.gamma_M, -x], [x, -r.gamma_M]] for x in 2.0 * math.pi * d])
+    m = _closed_form(r, d, t, c).real
+    return m if deltas is not None else m[0]
 
 
-def frame_rotation(r: DecayRates, t) -> np.ndarray:
+def frame_rotation(r: DecayRates, t, deltas=None) -> np.ndarray:
     """Rotation taking co-rotating-frame (sx~, sy~) to lab components at
-    ``t``; an array ``t`` gives a stack of rotations."""
-    ang = -2.0 * math.pi * r.delta * np.asarray(t, dtype=float)
+    ``t``; an array ``t`` gives a stack of rotations, and a sequence
+    ``deltas`` (MHz) a leading detuning axis as in
+    :func:`transverse_propagator_xy`."""
+    t = np.asarray(t, dtype=float)
+    d = np.array([r.delta] if deltas is None else deltas, dtype=float)
+    ang = -2.0 * math.pi * d.reshape(d.shape + (1,) * t.ndim) * t
     c, s = np.cos(ang), np.sin(ang)
-    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    return rot if deltas is not None else rot[0]
 
 
 def steady_state(r: DecayRates, drive: np.ndarray | None = None) -> BlochState:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -389,10 +390,10 @@ def _cmd_sweep_detuning(cfg: RunConfig, writer: _Writer) -> int:
     rates = _rates(cfg)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     summary = {}
-    for tag, phi in (("x", 0.5 * math.pi), ("y", math.pi)):
-        points = protocols.detuning_sweep(
-            rates, cfg.delta_grid_mhz, phi, t, omega_mod=cfg.omega_mod_mhz
-        )
+    sweeps = protocols.detuning_sweep(
+        rates, cfg.delta_grid_mhz, (0.5 * math.pi, math.pi), t, omega_mod=cfg.omega_mod_mhz
+    )
+    for tag, points in zip("xy", sweeps):
         writer.csv(f"detuning_t{tag}.csv", protocols.detuning_sweep_to_csv(points))
         writer.csv(
             f"detuning_traces_{tag}.csv",
@@ -563,6 +564,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqbloch",

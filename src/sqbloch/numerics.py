@@ -162,8 +162,20 @@ class OdeSolution:
 
 
 def _error_norm(err: np.ndarray, abs_y0: np.ndarray, abs_y1: np.ndarray, tol: float) -> float:
-    scale = tol + tol * np.maximum(abs_y0, abs_y1)
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    """RMS of ``|err / (tol + tol max(|y0|, |y1|))|``; scales ``err`` in place.
+    numpy divides complex by real as ``err * (1 / scale)`` (Smith's rule), so
+    the cheaper product rounds exactly as the quotient does."""
+    scale = np.maximum(abs_y0, abs_y1)
+    scale *= tol
+    scale += tol
+    if np.iscomplexobj(err):
+        np.divide(1.0, scale, out=scale)
+        err *= scale
+    else:
+        err /= scale
+    q = np.abs(err)
+    q *= q
+    return float(np.sqrt(np.add.reduce(q) / q.size))
 
 
 _MAX_STEPS = 1_000_000  # adaptive steps, accepted and rejected, per solve
@@ -248,18 +260,18 @@ def integrate_ode(
 
         if err_norm <= 1.0:
             t_new = t + h
-            while eval_idx < t_eval.size and t_eval[eval_idx] <= t_new + 1e-15:
-                theta = (t_eval[eval_idx] - t) / h
+            if eval_idx < t_eval.size and t_eval[eval_idx] <= t_new + 1e-15:
+                # The step's interpolant coefficients, shared by its samples.
                 dy = y_new - y
-                r1 = y
-                r2 = dy
                 r3 = h * k[0] - dy
                 r4 = dy - h * k[6] - r3
                 r5 = h * (_DP_D @ k)
-                out_y[eval_idx] = r1 + theta * (
-                    r2 + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
-                )
-                eval_idx += 1
+                while eval_idx < t_eval.size and t_eval[eval_idx] <= t_new + 1e-15:
+                    theta = (t_eval[eval_idx] - t) / h
+                    out_y[eval_idx] = y + theta * (
+                        dy + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
+                    )
+                    eval_idx += 1
             t = t_new
             y, abs_y = y_new, abs_y_new
             k[0] = k[6]  # first-same-as-last

@@ -172,15 +172,21 @@ def run_sequence(seq: PulseSequence, rates: DecayRates) -> float:
     return read_component(s, seq.measurement_basis)
 
 
-def _fringe(r: DecayRates, phi: float, omega_mod: float, t: np.ndarray):
-    """Fringe and its quadrature partner as ``I + iQ = exp(i theta) (x + i y)``.
+def _fringe(r: DecayRates, phis, deltas, omega_mod: float, t: np.ndarray):
+    """Fringe and its quadrature partner as ``I + iQ = exp(i theta) (x + i y)``
+    over the (phase, detuning, time) grid, shape ``(len(phis), len(deltas),
+    len(t))``; detuning ``d`` runs the rates ``replace(r, delta=d)``.
 
     I is the fringe of the module docstring; Q is read with the second pulse's
-    axis a quarter turn behind, ``sin(theta) x + cos(theta) y``.
+    axis a quarter turn behind, ``sin(theta) x + cos(theta) y``.  Every phase
+    shares one propagator grid over (detuning, time).
     """
-    s0 = np.array([math.sin(phi), math.cos(phi)])
-    x, y = (frame_rotation(r, t) @ transverse_propagator_xy(r, t) @ s0).T
-    iq = np.exp(2j * math.pi * omega_mod * t) * (x + 1j * y)
+    prop = frame_rotation(r, t, deltas) @ transverse_propagator_xy(r, t, deltas)
+    carrier = np.exp(2j * math.pi * omega_mod * t)
+    iq = np.empty((len(phis), len(deltas), t.size), dtype=complex)
+    for row, phi in zip(iq, phis):
+        xy = prop @ np.array([math.sin(phi), math.cos(phi)])
+        np.multiply(carrier, xy[..., 0] + 1j * xy[..., 1], out=row)
     if np.any(np.abs(iq.real) > 1.0 + 1e-9):
         raise ValueError("|<sz>| must not exceed 1")
     if np.any(np.diff(t) <= 0.0):
@@ -199,7 +205,7 @@ def ramsey(r: DecayRates, phi: float, omega_mod: float, t_samples) -> np.ndarray
     samples are not strictly increasing or some |<sz>| exceeds 1.
     """
     t_samples = np.asarray(t_samples, dtype=float)
-    return _fringe(r, phi, omega_mod, t_samples).real
+    return _fringe(r, [phi], [r.delta], omega_mod, t_samples)[0, 0].real
 
 
 def tomography_trajectory(
@@ -249,45 +255,41 @@ class DetuningSweepPoint:
     trace: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _demodulated_envelope(r, phi, omega_mod, t_samples):
-    """In-phase Ramsey trace and |transverse coherence| in the frame rotating
-    with modulation and squeezer, reconstructed from the fringe and its
-    quadrature partner (both read from one evaluation of (sx, sy))."""
-    iq = _fringe(r, phi, omega_mod, t_samples)
-    omega_rel = 2.0 * math.pi * (omega_mod - r.delta)  # rad/us, lab fringe rate
-    return iq.real, np.abs(iq * np.exp(-1j * omega_rel * t_samples))
-
-
 def detuning_sweep(
     r_base: DecayRates,
     deltas,
-    phi: float,
+    phis,
     t_samples,
     omega_mod: float = 5.0,
-) -> list[DetuningSweepPoint]:
-    """Effective decay constants versus squeezer detuning (MHz).
+) -> list[list[DetuningSweepPoint]]:
+    """Effective decay constants versus squeezer detuning (MHz), for each
+    preparation phase of ``phis``: one list of points per phase, in the order
+    of ``phis``, each in the order of ``deltas``.
 
     Each point simulates the modulated Ramsey trace, transforms into the
     co-rotating frame, and fits the envelope magnitude to a single
-    exponential; the envelopes of all points are fitted as one stack
+    exponential.  The traces of every (phase, detuning) point come from one
+    propagator grid, and all envelopes are fitted as one stack
     (:func:`~sqbloch.estimation.fit_exp_stack`), with the result a point
     would get on its own.  Fit failures are reported per point; the sweep
-    continues.
-    Every point carries its in-phase trace, ``ramsey(r, phi, omega_mod,
-    t_samples)`` at that detuning, as ``trace``.
+    continues.  Every point carries its in-phase trace, ``ramsey(replace(r,
+    delta=delta), phi, omega_mod, t_samples)``, as ``trace``.  Raises
+    ValueError as :func:`ramsey` does.
     """
     t_samples = np.asarray(t_samples, dtype=float)
-    deltas = [float(delta) for delta in deltas]
-    if not deltas:
-        return []
-    traces, envelopes = zip(
-        *(
-            _demodulated_envelope(replace(r_base, delta=delta), phi, omega_mod, t_samples)
-            for delta in deltas
-        )
-    )
+    deltas = np.array([float(delta) for delta in deltas])
+    phis = [float(phi) for phi in phis]
+    if not deltas.size or not phis:
+        return [[] for _ in phis]
+    iq = _fringe(r_base, phis, deltas, omega_mod, t_samples)
+    # Demodulate at the lab fringe rate: |transverse coherence| in the frame
+    # rotating with both the modulation and the squeezer.
+    omega_rel = 2.0 * math.pi * (omega_mod - deltas)  # rad/us
+    envelopes = np.abs(iq * np.exp(-1j * omega_rel[:, None] * t_samples))
+    fits = fit_exp_stack(t_samples, envelopes.reshape(-1, t_samples.size))
+    traces = iq.real.reshape(-1, t_samples.size)
     points = []
-    for delta, trace, fit in zip(deltas, traces, fit_exp_stack(t_samples, np.array(envelopes))):
+    for delta, trace, fit in zip(deltas.tolist() * len(phis), traces, fits):
         if isinstance(fit, DegenerateFitError):
             T_eff, converged, message = math.nan, False, str(fit)
         elif fit.no_decay:
@@ -296,7 +298,7 @@ def detuning_sweep(
             T_eff, converged = fit.T, fit.converged
             message = "" if converged else "fit did not converge"
         points.append(DetuningSweepPoint(delta, T_eff, converged, message, trace))
-    return points
+    return [points[i : i + deltas.size] for i in range(0, len(points), deltas.size)]
 
 
 @dataclass(frozen=True)

@@ -686,6 +686,27 @@ class TestMain:
         assert not (out / "wigner.csv").exists()
         assert (out / "wigner_summary.json").exists()
 
+    def test_cached_parser_parses_each_call_on_its_own(self, fast_conf, tmp_path, capsys):
+        # build_parser() is built once per process; every main() call must
+        # still read only its own argv.
+        from sqbloch.cli import build_parser
+
+        assert build_parser() is build_parser()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["wigner", "--config", fast_conf, "--out", str(first), "--format", "json"]) == 0
+        assert main(["sweep-gain", "--config", fast_conf, "--out", str(second)]) == 0
+        assert sorted(f.name for f in first.iterdir()) == ["wigner_summary.json"]
+        assert (second / "gain_sweep.csv").exists() and (second / "gain_summary.json").exists()
+        assert not (second / "wigner.csv").exists()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-gain", "--format", "xml"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+        third = tmp_path / "third"
+        assert main(["wigner", "--config", fast_conf, "--out", str(third)]) == 0
+        assert (third / "wigner.csv").exists() and (third / "wigner_summary.json").exists()
+
     def test_polariton_subcommand(self, tmp_path):
         conf = tmp_path / "p.conf"
         conf.write_text(POLARITON_CONF)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqbloch import estimation, protocols
-from sqbloch.blochdyn import DecayRates
+from sqbloch import estimation, numerics
+from sqbloch.blochdyn import DecayRates, frame_rotation, transverse_propagator_xy
 from sqbloch.errors import DegenerateFitError, StiffnessError
 from sqbloch.numerics import (
     eigh,
@@ -172,6 +173,49 @@ class TestIntegrateOde:
         assert sol.n_rhs == calls == 685
         assert (sol.n_accepted, sol.n_rejected) == (88, 26)
         assert sol.n_rhs == 1 + 6 * (sol.n_accepted + sol.n_rejected)
+
+    def test_dense_output_matches_per_sample_solves(self):
+        # The adaptive steps do not depend on t_eval, so a sample's value is
+        # fixed by the step it falls in: 2,001 samples (about 50 per step)
+        # must each equal a solve that asks for that sample alone.
+        def f(t, y):
+            return np.array([y[1], -9.0 * y[0] - 0.4 * y[1]])
+
+        t_eval = np.linspace(0.0, 2.0, 2001)
+        sol = integrate_ode(f, [1.0, 0.0], (0.0, 2.0), tol=1e-6, t_eval=t_eval)
+        assert sol.y.shape == (2001, 2) and sol.n_accepted < 100
+        for k in [*range(0, 2001, 16), 2000]:
+            alone = integrate_ode(f, [1.0, 0.0], (0.0, 2.0), tol=1e-6, t_eval=t_eval[k : k + 1])
+            assert alone.y[0].tobytes() == sol.y[k].tobytes(), k
+
+    def test_error_norm_matches_quotient_form(self):
+        # The parent form divided the error by the real scale; the product
+        # with the reciprocal must give the same bytes, specials included.
+        def quotient_form(err, abs_y0, abs_y1, tol):
+            scale = tol + tol * np.maximum(abs_y0, abs_y1)
+            return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+
+        rng = np.random.default_rng([31, 20261019])
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -2.5]
+        cases = 0
+        with np.errstate(all="ignore"):
+            for re, im in itertools.product(specials, repeat=2):
+                for complex_err in (True, False):
+                    n = int(rng.integers(1, 30))
+                    err = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 2, n)
+                    if complex_err:
+                        err = err + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-14, 2, n)
+                    err[rng.integers(n)] = complex(re, im) if complex_err else re
+                    err[rng.integers(n)] = 0.0
+                    abs_y0 = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-6, 3, n)
+                    abs_y1 = np.abs(rng.standard_normal(n))
+                    abs_y1[0] = rng.choice([0.0, np.inf, 1.0])
+                    tol = float(rng.choice([1e-12, 1e-9, 1e-6, 1e-320]))
+                    expected = quotient_form(err.copy(), abs_y0, abs_y1, tol)
+                    got = numerics._error_norm(err.copy(), abs_y0, abs_y1, tol)
+                    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+                    cases += 1
+        assert cases == 128
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_zero_initial_state(self, tol):
@@ -421,9 +465,13 @@ def _sweep_envelopes(seed, n_points=7):
     phi = (0.5 * math.pi, math.pi)[seed % 2]
     t = np.linspace(0.0, 5.0, 201)
     deltas = rng.uniform(1.0, 2.5) * np.linspace(-1.0, 1.0, n_points)
-    envelopes = [
-        protocols._demodulated_envelope(replace(rates, delta=d), phi, 5.0, t)[1] for d in deltas
-    ]
+    s0 = np.array([math.sin(phi), math.cos(phi)])
+    envelopes = []
+    for d in deltas:
+        r = replace(rates, delta=d)
+        x, y = (frame_rotation(r, t) @ transverse_propagator_xy(r, t) @ s0).T
+        iq = np.exp(2j * math.pi * 5.0 * t) * (x + 1j * y)
+        envelopes.append(np.abs(iq * np.exp(-1j * (2.0 * math.pi * (5.0 - d)) * t)))
     return t, np.array(envelopes)
 
 

@@ -366,6 +366,34 @@ class TestMasterEquation:
             exp_z = sz_ss + (s0[2] - sz_ss) * math.exp(-tk / ts.Tz)
             assert np.abs(got - np.array([exp_xy[0], exp_xy[1], exp_z])).max() <= 1e-6
 
+    def test_error_norm_product_form_keeps_the_solve(self, circuit_system, monkeypatch):
+        # numerics._error_norm multiplies the complex error by 1/scale; with
+        # the parent's quotient form put back, a dim-30 complex solve must
+        # take the same steps and give the same bytes.
+        from sqbloch import numerics
+
+        r = resonant_reservoir(circuit_system)
+        rhs = master_equation_rhs(circuit_system, r, calibrated_base(circuit_system))
+        dim = rhs.dimension
+        rho0 = density_from_bloch(np.array([0.6, -0.3, 0.5]) * 0.9, dim).ravel()
+
+        def solve():
+            return integrate_ode(
+                lambda t, y: apply_master_equation(rhs, y.reshape(dim, dim), t).ravel(),
+                rho0, (0.0, 5.0), tol=1e-10, t_eval=np.linspace(0.0, 5.0, 11),
+            )
+
+        def quotient_form(err, abs_y0, abs_y1, tol):
+            scale = tol + tol * np.maximum(abs_y0, abs_y1)
+            return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+
+        product = solve()
+        monkeypatch.setattr(numerics, "_error_norm", quotient_form)
+        quotient = solve()
+        assert product.y.dtype == complex and product.y.tobytes() == quotient.y.tobytes()
+        counters = (product.n_rhs, product.n_accepted, product.n_rejected)
+        assert counters == (quotient.n_rhs, quotient.n_accepted, quotient.n_rejected)
+
     def test_detuned_m_phase_matches_propagator(self, circuit_system):
         delta_mhz = 0.3
         i_minus = circuit_system.index_of("-")

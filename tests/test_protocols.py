@@ -313,19 +313,42 @@ class TestTomography:
             tomography_trajectory(growing, (0.5 * math.pi, 0.0), np.linspace(0.0, 5.0, 201))
 
 
+def _point_envelope(r, phi, omega_mod, t):
+    """One sweep point's demodulated envelope, computed on its own from the
+    point's propagators (the route ``detuning_sweep`` took before it shared
+    one propagator grid)."""
+    s0 = np.array([math.sin(phi), math.cos(phi)])
+    x, y = (frame_rotation(r, t) @ transverse_propagator_xy(r, t) @ s0).T
+    iq = np.exp(2j * math.pi * omega_mod * t) * (x + 1j * y)
+    omega_rel = 2.0 * math.pi * (omega_mod - r.delta)
+    return np.abs(iq * np.exp(-1j * omega_rel * t))
+
+
+def _scaled_row_stack(row, factor):
+    """``fit_exp_stack`` with one row of the envelope stack scaled."""
+    from sqbloch.estimation import fit_exp_stack
+
+    def stack(t, y):
+        y = y.copy()
+        y[row] *= factor
+        return fit_exp_stack(t, y)
+
+    return stack
+
+
 class TestDetuningSweep:
     RADIATIVE = DecayRates.from_times(T1=0.65, N=0.88, M=1.08)
 
     def test_resonant_point_recovers_axis_times(self):
         ts = axis_timescales(self.RADIATIVE)
-        tx = detuning_sweep(self.RADIATIVE, [0.0], 0.5 * math.pi, np.linspace(0, 6, 241))
-        ty = detuning_sweep(self.RADIATIVE, [0.0], math.pi, np.linspace(0, 2.5, 241))
+        (tx,) = detuning_sweep(self.RADIATIVE, [0.0], [0.5 * math.pi], np.linspace(0, 6, 241))
+        (ty,) = detuning_sweep(self.RADIATIVE, [0.0], [math.pi], np.linspace(0, 2.5, 241))
         assert tx[0].T_eff == pytest.approx(ts.Tx_tilde, rel=1e-8)
         assert ty[0].T_eff == pytest.approx(ts.Ty_tilde, rel=1e-8)
 
     def test_symmetric_in_detuning(self):
-        pts = detuning_sweep(
-            self.RADIATIVE, [-0.8, -0.2, 0.2, 0.8], 0.5 * math.pi, np.linspace(0, 6, 121)
+        (pts,) = detuning_sweep(
+            self.RADIATIVE, [-0.8, -0.2, 0.2, 0.8], [0.5 * math.pi], np.linspace(0, 6, 121)
         )
         by_delta = {p.delta: p.T_eff for p in pts}
         assert by_delta[0.2] == pytest.approx(by_delta[-0.2], rel=1e-7)
@@ -333,18 +356,19 @@ class TestDetuningSweep:
 
     def test_no_decay_point_reported(self):
         rates = DecayRates(gamma=0.0)
-        pts = detuning_sweep(rates, [0.0], 0.5 * math.pi, np.linspace(0, 2, 64))
+        (pts,) = detuning_sweep(rates, [0.0], [0.5 * math.pi], np.linspace(0, 2, 64))
         assert math.isinf(pts[0].T_eff)
         assert pts[0].message == "no decay"
 
     def test_rejects_non_increasing_times(self):
         t = np.array([0.0, 2.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
         with pytest.raises(ValueError, match="times must be strictly increasing"):
-            detuning_sweep(SQUEEZED, [0.0, 0.5], 0.5 * math.pi, t)
+            detuning_sweep(SQUEEZED, [0.0, 0.5], [0.5 * math.pi, math.pi], t)
 
     def test_points_carry_their_in_phase_trace(self):
         t = np.linspace(0.0, 3.0, 61)
-        for p in detuning_sweep(SQUEEZED, [-0.4, 0.0, 0.9], math.pi, t):
+        (pts,) = detuning_sweep(SQUEEZED, [-0.4, 0.0, 0.9], [math.pi], t)
+        for p in pts:
             expected = ramsey(replace(SQUEEZED, delta=p.delta), math.pi, 5.0, t)
             assert np.array_equal(p.trace, expected)
             assert p.trace.shape == t.shape
@@ -356,10 +380,8 @@ class TestDetuningSweep:
         # Finite-detuning envelopes are not pure exponentials; the fit stops
         # at a numerical optimum whose gradient sits at the noise of the
         # central differences, so a strict gradient test flipped here.
-        from sqbloch.protocols import _demodulated_envelope
-
         t = np.linspace(0.0, 5.0, 201)
-        _, env = _demodulated_envelope(replace(SQUEEZED, delta=delta), phi, 5.0, t)
+        env = _point_envelope(replace(SQUEEZED, delta=delta), phi, 5.0, t)
         nudged = env.copy()
         nudged[0] = np.nextafter(nudged[0], np.inf)
         a, b = fit_exp(t, env), fit_exp(t, nudged)
@@ -381,8 +403,8 @@ class TestDetuningSweep:
         deltas = rng.uniform(1.0, 2.5) * np.array([-1.0, -2 / 3, -1 / 3, 0.0, 1 / 3, 2 / 3, 1.0])
         t = np.linspace(0.0, 5.0, 201)
         ts = axis_timescales(rates)
-        for phi, expected in ((0.5 * math.pi, ts.Tx), (math.pi, ts.Ty)):
-            pts = detuning_sweep(rates, deltas, phi, t)
+        sweeps = detuning_sweep(rates, deltas, [0.5 * math.pi, math.pi], t)
+        for pts, expected in zip(sweeps, (ts.Tx, ts.Ty), strict=True):
             assert [p.delta for p in pts] == list(deltas)
             assert pts[3].converged and pts[3].message == ""
             assert pts[3].T_eff == pytest.approx(expected, rel=1e-6)
@@ -399,21 +421,15 @@ class TestDetuningSweep:
             "_exp_model",
             lambda t, p: np.where(p[..., 0, None] > 50.0, np.nan, model(t, p)),
         )
-        envelope = protocols._demodulated_envelope
-
-        def scaled(r, phi, omega_mod, t):
-            trace, env = envelope(r, phi, omega_mod, t)
-            return trace, env * (1000.0 if r.delta == 0.3 else 1.0)
-
-        monkeypatch.setattr(protocols, "_demodulated_envelope", scaled)
         deltas = [-0.9, 0.3, 0.0, 1.4, 0.6]
+        monkeypatch.setattr(protocols, "fit_exp_stack", _scaled_row_stack(1, 1000.0))
         t = np.linspace(0.0, 5.0, 201)
-        pts = detuning_sweep(SQUEEZED, deltas, 0.5 * math.pi, t)
+        (pts,) = detuning_sweep(SQUEEZED, deltas, [0.5 * math.pi], t)
         assert [p.delta for p in pts] == deltas
         for p in pts:
-            _, env = scaled(replace(SQUEEZED, delta=p.delta), 0.5 * math.pi, 5.0, t)
+            env = _point_envelope(replace(SQUEEZED, delta=p.delta), 0.5 * math.pi, 5.0, t)
             try:
-                fit = fit_exp(t, env)
+                fit = fit_exp(t, env * (1000.0 if p.delta == 0.3 else 1.0))
             except DegenerateFitError as exc:
                 assert math.isnan(p.T_eff) and not p.converged
                 assert p.message == str(exc) == "model returned non-finite residuals"
@@ -422,10 +438,73 @@ class TestDetuningSweep:
                 assert (p.T_eff, p.converged, p.message) == (fit.T, True, "")
 
     def test_csv(self):
-        pts = detuning_sweep(self.RADIATIVE, [0.0, 0.5], 0.5 * math.pi, np.linspace(0, 4, 81))
+        (pts,) = detuning_sweep(self.RADIATIVE, [0.0, 0.5], [0.5 * math.pi], np.linspace(0, 4, 81))
         lines = detuning_sweep_to_csv(pts).strip().split("\n")
         assert lines[0] == "#schema=detuning-sweep-v1"
         assert len(lines) == 4
+
+
+class TestDetuningSweepGrid:
+    """One call computes every (phase, detuning) point on one propagator grid;
+    each point must be what it was when computed on its own."""
+
+    # On CRITICAL's rates delta = 0.25 is the exact kappa = 0 point (series
+    # branch); |delta| below it is overdamped and above it underdamped.
+    DELTAS = [0.0, 0.1, 0.25, -0.25, -0.18, 1.3, -0.7]
+    PHIS = [0.5 * math.pi, math.pi, 0.3]
+
+    @pytest.mark.parametrize("omega_mod", [5.0, 3.0])
+    def test_every_point_matches_its_own_computation(self, omega_mod):
+        t = np.linspace(0.0, 4.0, 161)
+        sweeps = detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t, omega_mod=omega_mod)
+        assert len(sweeps) == len(self.PHIS)
+        for phi, pts in zip(self.PHIS, sweeps):
+            assert [p.delta for p in pts] == self.DELTAS
+            for p in pts:
+                r = replace(CRITICAL, delta=p.delta)
+                assert p.trace.tobytes() == ramsey(r, phi, omega_mod, t).tobytes()
+                fit = fit_exp(t, _point_envelope(r, phi, omega_mod, t))
+                assert (p.T_eff, p.converged, p.message) == (fit.T, fit.converged, "")
+
+    def test_failing_row_leaves_the_others_unchanged(self, monkeypatch):
+        from sqbloch import estimation, protocols
+
+        model = estimation._exp_model
+        monkeypatch.setattr(
+            estimation,
+            "_exp_model",
+            lambda t, p: np.where(p[..., 0, None] > 50.0, np.nan, model(t, p)),
+        )
+        t = np.linspace(0.0, 4.0, 161)
+        clean = detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t)
+        # Row 9 of the (phase, detuning) stack: the second phase, third detuning.
+        monkeypatch.setattr(protocols, "fit_exp_stack", _scaled_row_stack(9, 1000.0))
+        failed = detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t)
+        for i, (pts, ref) in enumerate(zip(failed, clean)):
+            for j, (p, q) in enumerate(zip(pts, ref)):
+                assert p.trace.tobytes() == q.trace.tobytes()
+                if (i, j) == (1, 2):
+                    assert math.isnan(p.T_eff) and not p.converged
+                    assert p.message == "model returned non-finite residuals"
+                else:
+                    assert (p.delta, p.T_eff, p.converged, p.message) == (
+                        q.delta, q.T_eff, q.converged, q.message
+                    )
+
+    def test_empty_deltas_or_phases(self):
+        t = np.linspace(0.0, 4.0, 41)
+        assert detuning_sweep(CRITICAL, [], self.PHIS, t) == [[], [], []]
+        assert detuning_sweep(CRITICAL, self.DELTAS, [], t) == []
+
+    def test_rejects_growing_fringe(self):
+        with pytest.warns(UserWarning, match="violate"):
+            growing = DecayRates(gamma=1.0, N=0.0, M_abs=1.0)
+        with pytest.raises(ValueError, match=r"\|<sz>\| must not exceed 1"):
+            detuning_sweep(growing, [0.0, 0.3], self.PHIS, np.linspace(0.0, 5.0, 201))
+
+    def test_rejects_negative_times(self):
+        with pytest.raises(ValueError, match="propagation time must be nonnegative"):
+            detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, np.array([-0.1, 0.0, 0.5, 1.0]))
 
 
 class TestGainSweep:
