@@ -6,7 +6,8 @@ entry points are
 * :func:`eigh` -- Hermitian eigendecomposition (LAPACK through numpy) with a
   deterministic ordering and phase gauge,
 * :func:`integrate_ode` -- embedded Dormand-Prince 5(4) with PI step control
-  and dense output,
+  and dense output; the real coefficient sums of a complex state run on its
+  float view, and real-state arithmetic is unchanged by that,
 * :func:`fit_least_squares_stack` -- damped Gauss-Newton (Levenberg-Marquardt
   style damping schedule) on a Jacobian that the caller supplies in closed
   form, run as one loop over a ``(B, n)`` stack of independent fits: each row
@@ -194,7 +195,9 @@ def integrate_ode(
     Local error per step is kept at or below ``tol`` (used as both absolute
     and relative tolerance).  The requested sample times ``t_eval`` are
     filled by the pair's order-4 dense-output interpolant.  Real and complex
-    states are both supported.
+    states are both supported.  The stage, error and interpolant sums of a
+    complex state run on the float view of its stage stack (the coefficients
+    are real); a real state is its own view, so its arithmetic is unchanged.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -213,6 +216,10 @@ def integrate_ode(
 
     k = np.empty((7, y.size), dtype=y.dtype)
     k[0] = f(t0, y)
+    # Coefficient sums run on the float view ``kr`` and are read back in the
+    # dtype of the sum: a complex64 stack sums to complex128.
+    sum_dtype = np.result_type(y, _DP_D)
+    kr = k.view(k.real.dtype)
 
     # Starting step from the local derivative scale (Hairer's heuristic): a
     # state or derivative below the tolerance scale says nothing about the
@@ -229,7 +236,7 @@ def integrate_ode(
     t = t0
     eval_idx = 0
     # The dense-output samples take the dtype of the interpolant.
-    out_y = np.empty((t_eval.size, y.size), dtype=np.result_type(y, _DP_D))
+    out_y = np.empty((t_eval.size, y.size), dtype=sum_dtype)
     while eval_idx < t_eval.size and t_eval[eval_idx] <= t0 + 1e-15:
         out_y[eval_idx] = y
         eval_idx += 1
@@ -248,13 +255,13 @@ def integrate_ode(
         # yi = y + h * (_DP_A[i] @ k[:i]), scaled and added in place in the
         # fresh product array; stage 1 is a scalar times k[0].
         for i in range(1, 7):
-            yi = _DP_A[1][0] * k[0] if i == 1 else _DP_A[i] @ k[:i]
+            yi = _DP_A[1][0] * k[0] if i == 1 else (_DP_A[i] @ kr[:i]).view(sum_dtype)
             yi *= h
             yi += y
             k[i] = f(t + _DP_C[i] * h, yi)
         y_new = yi  # the stage-6 input is the 5th-order solution (FSAL row)
         abs_y_new = np.abs(y_new)
-        err = _DP_E @ k
+        err = (_DP_E @ kr).view(sum_dtype)
         err *= h
         err_norm = _error_norm(err, abs_y, abs_y_new, tol)
 
@@ -265,7 +272,7 @@ def integrate_ode(
                 dy = y_new - y
                 r3 = h * k[0] - dy
                 r4 = dy - h * k[6] - r3
-                r5 = h * (_DP_D @ k)
+                r5 = h * (_DP_D @ kr).view(sum_dtype)
                 while eval_idx < t_eval.size and t_eval[eval_idx] <= t_new + 1e-15:
                     theta = (t_eval[eval_idx] - t) / h
                     out_y[eval_idx] = y + theta * (

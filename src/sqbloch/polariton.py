@@ -364,13 +364,14 @@ def apply_master_equation(
         )
     if hermitian_defect(rho) > 1e-9:
         raise ValueError("rho must be Hermitian")
-    trace = np.trace(rho)
+    diag = rho.diagonal()
+    trace = diag.sum()
     if abs(trace.real - 1.0) > 1e-6 or abs(trace.imag) > 1e-9:
         raise ValueError("rho must have unit trace")
 
     drho = rhs.decay * rho
     # The diagonal of a fresh C-ordered array is every (dim+1)-th flat entry.
-    drho.reshape(-1)[:: rhs.dimension + 1] += rhs.transfer @ rho.diagonal()
+    drho.reshape(-1)[:: rhs.dimension + 1] += rhs.transfer @ diag
     for a, b, weight, phase in rhs.m_pair:
         drho[a, b] += weight * cmath.exp(1j * phase * t) * rho[b, a]
     return drho

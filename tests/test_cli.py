@@ -543,10 +543,12 @@ class TestMain:
             ("protocol", "n_max", "-1"),
             ("polariton", "gamma_over_2pi_mhz", "-1"),
             ("reservoir", "m", "-1"),
-            # Positive and finite, but linspace repeats times on its grids; at
-            # 1.01e-321 only on estimate's t_max_us / 3 grid.
+            # Positive and finite, but the sample step t_max_us / (n_samples - 1)
+            # is subnormal; at 1e-305 only on estimate's t_max_us / 3 grid.
             ("protocol", "t_max_us", "5e-324"),
             ("protocol", "t_max_us", "1.01e-321"),
+            ("protocol", "t_max_us", "1e-310"),
+            ("protocol", "t_max_us", "1e-305"),
         ],
     )
     def test_field_edit_exit_2(self, tmp_path, capsys, command, section, key, value):
@@ -592,12 +594,6 @@ class TestMain:
             ("direct", "t_max_us", "1e300", "ramsey", "closed-form propagator overflows"),
             ("direct", "t_max_us", "1e300", "estimate", "closed-form propagator overflows"),
             ("direct", "t_max_us", "1e300", "sweep-detuning", "closed-form propagator overflows"),
-            # 1e-310 still gives distinct sample times: the load-time grid
-            # rule passes it and the fits fail.
-            ("direct", "t_max_us", "1e-310", "ramsey", "no descent direction found"),
-            ("direct", "t_max_us", "1e-310", "estimate", "no descent direction found"),
-            ("direct", "t_max_us", "1e-310", "trajectory",
-             "trajectory_summary.json would hold a non-finite value"),
             ("direct", "delta_max_mhz", "1e300", "sweep-detuning",
              "kappa^2 overflows at delta = -1e+300 MHz"),
             ("direct", "n_max", "1e300", "sweep-gain", "M - N at N = 4.16667e+298 overflows"),

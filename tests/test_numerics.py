@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqbloch import estimation, numerics
+from sqbloch import estimation, numerics, polariton
 from sqbloch.blochdyn import DecayRates, frame_rotation, transverse_propagator_xy
 from sqbloch.errors import DegenerateFitError, StiffnessError
 from sqbloch.numerics import (
@@ -17,6 +17,7 @@ from sqbloch.numerics import (
     hermitian_defect,
     integrate_ode,
 )
+from sqbloch.reservoir import SqueezedReservoir
 
 
 def random_hermitian(rng, n):
@@ -173,6 +174,41 @@ class TestIntegrateOde:
         assert sol.n_rhs == calls == 685
         assert (sol.n_accepted, sol.n_rejected) == (88, 26)
         assert sol.n_rhs == 1 + 6 * (sol.n_accepted + sol.n_rejected)
+
+    def test_complex_state_pinned_and_counters(self):
+        # Criterion 7's dim-30 circuit with a complex M: a complex state whose
+        # stage sums run on the float view.  The pinned samples (rho[0, 1]
+        # and rho[0, 0] at t = 2.5 and 5 us) are the integrator's output
+        # when that view was introduced (numpy 2.4, OpenBLAS, x86-64).
+        params = polariton.TransmonCavityParams()
+        ps = polariton.diagonalize_polaritons(polariton.build_hamiltonian(params), params)
+        i_minus = ps.index_of("-")
+        r = SqueezedReservoir(
+            N=0.88, M=1.08 * np.exp(0.7j), omega0=ps.transition_frequency(0, i_minus),
+            bandwidth=13.0,
+        )
+        rhs = polariton.master_equation_rhs(
+            ps, r, 2.0 * math.pi * 0.24 / abs(ps.A[0, i_minus]) ** 2
+        )
+        dim = rhs.dimension
+        rho0 = polariton.density_from_bloch(np.array([0.6, -0.3, 0.5]) * 0.9, dim, j=i_minus)
+        sol = integrate_ode(
+            lambda t, y: polariton.apply_master_equation(rhs, y.reshape(dim, dim), t).ravel(),
+            rho0.ravel(),
+            (0.0, 5.0),
+            tol=1e-10,
+            t_eval=np.linspace(0.0, 5.0, 11),
+        )
+        assert (dim, i_minus) == (30, 1) and sol.y.dtype == complex
+        pinned = {
+            5: ["0x1.017c5520a3df5p-4", "-0x1.77996fec71985p-6", "0x1.5cc119fef3c0cp-1"],
+            10: ["0x1.4c584140bf48ep-6", "-0x1.e542d5c1a77a7p-8", "0x1.5cc0ed735c64bp-1"],
+        }
+        for k, hexes in pinned.items():
+            rho = sol.y[k].reshape(dim, dim)
+            got = [rho[0, 1].real, rho[0, 1].imag, rho[0, 0].real]
+            assert [v.hex() for v in got] == hexes, k
+        assert (sol.n_rhs, sol.n_accepted, sol.n_rejected) == (499, 83, 0)
 
     def test_dense_output_matches_per_sample_solves(self):
         # The adaptive steps do not depend on t_eval, so a sample's value is

@@ -15,7 +15,7 @@ from sqbloch.blochdyn import (
 )
 from sqbloch.cli import _polariton_payload, _Writer
 from sqbloch.errors import MultiTransitionError
-from sqbloch.numerics import integrate_ode
+from sqbloch.numerics import hermitian_defect, integrate_ode
 from sqbloch.polariton import (
     PolaritonSystem,
     TransmonCavityParams,
@@ -365,6 +365,33 @@ class TestMasterEquation:
             exp_xy = transverse_propagator_xy(rates, tk) @ s0[:2]
             exp_z = sz_ss + (s0[2] - sz_ss) * math.exp(-tk / ts.Tz)
             assert np.abs(got - np.array([exp_xy[0], exp_xy[1], exp_z])).max() <= 1e-6
+
+    def test_solver_keeps_every_rhs_input_exactly_hermitian(self):
+        # The stage sums act entrywise with real coefficients, so a Hermitian
+        # state and Hermitian stages give a Hermitian stage input, bit for
+        # bit; hermitian_defect's zero test then skips both |.| passes.
+        params = TransmonCavityParams(n_transmon=8, n_photon=12)
+        ps = diagonalize_polaritons(build_hamiltonian(params), params)
+        i_minus = ps.index_of("-")
+        base = calibrated_base(ps)
+        defects = []
+        for delta_mhz in (0.0, 0.7):
+            r = SqueezedReservoir(
+                N=0.88, M=1.08 * np.exp(0.7j),
+                omega0=ps.transition_frequency(0, i_minus) + delta_mhz * 1e-3, bandwidth=13.0,
+            )
+            rhs = master_equation_rhs(ps, r, base)
+            dim = rhs.dimension
+
+            def f(t, y):
+                rho = y.reshape(dim, dim)
+                defects.append(hermitian_defect(rho))
+                return apply_master_equation(rhs, rho, t).ravel()
+
+            rho0 = density_from_bloch([0.4, -0.2, 0.3], dim, j=i_minus).ravel()
+            integrate_ode(f, rho0, (0.0, 5.0), tol=1e-10, t_eval=np.linspace(0.0, 5.0, 11))
+        assert dim == 96 and len(defects) > 500
+        assert set(defects) == {0.0}
 
     def test_error_norm_product_form_keeps_the_solve(self, circuit_system, monkeypatch):
         # numerics._error_norm multiplies the complex error by 1/scale; with
