@@ -66,9 +66,6 @@ class BlochState:
     def as_array(self) -> np.ndarray:
         return np.array([self.sx, self.sy, self.sz])
 
-    def purity(self) -> float:
-        return self.sx**2 + self.sy**2 + self.sz**2
-
 
 @dataclass(frozen=True)
 class DecayRates:

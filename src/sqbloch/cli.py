@@ -306,8 +306,10 @@ def _cmd_polariton(cfg: RunConfig, writer: _Writer) -> int:
     for k, (label, e) in enumerate(zip(system.labels, system.energies)):
         lines.append(f"{k},{label},{e:.9g}")
     writer.csv("polariton.csv", "\n".join(lines) + "\n")
-    ok_freq = abs(f_minus - 5.8989) * 1e3 <= 15.0
-    ok_split = abs(splitting - 255.0) <= 10.0
+    from . import acceptance  # the paper's spectrum targets
+
+    ok_freq = abs(f_minus - acceptance.F_MINUS_GHZ) * 1e3 <= acceptance.F_MINUS_TOL_MHZ
+    ok_split = abs(splitting - acceptance.SPLITTING_MHZ) <= acceptance.SPLITTING_TOL_MHZ
     print(f"g->- transition: {f_minus:.4f} GHz ({'ok' if ok_freq else 'off'})")
     print(f"polariton splitting: {splitting:.1f} MHz ({'ok' if ok_split else 'off'})")
     return 0
@@ -388,43 +390,43 @@ def _trace_grid_csv(deltas, t, traces) -> str:
 def _cmd_sweep_detuning(cfg: RunConfig, writer: _Writer) -> int:
     rates = _rates(cfg)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
-    summary = {}
-    sweeps = protocols.detuning_sweep(
-        rates, cfg.delta_grid_mhz, (0.5 * math.pi, math.pi), t, omega_mod=cfg.omega_mod_mhz
+    deltas = cfg.delta_grid_mhz
+    traces, T_eff, converged = protocols.detuning_sweep(
+        rates, deltas, (0.5 * math.pi, math.pi), t, omega_mod=cfg.omega_mod_mhz
     )
-    for tag, points in zip("xy", sweeps):
-        writer.csv(f"detuning_t{tag}.csv", protocols.detuning_sweep_to_csv(points))
-        writer.csv(
-            f"detuning_traces_{tag}.csv",
-            _trace_grid_csv(cfg.delta_grid_mhz, t, [p.trace for p in points]),
-        )
+    summary = {}
+    header = "delta_mhz,T_eff_us,converged"
+    for i, tag in enumerate("xy"):
+        table = csv_table("detuning-sweep-v1", header, deltas, T_eff[i], converged[i])
+        writer.csv(f"detuning_t{tag}.csv", table)
+        writer.csv(f"detuning_traces_{tag}.csv", _trace_grid_csv(deltas, t, traces[i]))
         summary[tag] = {
-            f"{p.delta:+.4g}": (p.T_eff if math.isfinite(p.T_eff) else None)
-            for p in points
+            f"{d:+.4g}": (T if math.isfinite(T) else None)
+            for d, T in zip(deltas, T_eff[i].tolist())
         }
     writer.json("detuning_summary.json", summary)
-    print(f"swept {len(cfg.delta_grid_mhz)} detunings for both prep axes")
+    print(f"swept {len(deltas)} detunings for both prep axes")
     return 0
 
 
 def _cmd_sweep_gain(cfg: RunConfig, writer: _Writer) -> int:
     rates = _rates(cfg)
     t1 = _t1_of(cfg, rates)
-    points = protocols.gain_sweep(cfg.n_grid, cfg.eta, t1, cfg.t_phi_us)
-    writer.csv("gain_sweep.csv", protocols.gain_sweep_to_csv(points))
+    header = "N,M,Tx_us,Ty_us,Tz_us,M_minus_N"
+    rows = protocols.gain_sweep(cfg.n_grid, cfg.eta, t1, cfg.t_phi_us)
+    writer.csv("gain_sweep.csv", csv_table("gain-sweep-v1", header, rows))
     ideal = protocols.gain_sweep(cfg.n_grid, 1.0, t1, cfg.t_phi_us)
-    writer.csv("gain_sweep_ideal.csv", protocols.gain_sweep_to_csv(ideal))
+    writer.csv("gain_sweep_ideal.csv", csv_table("gain-sweep-v1", header, ideal))
     writer.json(
         "gain_summary.json",
         {
             "eta": cfg.eta,
             "rows": [
-                {"N": p.N, "M": p.M, "Tx": p.Tx, "Ty": p.Ty, "Tz": p.Tz}
-                for p in points
+                dict(zip(("N", "M", "Tx", "Ty", "Tz"), row)) for row in rows[:, :5].tolist()
             ],
         },
     )
-    print(f"swept {len(points)} gain points at eta = {cfg.eta}")
+    print(f"swept {len(rows)} gain points at eta = {cfg.eta}")
     return 0
 
 

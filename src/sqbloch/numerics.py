@@ -195,9 +195,11 @@ def integrate_ode(
     Local error per step is kept at or below ``tol`` (used as both absolute
     and relative tolerance).  The requested sample times ``t_eval`` are
     filled by the pair's order-4 dense-output interpolant.  Real and complex
-    states are both supported.  The stage, error and interpolant sums of a
-    complex state run on the float view of its stage stack (the coefficients
-    are real); a real state is its own view, so its arithmetic is unchanged.
+    states are both supported, each solved in at least double precision
+    (float64 or complex128, whatever the dtype of ``y0``).  The stage, error
+    and interpolant sums of a complex state run on the float view of its stage
+    stack (the coefficients are real); a real state is its own view, so its
+    arithmetic is unchanged.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -205,8 +207,7 @@ def integrate_ode(
     if not t1 > t0:
         raise ValueError("t_span must be a non-degenerate forward interval")
     y = np.atleast_1d(np.asarray(y0))
-    if not np.iscomplexobj(y):
-        y = y.astype(float)
+    y = y.astype(np.result_type(y, float), copy=False)
 
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.size and (t_eval.min() < t0 - 1e-12 or t_eval.max() > t1 + 1e-12):
@@ -216,9 +217,6 @@ def integrate_ode(
 
     k = np.empty((7, y.size), dtype=y.dtype)
     k[0] = f(t0, y)
-    # Coefficient sums run on the float view ``kr`` and are read back in the
-    # dtype of the sum: a complex64 stack sums to complex128.
-    sum_dtype = np.result_type(y, _DP_D)
     kr = k.view(k.real.dtype)
 
     # Starting step from the local derivative scale (Hairer's heuristic): a
@@ -235,8 +233,7 @@ def integrate_ode(
 
     t = t0
     eval_idx = 0
-    # The dense-output samples take the dtype of the interpolant.
-    out_y = np.empty((t_eval.size, y.size), dtype=sum_dtype)
+    out_y = np.empty((t_eval.size, y.size), dtype=y.dtype)
     while eval_idx < t_eval.size and t_eval[eval_idx] <= t0 + 1e-15:
         out_y[eval_idx] = y
         eval_idx += 1
@@ -255,13 +252,13 @@ def integrate_ode(
         # yi = y + h * (_DP_A[i] @ k[:i]), scaled and added in place in the
         # fresh product array; stage 1 is a scalar times k[0].
         for i in range(1, 7):
-            yi = _DP_A[1][0] * k[0] if i == 1 else (_DP_A[i] @ kr[:i]).view(sum_dtype)
+            yi = _DP_A[1][0] * k[0] if i == 1 else (_DP_A[i] @ kr[:i]).view(y.dtype)
             yi *= h
             yi += y
             k[i] = f(t + _DP_C[i] * h, yi)
         y_new = yi  # the stage-6 input is the 5th-order solution (FSAL row)
         abs_y_new = np.abs(y_new)
-        err = (_DP_E @ kr).view(sum_dtype)
+        err = (_DP_E @ kr).view(y.dtype)
         err *= h
         err_norm = _error_norm(err, abs_y, abs_y_new, tol)
 
@@ -272,7 +269,7 @@ def integrate_ode(
                 dy = y_new - y
                 r3 = h * k[0] - dy
                 r4 = dy - h * k[6] - r3
-                r5 = h * (_DP_D @ kr).view(sum_dtype)
+                r5 = h * (_DP_D @ kr).view(y.dtype)
                 while eval_idx < t_eval.size and t_eval[eval_idx] <= t_new + 1e-15:
                     theta = (t_eval[eval_idx] - t) / h
                     out_y[eval_idx] = y + theta * (

@@ -22,12 +22,16 @@ procedure: the fringe signal and its quadrature partner (the second pulse's
 axis a quarter turn behind) are demodulated into the frame co-rotating with
 both the modulation and the squeezer, and the envelope magnitude is fit to a
 single exponential.
+
+Every routine returns the arrays it computes: a Ramsey trace, a trajectory,
+the (phase, detuning) grids of a detuning sweep and the rows of a gain sweep.
+Their file formats live in :mod:`sqbloch.cli`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,12 +45,9 @@ from .errors import DegenerateFitError
 # fit_exp stays bound here too; perfbench's tracer self-test wraps it at this name.
 from .estimation import fit_exp, fit_exp_stack  # noqa: F401
 from .reservoir import eta_curve
-from ._table import csv_table
 from . import blochdyn
 
 __all__ = [
-    "DetuningSweepPoint",
-    "GainSweepPoint",
     "Pulse",
     "PulseSequence",
     "apply_rotation",
@@ -244,99 +245,58 @@ def tomography_trajectory(
     return s
 
 
-@dataclass(frozen=True)
-class DetuningSweepPoint:
-    """One fitted detuning point and the in-phase <sz> array it was fit from."""
-
-    delta: float
-    T_eff: float
-    converged: bool
-    message: str = ""
-    trace: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-
 def detuning_sweep(
     r_base: DecayRates,
     deltas,
     phis,
     t_samples,
     omega_mod: float = 5.0,
-) -> list[list[DetuningSweepPoint]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Effective decay constants versus squeezer detuning (MHz), for each
-    preparation phase of ``phis``: one list of points per phase, in the order
-    of ``phis``, each in the order of ``deltas``.
+    preparation phase of ``phis``: ``(traces, T_eff, converged)`` of shapes
+    ``(P, D, n)``, ``(P, D)`` and ``(P, D)`` for P phases, D detunings and n
+    samples, in the order of ``phis`` and ``deltas``.
 
     Each point simulates the modulated Ramsey trace, transforms into the
     co-rotating frame, and fits the envelope magnitude to a single
     exponential.  The traces of every (phase, detuning) point come from one
     propagator grid, and all envelopes are fitted as one stack
     (:func:`~sqbloch.estimation.fit_exp_stack`), with the result a point
-    would get on its own.  Fit failures are reported per point; the sweep
-    continues.  Every point carries its in-phase trace, ``ramsey(replace(r,
-    delta=delta), phi, omega_mod, t_samples)``, as ``trace``.  Raises
-    ValueError as :func:`ramsey` does.
+    would get on its own.  ``traces[i, j]`` is the in-phase trace
+    ``ramsey(replace(r, delta=deltas[j]), phis[i], omega_mod, t_samples)``.
+    A point whose fit fails has ``T_eff = nan`` and ``converged = False``;
+    the sweep continues.  A flat envelope (no decay) has ``T_eff = inf`` and
+    ``converged = True``.  Empty ``deltas`` or ``phis`` give zero-size axes.
+    Raises ValueError as :func:`ramsey` does.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     deltas = np.array([float(delta) for delta in deltas])
     phis = [float(phi) for phi in phis]
-    if not deltas.size or not phis:
-        return [[] for _ in phis]
     iq = _fringe(r_base, phis, deltas, omega_mod, t_samples)
     # Demodulate at the lab fringe rate: |transverse coherence| in the frame
     # rotating with both the modulation and the squeezer.
     omega_rel = 2.0 * math.pi * (omega_mod - deltas)  # rad/us
     envelopes = np.abs(iq * np.exp(-1j * omega_rel[:, None] * t_samples))
     fits = fit_exp_stack(t_samples, envelopes.reshape(-1, t_samples.size))
-    traces = iq.real.reshape(-1, t_samples.size)
-    points = []
-    for delta, trace, fit in zip(deltas.tolist() * len(phis), traces, fits):
-        if isinstance(fit, DegenerateFitError):
-            T_eff, converged, message = math.nan, False, str(fit)
-        elif fit.no_decay:
-            T_eff, converged, message = math.inf, True, "no decay"
-        else:
-            T_eff, converged = fit.T, fit.converged
-            message = "" if converged else "fit did not converge"
-        points.append(DetuningSweepPoint(delta, T_eff, converged, message, trace))
-    return [points[i : i + deltas.size] for i in range(0, len(points), deltas.size)]
+    T_eff = np.full(len(fits), math.nan)
+    converged = np.zeros(len(fits), dtype=bool)
+    for k, fit in enumerate(fits):  # a flat envelope's fit has T = inf, converged
+        if not isinstance(fit, DegenerateFitError):
+            T_eff[k], converged[k] = fit.T, fit.converged
+    return iq.real, T_eff.reshape(iq.shape[:2]), converged.reshape(iq.shape[:2])
 
 
-@dataclass(frozen=True)
-class GainSweepPoint:
-    N: float
-    M: float
-    Tx: float
-    Ty: float
-    Tz: float
-    M_minus_N: float
-
-
-def gain_sweep(
-    n_values, eta: float, T1: float, T_phi: float
-) -> list[GainSweepPoint]:
-    """Axis timescales versus squeezer gain, parameterized by measured N.
+def gain_sweep(n_values, eta: float, T1: float, T_phi: float) -> np.ndarray:
+    """Axis timescales versus squeezer gain, parameterized by measured N: an
+    ``(len(n_values), 6)`` array whose columns are ``N, M, Tx, Ty, Tz, M - N``.
 
     M follows the attenuated ideal-source curve M = sqrt(N^2 + eta N); at
     eta = 1 the (N, M - N) relation is the minimum-uncertainty line.
     """
-    points = []
-    for n in n_values:
-        n = float(n)
+    n_values = [float(n) for n in n_values]
+    rows = np.empty((len(n_values), 6))
+    for row, n in zip(rows, n_values):
         m = n + eta_curve(n, eta)
-        ts = blochdyn.axis_timescales(
-            DecayRates.from_times(T1=T1, T_phi=T_phi, N=n, M=m)
-        )
-        points.append(
-            GainSweepPoint(N=n, M=m, Tx=ts.Tx, Ty=ts.Ty, Tz=ts.Tz, M_minus_N=m - n)
-        )
-    return points
-
-
-def detuning_sweep_to_csv(points: list[DetuningSweepPoint]) -> str:
-    rows = [(p.delta, p.T_eff, p.converged) for p in points]
-    return csv_table("detuning-sweep-v1", "delta_mhz,T_eff_us,converged", rows)
-
-
-def gain_sweep_to_csv(points: list[GainSweepPoint]) -> str:
-    rows = [(p.N, p.M, p.Tx, p.Ty, p.Tz, p.M_minus_N) for p in points]
-    return csv_table("gain-sweep-v1", "N,M,Tx_us,Ty_us,Tz_us,M_minus_N", rows)
+        ts = blochdyn.axis_timescales(DecayRates.from_times(T1=T1, T_phi=T_phi, N=n, M=m))
+        row[:] = n, m, ts.Tx, ts.Ty, ts.Tz, m - n
+    return rows

@@ -49,7 +49,7 @@ class TestBlochState:
     def test_from_angles(self):
         s = BlochState.from_angles(0.67 * math.pi, 0.83 * math.pi)
         assert s.sz == pytest.approx(math.cos(0.67 * math.pi))
-        assert s.purity() == pytest.approx(1.0)
+        assert (s.as_array() ** 2).sum() == pytest.approx(1.0)
 
 
 class TestBlochRhs:

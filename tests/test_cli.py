@@ -764,8 +764,8 @@ def test_single_field_edits_keep_exit_contract(base_key, value, command):
 
 
 def test_cli_import_leaves_acceptance_unloaded():
-    # Only `validate` needs the acceptance suite; every other subcommand
-    # skips its import.
+    # Only `validate` and `polariton` (its spectrum targets) import the
+    # acceptance suite; importing the CLI, and every other subcommand, skips it.
     import sqbloch
 
     src = str(Path(sqbloch.__file__).resolve().parents[1])

@@ -143,6 +143,24 @@ class TestIntegrateOde:
         assert sol.y[0][0] == pytest.approx(np.exp(1j * w * 0.5), abs=1e-8)
         assert sol.y[1][0] == pytest.approx(np.exp(1j * w), abs=1e-8)
 
+    def test_single_precision_complex_start_solves_in_double(self):
+        # A complex64 start is promoted to complex128 as a float32 one is to
+        # float64, so its solve is the complex128 solve, byte for byte.
+        w = 2.0 * np.pi * 3.0
+        t_eval = np.linspace(0.0, 1.0, 9)
+
+        def solve(dtype):
+            return integrate_ode(
+                lambda t, y: 1j * w * y, np.ones(1, dtype), (0.0, 1.0), tol=1e-8, t_eval=t_eval
+            )
+
+        single, double = solve(np.complex64), solve(np.complex128)
+        assert single.y.dtype == double.y.dtype == np.complex128
+        assert single.y.tobytes() == double.y.tobytes()
+        counters = ("n_rhs", "n_accepted", "n_rejected")
+        assert [getattr(single, c) for c in counters] == [getattr(double, c) for c in counters]
+        assert abs(single.y[-1, 0] - np.exp(1j * w)) < 5e-8
+
     def test_dense_output_accuracy(self):
         tol = 1e-9
         t_eval = np.linspace(0.0, 2.0, 101)

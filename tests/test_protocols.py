@@ -23,15 +23,13 @@ from sqbloch.protocols import (
     PulseSequence,
     apply_rotation,
     detuning_sweep,
-    detuning_sweep_to_csv,
     gain_sweep,
-    gain_sweep_to_csv,
     ramsey,
     read_component,
     run_sequence,
     tomography_trajectory,
 )
-from sqbloch.reservoir import ideal_M
+from sqbloch.reservoir import eta_curve, ideal_M
 
 SQUEEZED = DecayRates.from_times(T1=0.65, T_phi=6.6, N=0.88, M=1.08)
 VACUUM_RATES = DecayRates.from_times(T1=0.65, T_phi=6.6)
@@ -78,7 +76,8 @@ class TestApplyRotation:
     @settings(max_examples=100)
     def test_norm_preserved(self, s, angle, azimuth):
         out = apply_rotation(s, angle, azimuth)
-        assert out.purity() == pytest.approx(s.purity(), abs=1e-12)
+        norm_sq = (out.as_array() ** 2).sum()
+        assert norm_sq == pytest.approx((s.as_array() ** 2).sum(), abs=1e-12)
 
 
 class TestReadComponent:
@@ -341,24 +340,27 @@ class TestDetuningSweep:
 
     def test_resonant_point_recovers_axis_times(self):
         ts = axis_timescales(self.RADIATIVE)
-        (tx,) = detuning_sweep(self.RADIATIVE, [0.0], [0.5 * math.pi], np.linspace(0, 6, 241))
-        (ty,) = detuning_sweep(self.RADIATIVE, [0.0], [math.pi], np.linspace(0, 2.5, 241))
-        assert tx[0].T_eff == pytest.approx(ts.Tx_tilde, rel=1e-8)
-        assert ty[0].T_eff == pytest.approx(ts.Ty_tilde, rel=1e-8)
+        _, tx, _ = detuning_sweep(self.RADIATIVE, [0.0], [0.5 * math.pi], np.linspace(0, 6, 241))
+        _, ty, _ = detuning_sweep(self.RADIATIVE, [0.0], [math.pi], np.linspace(0, 2.5, 241))
+        assert tx[0, 0] == pytest.approx(ts.Tx_tilde, rel=1e-8)
+        assert ty[0, 0] == pytest.approx(ts.Ty_tilde, rel=1e-8)
 
     def test_symmetric_in_detuning(self):
-        (pts,) = detuning_sweep(
-            self.RADIATIVE, [-0.8, -0.2, 0.2, 0.8], [0.5 * math.pi], np.linspace(0, 6, 121)
+        deltas = [-0.8, -0.2, 0.2, 0.8]
+        _, (T_eff,), _ = detuning_sweep(
+            self.RADIATIVE, deltas, [0.5 * math.pi], np.linspace(0, 6, 121)
         )
-        by_delta = {p.delta: p.T_eff for p in pts}
+        by_delta = dict(zip(deltas, T_eff))
         assert by_delta[0.2] == pytest.approx(by_delta[-0.2], rel=1e-7)
         assert by_delta[0.8] == pytest.approx(by_delta[-0.8], rel=1e-7)
 
     def test_no_decay_point_reported(self):
         rates = DecayRates(gamma=0.0)
-        (pts,) = detuning_sweep(rates, [0.0], [0.5 * math.pi], np.linspace(0, 2, 64))
-        assert math.isinf(pts[0].T_eff)
-        assert pts[0].message == "no decay"
+        _, T_eff, converged = detuning_sweep(
+            rates, [0.0], [0.5 * math.pi], np.linspace(0, 2, 64)
+        )
+        assert math.isinf(T_eff[0, 0])
+        assert converged[0, 0]
 
     def test_rejects_non_increasing_times(self):
         t = np.array([0.0, 2.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
@@ -367,11 +369,12 @@ class TestDetuningSweep:
 
     def test_points_carry_their_in_phase_trace(self):
         t = np.linspace(0.0, 3.0, 61)
-        (pts,) = detuning_sweep(SQUEEZED, [-0.4, 0.0, 0.9], [math.pi], t)
-        for p in pts:
-            expected = ramsey(replace(SQUEEZED, delta=p.delta), math.pi, 5.0, t)
-            assert np.array_equal(p.trace, expected)
-            assert p.trace.shape == t.shape
+        deltas = [-0.4, 0.0, 0.9]
+        (traces,), _, _ = detuning_sweep(SQUEEZED, deltas, [math.pi], t)
+        assert traces.shape == (len(deltas),) + t.shape
+        for delta, trace in zip(deltas, traces):
+            expected = ramsey(replace(SQUEEZED, delta=delta), math.pi, 5.0, t)
+            assert np.array_equal(trace, expected)
 
     @pytest.mark.parametrize(
         "phi, delta", [(0.5 * math.pi, -0.9), (0.5 * math.pi, 0.7), (math.pi, -0.2)]
@@ -403,13 +406,13 @@ class TestDetuningSweep:
         deltas = rng.uniform(1.0, 2.5) * np.array([-1.0, -2 / 3, -1 / 3, 0.0, 1 / 3, 2 / 3, 1.0])
         t = np.linspace(0.0, 5.0, 201)
         ts = axis_timescales(rates)
-        sweeps = detuning_sweep(rates, deltas, [0.5 * math.pi, math.pi], t)
-        for pts, expected in zip(sweeps, (ts.Tx, ts.Ty), strict=True):
-            assert [p.delta for p in pts] == list(deltas)
-            assert pts[3].converged and pts[3].message == ""
-            assert pts[3].T_eff == pytest.approx(expected, rel=1e-6)
+        _, T_eff, converged = detuning_sweep(rates, deltas, [0.5 * math.pi, math.pi], t)
+        assert T_eff.shape == converged.shape == (2, len(deltas))
+        for T_row, conv_row, expected in zip(T_eff, converged, (ts.Tx, ts.Ty), strict=True):
+            assert conv_row[3]
+            assert T_row[3] == pytest.approx(expected, rel=1e-6)
 
-    def test_failing_point_keeps_its_place_and_message(self, monkeypatch):
+    def test_failing_point_keeps_its_place(self, monkeypatch):
         # One point's envelope is scaled past an amplitude at which the model
         # turns non-finite, so its fit fails; every point must come back, in
         # grid order, as fitting each envelope on its own reports it.
@@ -424,22 +427,28 @@ class TestDetuningSweep:
         deltas = [-0.9, 0.3, 0.0, 1.4, 0.6]
         monkeypatch.setattr(protocols, "fit_exp_stack", _scaled_row_stack(1, 1000.0))
         t = np.linspace(0.0, 5.0, 201)
-        (pts,) = detuning_sweep(SQUEEZED, deltas, [0.5 * math.pi], t)
-        assert [p.delta for p in pts] == deltas
-        for p in pts:
-            env = _point_envelope(replace(SQUEEZED, delta=p.delta), 0.5 * math.pi, 5.0, t)
+        _, (T_eff,), (converged,) = detuning_sweep(SQUEEZED, deltas, [0.5 * math.pi], t)
+        assert T_eff.shape == converged.shape == (len(deltas),)
+        for delta, T, conv in zip(deltas, T_eff.tolist(), converged.tolist()):
+            env = _point_envelope(replace(SQUEEZED, delta=delta), 0.5 * math.pi, 5.0, t)
             try:
-                fit = fit_exp(t, env * (1000.0 if p.delta == 0.3 else 1.0))
+                fit = fit_exp(t, env * (1000.0 if delta == 0.3 else 1.0))
             except DegenerateFitError as exc:
-                assert math.isnan(p.T_eff) and not p.converged
-                assert p.message == str(exc) == "model returned non-finite residuals"
-                assert p.delta == 0.3
+                assert math.isnan(T) and not conv
+                assert str(exc) == "model returned non-finite residuals"
+                assert delta == 0.3
             else:
-                assert (p.T_eff, p.converged, p.message) == (fit.T, True, "")
+                assert (T, conv) == (fit.T, True)
 
     def test_csv(self):
-        (pts,) = detuning_sweep(self.RADIATIVE, [0.0, 0.5], [0.5 * math.pi], np.linspace(0, 4, 81))
-        lines = detuning_sweep_to_csv(pts).strip().split("\n")
+        deltas = [0.0, 0.5]
+        _, (T_eff,), (converged,) = detuning_sweep(
+            self.RADIATIVE, deltas, [0.5 * math.pi], np.linspace(0, 4, 81)
+        )
+        text = csv_table(
+            "detuning-sweep-v1", "delta_mhz,T_eff_us,converged", deltas, T_eff, converged
+        )
+        lines = text.strip().split("\n")
         assert lines[0] == "#schema=detuning-sweep-v1"
         assert len(lines) == 4
 
@@ -456,15 +465,18 @@ class TestDetuningSweepGrid:
     @pytest.mark.parametrize("omega_mod", [5.0, 3.0])
     def test_every_point_matches_its_own_computation(self, omega_mod):
         t = np.linspace(0.0, 4.0, 161)
-        sweeps = detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t, omega_mod=omega_mod)
-        assert len(sweeps) == len(self.PHIS)
-        for phi, pts in zip(self.PHIS, sweeps):
-            assert [p.delta for p in pts] == self.DELTAS
-            for p in pts:
-                r = replace(CRITICAL, delta=p.delta)
-                assert p.trace.tobytes() == ramsey(r, phi, omega_mod, t).tobytes()
+        traces, T_eff, converged = detuning_sweep(
+            CRITICAL, self.DELTAS, self.PHIS, t, omega_mod=omega_mod
+        )
+        shape = (len(self.PHIS), len(self.DELTAS))
+        assert traces.shape == shape + t.shape
+        assert T_eff.shape == converged.shape == shape
+        for i, phi in enumerate(self.PHIS):
+            for j, delta in enumerate(self.DELTAS):
+                r = replace(CRITICAL, delta=delta)
+                assert traces[i, j].tobytes() == ramsey(r, phi, omega_mod, t).tobytes()
                 fit = fit_exp(t, _point_envelope(r, phi, omega_mod, t))
-                assert (p.T_eff, p.converged, p.message) == (fit.T, fit.converged, "")
+                assert (T_eff[i, j], converged[i, j]) == (fit.T, fit.converged)
 
     def test_failing_row_leaves_the_others_unchanged(self, monkeypatch):
         from sqbloch import estimation, protocols
@@ -476,25 +488,24 @@ class TestDetuningSweepGrid:
             lambda t, p: np.where(p[..., 0, None] > 50.0, np.nan, model(t, p)),
         )
         t = np.linspace(0.0, 4.0, 161)
-        clean = detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t)
+        traces, T_eff, converged = detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t)
         # Row 9 of the (phase, detuning) stack: the second phase, third detuning.
         monkeypatch.setattr(protocols, "fit_exp_stack", _scaled_row_stack(9, 1000.0))
-        failed = detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t)
-        for i, (pts, ref) in enumerate(zip(failed, clean)):
-            for j, (p, q) in enumerate(zip(pts, ref)):
-                assert p.trace.tobytes() == q.trace.tobytes()
-                if (i, j) == (1, 2):
-                    assert math.isnan(p.T_eff) and not p.converged
-                    assert p.message == "model returned non-finite residuals"
-                else:
-                    assert (p.delta, p.T_eff, p.converged, p.message) == (
-                        q.delta, q.T_eff, q.converged, q.message
-                    )
+        f_traces, f_T_eff, f_converged = detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t)
+        assert f_traces.tobytes() == traces.tobytes()
+        assert math.isnan(f_T_eff[1, 2]) and not f_converged[1, 2]
+        others = np.ones(T_eff.shape, dtype=bool)
+        others[1, 2] = False
+        assert f_T_eff[others].tobytes() == T_eff[others].tobytes()
+        assert np.array_equal(f_converged[others], converged[others])
 
     def test_empty_deltas_or_phases(self):
         t = np.linspace(0.0, 4.0, 41)
-        assert detuning_sweep(CRITICAL, [], self.PHIS, t) == [[], [], []]
-        assert detuning_sweep(CRITICAL, self.DELTAS, [], t) == []
+        for deltas, phis in (([], self.PHIS), (self.DELTAS, []), ([], [])):
+            traces, T_eff, converged = detuning_sweep(CRITICAL, deltas, phis, t)
+            assert traces.shape == (len(phis), len(deltas), t.size)
+            assert T_eff.shape == converged.shape == (len(phis), len(deltas))
+            assert converged.dtype == bool
 
     def test_rejects_growing_fringe(self):
         with pytest.warns(UserWarning, match="violate"):
@@ -509,26 +520,38 @@ class TestDetuningSweepGrid:
 
 class TestGainSweep:
     def test_vacuum_point(self):
-        pt = gain_sweep([0.0], 0.5, 0.65, 6.6)[0]
-        assert pt.M == 0.0
-        assert pt.Tx == pytest.approx(1.086, abs=1e-3)
-        assert pt.Ty == pytest.approx(pt.Tx)
-        assert pt.Tz == pytest.approx(0.65)
+        N, M, Tx, Ty, Tz, _ = gain_sweep([0.0], 0.5, 0.65, 6.6)[0]
+        assert M == 0.0
+        assert Tx == pytest.approx(1.086, abs=1e-3)
+        assert Ty == pytest.approx(Tx)
+        assert Tz == pytest.approx(0.65)
 
     def test_reference_point_half_transmission(self):
         from sqbloch.estimation import subtract_dephasing
 
-        pt = gain_sweep([0.88], 0.5, 0.65, 6.6)[0]
-        assert pt.M_minus_N == pytest.approx(0.222, abs=1e-3)
-        assert subtract_dephasing(pt.Tx, 6.6) == pytest.approx(0.65 / 0.278, abs=2e-3)
+        N, M, Tx, Ty, Tz, M_minus_N = gain_sweep([0.88], 0.5, 0.65, 6.6)[0]
+        assert M_minus_N == pytest.approx(0.222, abs=1e-3)
+        assert subtract_dephasing(Tx, 6.6) == pytest.approx(0.65 / 0.278, abs=2e-3)
 
     def test_unit_transmission_is_minimum_uncertainty_line(self):
-        pts = gain_sweep([0.3, 1.0, 2.5], 1.0, 0.65, 6.6)
-        for pt in pts:
-            assert pt.M == pytest.approx(ideal_M(pt.N), rel=1e-12)
+        rows = gain_sweep([0.3, 1.0, 2.5], 1.0, 0.65, 6.6)
+        assert rows.shape == (3, 6)
+        for N, M in rows[:, :2]:
+            assert M == pytest.approx(ideal_M(N), rel=1e-12)
+
+    def test_columns_are_the_closed_form_timescales(self):
+        n_values = [0.0, 0.4, 1.7]
+        rows = gain_sweep(n_values, 0.5, 0.65, 6.6)
+        for row, n in zip(rows, n_values):
+            m = n + eta_curve(n, 0.5)
+            ts = axis_timescales(DecayRates.from_times(T1=0.65, T_phi=6.6, N=n, M=m))
+            assert row.tolist() == [n, m, ts.Tx, ts.Ty, ts.Tz, m - n]
+        assert gain_sweep([], 0.5, 0.65, 6.6).shape == (0, 6)
 
     def test_csv(self):
-        lines = gain_sweep_to_csv(gain_sweep([0.0, 1.0], 0.5, 0.65, 6.6)).strip().split("\n")
+        rows = gain_sweep([0.0, 1.0], 0.5, 0.65, 6.6)
+        header = "N,M,Tx_us,Ty_us,Tz_us,M_minus_N"
+        lines = csv_table("gain-sweep-v1", header, rows).strip().split("\n")
         assert lines[0] == "#schema=gain-sweep-v1"
         assert lines[1].startswith("N,M,Tx_us")
         assert len(lines) == 4

@@ -1,24 +1,22 @@
 """Every CSV table against the per-value ``f"{v:.9g}"`` writer it replaced.
 
 The oracles below are those writers, kept verbatim but for their arguments:
-the Ramsey and trajectory ones take the arrays the protocols return.  The
+they take the arrays the protocols return.  The
 cells cover signed zeros, subnormals, 1e300, negatives, inf and nan, and the
 long tables span more than one encoder block.
 """
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
 from sqbloch._table import csv_table
-from sqbloch.cli import _trace_grid_csv
-from sqbloch.protocols import (
-    DetuningSweepPoint,
-    GainSweepPoint,
-    detuning_sweep_to_csv,
-    gain_sweep_to_csv,
-)
+from sqbloch.blochdyn import DecayRates
+from sqbloch.cli import _trace_grid_csv, load_config, main
+from sqbloch.protocols import detuning_sweep, gain_sweep
 from sqbloch.reservoir import WignerGrid
 
 TIMES = [-1e300, -2.5, -0.0, 5e-324, 1e-310, 1.0 / 3.0, 123456789.5, 1e300]
@@ -40,19 +38,17 @@ def _trajectory_oracle(times, xyz):
     return "\n".join(lines) + "\n"
 
 
-def _detuning_oracle(points):
+def _detuning_oracle(deltas, T_eff, converged):
     lines = ["#schema=detuning-sweep-v1", "delta_mhz,T_eff_us,converged"]
-    for p in points:
-        lines.append(f"{p.delta:.9g},{p.T_eff:.9g},{int(p.converged)}")
+    for delta, T, conv in zip(deltas, T_eff, converged):
+        lines.append(f"{delta:.9g},{T:.9g},{int(conv)}")
     return "\n".join(lines) + "\n"
 
 
-def _gain_oracle(points):
+def _gain_oracle(rows):
     lines = ["#schema=gain-sweep-v1", "N,M,Tx_us,Ty_us,Tz_us,M_minus_N"]
-    for p in points:
-        lines.append(
-            f"{p.N:.9g},{p.M:.9g},{p.Tx:.9g},{p.Ty:.9g},{p.Tz:.9g},{p.M_minus_N:.9g}"
-        )
+    for N, M, Tx, Ty, Tz, M_minus_N in rows:
+        lines.append(f"{N:.9g},{M:.9g},{Tx:.9g},{Ty:.9g},{Tz:.9g},{M_minus_N:.9g}")
     return "\n".join(lines) + "\n"
 
 
@@ -110,20 +106,51 @@ def test_bloch_trajectory():
     assert empty == _trajectory_oracle([], [])
 
 
+def _detuning_csv(deltas, T_eff, converged):
+    # The table the sweep-detuning subcommand writes for each prep axis.
+    header = "delta_mhz,T_eff_us,converged"
+    return csv_table("detuning-sweep-v1", header, deltas, T_eff, converged)
+
+
+def _gain_csv(rows):
+    # The table the sweep-gain subcommand writes.
+    return csv_table("gain-sweep-v1", "N,M,Tx_us,Ty_us,Tz_us,M_minus_N", rows)
+
+
 def test_detuning_sweep():
-    t_eff = [math.inf, math.nan, 1e300, -1e-310, 0.0, -0.0, 5e-324, -math.inf, 2.5]
-    points = [
-        DetuningSweepPoint(delta, T, bool(k % 2))
-        for k, (delta, T) in enumerate(zip(EDGE, t_eff))
-    ]
-    assert detuning_sweep_to_csv(points) == _detuning_oracle(points)
-    assert detuning_sweep_to_csv([]) == _detuning_oracle([])
+    deltas = np.array(EDGE)
+    t_eff = np.array([math.inf, math.nan, 1e300, -1e-310, 0.0, -0.0, 5e-324, -math.inf, 2.5])
+    converged = np.arange(len(EDGE)) % 2 == 1
+    assert _detuning_csv(deltas, t_eff, converged) == _detuning_oracle(deltas, t_eff, converged)
+    empty = np.array([])
+    assert _detuning_csv(empty, empty, empty.astype(bool)) == _detuning_oracle([], [], [])
 
 
 def test_gain_sweep():
-    points = [GainSweepPoint(*np.roll(EDGE, k)[:6]) for k in range(len(EDGE))]
-    assert gain_sweep_to_csv(points) == _gain_oracle(points)
-    assert gain_sweep_to_csv([]) == _gain_oracle([])
+    rows = np.array([np.roll(EDGE, k)[:6] for k in range(len(EDGE))])
+    assert _gain_csv(rows) == _gain_oracle(rows)
+    assert _gain_csv(np.empty((0, 6))) == _gain_oracle([])
+
+
+def test_cli_sweep_tables(tmp_path):
+    # The files sweep-detuning and sweep-gain write for the bundled config,
+    # against the oracles on the arrays the two sweeps return.
+    cfg = load_config(None)
+    assert cfg.system_type == "direct"
+    rates = DecayRates.from_times(T1=cfg.t1_us, T_phi=cfg.t_phi_us, N=cfg.n, M=cfg.m)
+    t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
+    deltas = cfg.delta_grid_mhz
+    _, T_eff, converged = detuning_sweep(
+        rates, deltas, (0.5 * math.pi, math.pi), t, omega_mod=cfg.omega_mod_mhz
+    )
+    rows = gain_sweep(cfg.n_grid, cfg.eta, cfg.t1_us, cfg.t_phi_us)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep-detuning", "--out", str(tmp_path)]) == 0
+        assert main(["sweep-gain", "--out", str(tmp_path)]) == 0
+    for i, tag in enumerate("xy"):
+        text = (tmp_path / f"detuning_t{tag}.csv").read_text()
+        assert text == _detuning_oracle(deltas, T_eff[i], converged[i])
+    assert (tmp_path / "gain_sweep.csv").read_text() == _gain_oracle(rows)
 
 
 @pytest.mark.parametrize("long", [False, True], ids=["edge", "long"])
