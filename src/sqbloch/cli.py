@@ -4,9 +4,12 @@ plot-ready file outputs (CSV and JSON, no rendering).
 Configuration is a key-value file with nested sections (INI syntax); the
 bundled ``paper.conf`` encodes the reference operating point and is used when
 ``--config`` is omitted.  Exit codes: 0 success, 2 configuration errors
-(with field-level messages), 3 numerical failures naming the operation.
-Re-running any subcommand with an identical configuration produces
-byte-identical outputs.
+(with field-level messages, an ``--out`` that cannot be written included),
+3 numerical failures naming the operation.  Each subcommand stages its
+outputs in a dict; ``main`` writes them only when the subcommand returns, so
+a run that exits 2 or 3 writes no file (``validate`` returns 3 with its
+report when a criterion fails).  Re-running any subcommand with an identical
+configuration produces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -261,26 +264,13 @@ def _t1_of(cfg: RunConfig, rates: DecayRates) -> float:
     return cfg.t1_us if cfg.system_type == "direct" else 1.0 / rates.gamma
 
 
-class _Writer:
-    def __init__(self, out_dir: Path, formats: str):
-        self.out_dir = out_dir
-        self.formats = formats
-
-    def csv(self, name: str, text: str) -> None:
-        if self.formats in ("csv", "both"):
-            self._write(name, text)
-
-    def json(self, name: str, payload) -> None:
-        if self.formats in ("json", "both"):
-            try:
-                text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-            except ValueError as exc:  # NaN or inf: no JSON number holds it
-                raise NumericalFailure(f"{name} would hold a non-finite value: {exc}") from None
-            self._write(name, text + "\n")
-
-    def _write(self, name: str, text: str) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        (self.out_dir / name).write_text(text)
+def _json_text(name: str, payload) -> str:
+    """The text of JSON output ``name``; NaN or inf is a failure naming it."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or inf: no JSON number holds it
+        raise NumericalFailure(f"{name} would hold a non-finite value: {exc}") from None
+    return text + "\n"
 
 
 def _polariton_payload(system) -> dict:
@@ -297,15 +287,15 @@ def _polariton_payload(system) -> dict:
     }
 
 
-def _cmd_polariton(cfg: RunConfig, writer: _Writer) -> int:
+def _cmd_polariton(cfg: RunConfig, out: dict) -> int:
     system = _polariton_system(cfg)
     payload = _polariton_payload(system)
     f_minus, splitting = payload["g_to_minus_ghz"], payload["splitting_mhz"]
-    writer.json("polariton.json", payload)
+    out["polariton.json"] = payload
     lines = ["#schema=polariton-levels-v1", "level,label,energy_ghz"]
     for k, (label, e) in enumerate(zip(system.labels, system.energies)):
         lines.append(f"{k},{label},{e:.9g}")
-    writer.csv("polariton.csv", "\n".join(lines) + "\n")
+    out["polariton.csv"] = "\n".join(lines) + "\n"
     from . import acceptance  # the paper's spectrum targets
 
     ok_freq = abs(f_minus - acceptance.F_MINUS_GHZ) * 1e3 <= acceptance.F_MINUS_TOL_MHZ
@@ -315,7 +305,7 @@ def _cmd_polariton(cfg: RunConfig, writer: _Writer) -> int:
     return 0
 
 
-def _cmd_ramsey(cfg: RunConfig, writer: _Writer) -> int:
+def _cmd_ramsey(cfg: RunConfig, out: dict) -> int:
     rates_on = _rates(cfg)
     rates_off = replace(rates_on, N=0.0, M_abs=0.0)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
@@ -326,7 +316,7 @@ def _cmd_ramsey(cfg: RunConfig, writer: _Writer) -> int:
         for rates, tag in ((rates_off, "off"), (rates_on, "on")):
             sz = protocols.ramsey(rates, phi, cfg.omega_mod_mhz, t)
             table = csv_table("ramsey-trace-v1", "t_us,sz", t, sz)
-            writer.csv(f"ramsey_{tag}_phi{idx:02d}.csv", table)
+            out[f"ramsey_{tag}_phi{idx:02d}.csv"] = table
             fit = estimation.fit_damped_sinusoid(t, sz, cfg.omega_mod_mhz)
             fits[f"{tag}_phi{idx:02d}"] = {
                 "phi_pi": phi_pi,
@@ -336,48 +326,42 @@ def _cmd_ramsey(cfg: RunConfig, writer: _Writer) -> int:
                 "converged": fit.converged,
             }
     summary["fits"] = fits
-    writer.json("ramsey_summary.json", summary)
+    out["ramsey_summary.json"] = summary
     off_times = [v["T_us"] for k, v in fits.items() if k.startswith("off")]
     print(f"squeezing off: mean fitted T2* = {np.mean(off_times):.4f} us")
     return 0
 
 
-def _cmd_trajectory(cfg: RunConfig, writer: _Writer) -> int:
+def _cmd_trajectory(cfg: RunConfig, out: dict) -> int:
     rates = _rates(cfg)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     traj = protocols.tomography_trajectory(rates, (cfg.prep_theta, cfg.prep_phi), t)
-    writer.csv("trajectory.csv", csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj))
+    out["trajectory.csv"] = csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj)
     fit = estimation.fit_exp(t, traj[:, 2])
-    writer.json(
-        "trajectory_summary.json",
-        {
-            "prep_theta_pi": cfg.prep_theta / math.pi,
-            "prep_phi_pi": cfg.prep_phi / math.pi,
-            "Tz_us": fit.T,
-            "sz_steady": fit.offset,
-            "final_state": dict(zip(("sx", "sy", "sz"), traj[-1].tolist())),
-        },
-    )
+    out["trajectory_summary.json"] = {
+        "prep_theta_pi": cfg.prep_theta / math.pi,
+        "prep_phi_pi": cfg.prep_phi / math.pi,
+        "Tz_us": fit.T,
+        "sz_steady": fit.offset,
+        "final_state": dict(zip(("sx", "sy", "sz"), traj[-1].tolist())),
+    }
     print(f"fitted Tz = {fit.T:.4f} us, steady <sz> = {fit.offset:.4f}")
     return 0
 
 
-def _cmd_wigner(cfg: RunConfig, writer: _Writer) -> int:
+def _cmd_wigner(cfg: RunConfig, out: dict) -> int:
     resv = reservoir.SqueezedReservoir(
         N=cfg.n, M=cfg.m, bandwidth=cfg.bandwidth_mhz, N_th=cfg.n_th
     )
     v = reservoir.variances(resv)
     grid = reservoir.wigner_grid_for(v)
-    writer.csv("wigner.csv", grid.to_csv())
-    writer.json(
-        "wigner_summary.json",
-        {
-            "sigmaI_sq": v.sigmaI_sq,
-            "sigmaQ_sq": v.sigmaQ_sq,
-            "peak": float(grid.values.max()),
-            "integral": grid.integral(),
-        },
-    )
+    out["wigner.csv"] = grid.to_csv()
+    out["wigner_summary.json"] = {
+        "sigmaI_sq": v.sigmaI_sq,
+        "sigmaQ_sq": v.sigmaQ_sq,
+        "peak": float(grid.values.max()),
+        "integral": grid.integral(),
+    }
     print(f"variances: sigma_I^2 = {v.sigmaI_sq:.4f}, sigma_Q^2 = {v.sigmaQ_sq:.4f}")
     return 0
 
@@ -387,7 +371,7 @@ def _trace_grid_csv(deltas, t, traces) -> str:
     return csv_table("detuning-trace-grid-v1", header, t, *traces)
 
 
-def _cmd_sweep_detuning(cfg: RunConfig, writer: _Writer) -> int:
+def _cmd_sweep_detuning(cfg: RunConfig, out: dict) -> int:
     rates = _rates(cfg)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     deltas = cfg.delta_grid_mhz
@@ -398,34 +382,29 @@ def _cmd_sweep_detuning(cfg: RunConfig, writer: _Writer) -> int:
     header = "delta_mhz,T_eff_us,converged"
     for i, tag in enumerate("xy"):
         table = csv_table("detuning-sweep-v1", header, deltas, T_eff[i], converged[i])
-        writer.csv(f"detuning_t{tag}.csv", table)
-        writer.csv(f"detuning_traces_{tag}.csv", _trace_grid_csv(deltas, t, traces[i]))
+        out[f"detuning_t{tag}.csv"] = table
+        out[f"detuning_traces_{tag}.csv"] = _trace_grid_csv(deltas, t, traces[i])
         summary[tag] = {
             f"{d:+.4g}": (T if math.isfinite(T) else None)
             for d, T in zip(deltas, T_eff[i].tolist())
         }
-    writer.json("detuning_summary.json", summary)
+    out["detuning_summary.json"] = summary
     print(f"swept {len(deltas)} detunings for both prep axes")
     return 0
 
 
-def _cmd_sweep_gain(cfg: RunConfig, writer: _Writer) -> int:
+def _cmd_sweep_gain(cfg: RunConfig, out: dict) -> int:
     rates = _rates(cfg)
     t1 = _t1_of(cfg, rates)
     header = "N,M,Tx_us,Ty_us,Tz_us,M_minus_N"
     rows = protocols.gain_sweep(cfg.n_grid, cfg.eta, t1, cfg.t_phi_us)
-    writer.csv("gain_sweep.csv", csv_table("gain-sweep-v1", header, rows))
+    out["gain_sweep.csv"] = csv_table("gain-sweep-v1", header, rows)
     ideal = protocols.gain_sweep(cfg.n_grid, 1.0, t1, cfg.t_phi_us)
-    writer.csv("gain_sweep_ideal.csv", csv_table("gain-sweep-v1", header, ideal))
-    writer.json(
-        "gain_summary.json",
-        {
-            "eta": cfg.eta,
-            "rows": [
-                dict(zip(("N", "M", "Tx", "Ty", "Tz"), row)) for row in rows[:, :5].tolist()
-            ],
-        },
-    )
+    out["gain_sweep_ideal.csv"] = csv_table("gain-sweep-v1", header, ideal)
+    out["gain_summary.json"] = {
+        "eta": cfg.eta,
+        "rows": [dict(zip(("N", "M", "Tx", "Ty", "Tz"), row)) for row in rows[:, :5].tolist()],
+    }
     print(f"swept {len(rows)} gain points at eta = {cfg.eta}")
     return 0
 
@@ -433,7 +412,8 @@ def _cmd_sweep_gain(cfg: RunConfig, writer: _Writer) -> int:
 def _read_trace_csv(key: str, path: Path):
     """Two-column ``t_us,value`` trace named by ``[estimate] key``: past blank
     lines, ``#`` comments and one header line before the data, every row must
-    be two finite numbers, at least ``estimation.MIN_SAMPLES`` of them."""
+    be two finite numbers, each time after the one before, at least
+    ``estimation.MIN_SAMPLES`` rows."""
     where = f"[estimate] {key} = {str(path)!r}"
     try:
         text = path.read_text()
@@ -454,6 +434,9 @@ def _read_trace_csv(key: str, path: Path):
             raise ConfigError([msg]) from None
         if not (math.isfinite(tk) and math.isfinite(yk)):
             raise ConfigError([f"{where}: line {lineno} ({line!r}) is not finite"])
+        if rows and tk <= rows[-1][0]:
+            msg = f"{where}: line {lineno} ({line!r}) is not later than the row before"
+            raise ConfigError([msg])
         rows.append((tk, yk))
     if len(rows) < estimation.MIN_SAMPLES:
         msg = f"{where}: {len(rows)} data rows, need at least {estimation.MIN_SAMPLES}"
@@ -462,7 +445,7 @@ def _read_trace_csv(key: str, path: Path):
     return np.asarray(t), np.asarray(y)
 
 
-def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
+def _cmd_estimate(cfg: RunConfig, out: dict) -> int:
     """Inverse pipeline on supplied or simulated traces.
 
     Simulated traces model the measured environment: the configured (n, m)
@@ -520,14 +503,14 @@ def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
             # The trace behind each fit, in the order of ``fits``.
             "source": ["ramsey_x_on", "ramsey_y_on", "tomography_z", "ramsey_x_off"],
         }
-    writer.json("moments.json", summary)
+    out["moments.json"] = summary
     try:
         grid = estimation.reconstruct_wigner(est)
     except ValueError as exc:  # |M|^2 > N(N+1): no Gaussian state has them
         raise UnphysicalRatesError(
             f"Wigner reconstruction from N = {est.N:.6g}, M = {est.M:.6g}: {exc}"
         ) from None
-    writer.csv("wigner_reconstructed.csv", grid.to_csv())
+    out["wigner_reconstructed.csv"] = grid.to_csv()
     print(
         f"estimated N = {est.N:.4f}, M = {est.M:.4f}"
         + (f", eta = {est.eta_inferred:.3f}" if est.eta_inferred else "")
@@ -535,19 +518,16 @@ def _cmd_estimate(cfg: RunConfig, writer: _Writer) -> int:
     return 0
 
 
-def _cmd_validate(cfg: RunConfig, writer: _Writer) -> int:
+def _cmd_validate(cfg: RunConfig, out: dict) -> int:
     from . import acceptance  # only this subcommand pays for its import
 
     results = acceptance.run_all()
     for r in results:
         print(r.summary_line())
-    writer.json(
-        "validate.json",
-        {
-            "all_passed": all(r.passed for r in results),
-            "criteria": [asdict(r) for r in results],
-        },
-    )
+    out["validate.json"] = {
+        "all_passed": all(r.passed for r in results),
+        "criteria": [asdict(r) for r in results],
+    }
     if not all(r.passed for r in results):
         return 3
     return 0
@@ -585,10 +565,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out: dict = {}  # file name -> CSV text or JSON payload, in staging order
     try:
         cfg = load_config(args.config)
-        writer = _Writer(Path(args.out), args.format or cfg.formats)
-        return COMMANDS[args.command](cfg, writer)
+        code = COMMANDS[args.command](cfg, out)
+        formats = args.format or cfg.formats
+        # Every JSON file is encoded before the first file is written.
+        texts = {
+            name: value if name.endswith(".csv") else _json_text(name, value)
+            for name, value in out.items()
+            if formats in ("both", name.rsplit(".", 1)[1])
+        }
     except ConfigError as exc:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
@@ -599,6 +586,16 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
+    out_dir = Path(args.out)
+    try:
+        if texts:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out_dir / name).write_text(text)
+    except OSError as exc:
+        print(f"config error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

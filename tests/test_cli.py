@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqbloch.blochdyn import DecayRates
-from sqbloch import errors
+from sqbloch import cli, errors
 from sqbloch.cli import ConfigError, _polariton_system, load_config, main
 from sqbloch.protocols import ramsey
 
@@ -218,7 +218,7 @@ class TestMain:
         assert f"config error: config file {conf}" in captured.err
         assert message in captured.err
         assert "Traceback" not in captured.err + captured.out
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_wigner_outputs(self, fast_conf, tmp_path):
         out = tmp_path / "w"
@@ -335,7 +335,7 @@ class TestMain:
                 lambda t: 0.3623 + 0.6377 * np.exp(-t / 0.23551),
                 160,
                 "Wigner reconstruction from N = 0.913423, M = 1.39971",
-                ["moments.json"],
+                [],
                 id="unphysical-moments",
             ),
         ],
@@ -389,7 +389,7 @@ class TestMain:
         prefix = f"numerical failure in 'estimate': UnphysicalRatesError: fitted {name} = "
         assert prefix in err
         assert err.rstrip().endswith("us is not a positive, finite decay time")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, content, expected",
@@ -433,6 +433,18 @@ class TestMain:
                 "# t_us,sz\n0.0,1.0\n0.05,inf\n" + TRACE_ROWS,
                 "line 3 ('0.05,inf') is not finite",
                 id="trace_z-inf",
+            ),
+            pytest.param(
+                "trace_x",
+                "".join(reversed(TRACE_ROWS.splitlines(keepends=True))),
+                "line 2 ('1,0.367879441') is not later than the row before",
+                id="trace_x-reversed",
+            ),
+            pytest.param(
+                "trace_z",
+                "t_us,sz\n" + TRACE_ROWS.splitlines(keepends=True)[0] + TRACE_ROWS,
+                "line 3 ('0.1,0.904837418') is not later than the row before",
+                id="trace_z-repeated-time",
             ),
             pytest.param(
                 "trace_z",
@@ -516,7 +528,7 @@ class TestMain:
         captured = capsys.readouterr()
         assert f"config error: [reservoir] invalid moments: {message}" in captured.err
         assert "Traceback" not in captured.err + captured.out
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", SIX_COMMANDS)
     @pytest.mark.parametrize(
@@ -562,7 +574,7 @@ class TestMain:
         assert code == 2
         assert f"config error: [{section}] {key} must be " in captured.err
         assert "Traceback" not in captured.err + captured.out
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", SIX_COMMANDS + ["polariton", "validate"])
     @pytest.mark.parametrize(
@@ -586,7 +598,7 @@ class TestMain:
         assert code == 2
         assert f"config error: {message}" in captured.err
         assert "Traceback" not in captured.err + captured.out
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "base, key, value, command, message",
@@ -609,14 +621,16 @@ class TestMain:
         # carry: each names the operation that fails.
         conf = tmp_path / "c.conf"
         conf.write_text(_with_field(BASES[base], key, value))
+        out = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the E_J/E_C transmon-regime warning
-            code = main([command, "--config", str(conf), "--out", str(tmp_path / "o")])
+            code = main([command, "--config", str(conf), "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 3
         assert f"numerical failure in '{command}'" in captured.err
         assert message in captured.err
         assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
 
     def test_relative_trace_paths(self, tmp_path, monkeypatch):
         # Relative trace names resolve against the config file's directory,
@@ -728,6 +742,53 @@ class TestMain:
         stdout = capsys.readouterr().out
         assert stdout.count("[PASS]") == 11
 
+    def test_failing_validate_writes_report(self, fast_conf, tmp_path, capsys, monkeypatch):
+        # validate returns 3 rather than raising when a criterion fails, so
+        # its report is still written.
+        from sqbloch import acceptance
+
+        failed = acceptance.CriterionResult(1, "forced failure", passed=False)
+        monkeypatch.setattr(acceptance, "CRITERIA", [lambda: failed] + acceptance.CRITERIA[1:])
+        out = tmp_path / "v"
+        assert main(["validate", "--config", fast_conf, "--out", str(out)]) == 3
+        report = json.loads((out / "validate.json").read_text())
+        assert report["all_passed"] is False
+        assert [c["passed"] for c in report["criteria"]] == [False] + [True] * 10
+        stdout = capsys.readouterr().out
+        assert stdout.count("[FAIL]") == 1 and stdout.count("[PASS]") == 10
+
+    @pytest.mark.parametrize("command", SIX_COMMANDS + ["polariton", "validate"])
+    def test_failed_run_leaves_out_unchanged(self, tmp_path, capsys, monkeypatch, command):
+        # A failure after the subcommand has staged its outputs (here, in
+        # encoding its JSON) writes none of them, CSV files included.
+        def fail(name, payload):
+            raise errors.NumericalFailure(f"{name}: forced")
+
+        monkeypatch.setattr(cli, "_json_text", fail)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "sentinel").write_bytes(b"keep\n")
+        code = main([command, "--out", str(out)])
+        assert code == 3
+        assert f"numerical failure in '{command}'" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["sentinel"]
+        assert (out / "sentinel").read_bytes() == b"keep\n"
+
+    @pytest.mark.parametrize(
+        "under, message", [("", "File exists"), ("sub", "Not a directory")],
+        ids=["out-is-a-file", "out-under-a-file"],
+    )
+    def test_unwritable_out_exit_2(self, fast_conf, tmp_path, capsys, under, message):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / under if under else taken
+        code = main(["wigner", "--config", fast_conf, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: --out {out}: {message}" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert taken.read_text() == "a file\n"
+
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
@@ -744,8 +805,8 @@ def _reject_constant(name):
     st.sampled_from(SIX_COMMANDS + ["polariton"]),
 )
 def test_single_field_edits_keep_exit_contract(base_key, value, command):
-    # Any single-field edit ends in exit 0, 2 or 3 without a traceback, and a
-    # successful run writes only strict JSON.
+    # Any single-field edit ends in exit 0, 2 or 3 without a traceback; a
+    # failed run writes nothing, and a successful run writes only strict JSON.
     base, key = base_key
     with tempfile.TemporaryDirectory() as tmp:
         conf = Path(tmp) / "c.conf"
@@ -758,7 +819,9 @@ def test_single_field_edits_keep_exit_contract(base_key, value, command):
                 code = main([command, "--config", str(conf), "--out", str(out)])
         assert code in (0, 2, 3)
         assert "Traceback" not in stderr.getvalue() + stdout.getvalue()
-        if code == 0:
+        if code != 0:
+            assert not out.exists()
+        else:
             for path in out.glob("*.json"):
                 json.loads(path.read_text(), parse_constant=_reject_constant)
 

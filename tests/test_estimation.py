@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqbloch.blochdyn import DecayRates, axis_timescales
-from sqbloch.cli import _Writer
+from sqbloch.cli import _json_text
 from sqbloch.errors import (
     InconsistentInputsError,
     NotSqueezedError,
@@ -174,11 +174,10 @@ class TestMomentsFromDecays:
         assert est.N == pytest.approx(0.88, rel=1e-10)
         assert est.M == pytest.approx(1.08, rel=1e-10)
 
-    def test_json(self, tmp_path):
-        # moments.json carries asdict(est) through the CLI's JSON writer.
+    def test_json(self):
+        # moments.json carries asdict(est) through the CLI's JSON encoding.
         est = moments_from_decays(0.65, 0.2355072, 2.1666667)
-        _Writer(tmp_path, "json").json("moments.json", asdict(est))
-        payload = json.loads((tmp_path / "moments.json").read_text())
+        payload = json.loads(_json_text("moments.json", asdict(est)))
         assert payload["N"] == pytest.approx(0.88, abs=1e-4)
         assert payload["eta_inferred"] == pytest.approx(0.445, abs=1e-2)
 

@@ -13,7 +13,7 @@ from sqbloch.blochdyn import (
     steady_state,
     transverse_propagator_xy,
 )
-from sqbloch.cli import _polariton_payload, _Writer
+from sqbloch.cli import _json_text, _polariton_payload
 from sqbloch.errors import MultiTransitionError
 from sqbloch.numerics import hermitian_defect, integrate_ode
 from sqbloch.polariton import (
@@ -227,10 +227,8 @@ class TestDiagonalizePolaritons:
             shift_mhz = abs(base.energies[k] - refined.energies[k]) * 1e3
             assert shift_mhz < 1.0
 
-    def test_json_serialization(self, circuit_system, tmp_path):
-        payload = _polariton_payload(circuit_system)
-        _Writer(tmp_path, "json").json("polariton.json", payload)
-        payload = json.loads((tmp_path / "polariton.json").read_text())
+    def test_json_serialization(self, circuit_system):
+        payload = json.loads(_json_text("polariton.json", _polariton_payload(circuit_system)))
         assert payload["labels"][:3] == ["g", "-", "+"]
         assert len(payload["energies_ghz"]) == CIRCUIT.dim
         assert payload["A_abs"][0][1] == pytest.approx(
