@@ -1,8 +1,10 @@
 """Plot-ready CSV tables: a ``#schema=`` line, a header line, then rows of
 numbers, each printed exactly as ``"%.9g" % x`` prints it.
 
-Every CSV file of the package except the polariton level table (which has a
-text column) is written by :func:`csv_table`.
+Every CSV file of the package is written by :func:`csv_table` except two:
+the polariton level table, which has a text column, and the Wigner grid,
+which :meth:`sqbloch.reservoir.WignerGrid.to_csv` joins from
+:func:`_format_rows` rows so that it can encode a mirror row once.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ bundled ``paper.conf`` encodes the reference operating point and is used when
 (with field-level messages, an ``--out`` that cannot be written included),
 3 numerical failures naming the operation.  Each subcommand stages its
 outputs in a dict; ``main`` writes them only when the subcommand returns, so
-a run that exits 2 or 3 writes no file (``validate`` returns 3 with its
-report when a criterion fails).  Re-running any subcommand with an identical
-configuration produces byte-identical outputs.
+a run that fails before writing exits 2 or 3 with no file written
+(``validate`` returns 3 with its report when a criterion fails).  A write
+that fails exits 2 naming the file and keeps the files written before it.
+Re-running any subcommand with an identical configuration produces
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -587,13 +589,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 3
     out_dir = Path(args.out)
+    where = f"--out {args.out}"
     try:
         if texts:
             out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
+            where = f"--out {args.out}: {name}"
             (out_dir / name).write_text(text)
     except OSError as exc:
-        print(f"config error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        print(f"config error: {where}: {exc.strerror}", file=sys.stderr)
         return 2
     return code
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._table import _format_rows, csv_table
-from .errors import NumericalFailure
+from ._table import _BLOCK_CELLS, _format_rows
+from .errors import NumericalFailure, UnphysicalRatesError
 
 __all__ = [
     "QuadratureVariances",
@@ -87,12 +87,19 @@ class QuadratureVariances:
 
 
 def variances(r: SqueezedReservoir) -> QuadratureVariances:
-    """Quadrature variances sigma_I^2 = 2(N+|M|+1/2), sigma_Q^2 = 2(N-|M|+1/2)."""
+    """Quadrature variances sigma_I^2 = 2(N+|M|+1/2), sigma_Q^2 = 2(N-|M|+1/2).
+
+    Finite moments can still overflow sigma_I^2 (N = 1e308); that raises
+    :class:`UnphysicalRatesError`.  sigma_Q^2 <= sigma_I^2 needs no check.
+    """
     m = r.M_abs
-    return QuadratureVariances(
-        sigmaI_sq=2.0 * (r.N + m + 0.5),
-        sigmaQ_sq=2.0 * (r.N - m + 0.5),
-    )
+    sigma_i_sq = 2.0 * (r.N + m + 0.5)
+    if not math.isfinite(sigma_i_sq):
+        raise UnphysicalRatesError(
+            f"quadrature variance sigma_I^2 = 2(N + |M| + 1/2) is not finite "
+            f"at N = {r.N:.6g}, |M| = {m:.6g}"
+        )
+    return QuadratureVariances(sigmaI_sq=sigma_i_sq, sigmaQ_sq=2.0 * (r.N - m + 0.5))
 
 
 def ideal_M(n: float) -> float:
@@ -165,9 +172,34 @@ class WignerGrid:
         )
 
     def to_csv(self) -> str:
-        """CSV: header row of Q values, first column I values, body W values."""
-        q_header = _format_rows(self.Q_axis[None, :])[:-1] if self.Q_axis.size else ""
-        return csv_table("wigner-grid-v1", "," + q_header, self.I_axis, self.values)
+        """CSV: header row of Q values, first column I values, body W values,
+        each printed as ``"%.9g" % x`` prints it.
+
+        A row past the middle whose values are bitwise equal to its mirror
+        row ``values[n - 1 - i]`` reuses that row's text, so an even grid
+        (every grid of :func:`wigner_grid_for`) encodes each distinct row
+        once; any other row is encoded on its own.
+        """
+        values = np.asarray(self.values, dtype=float)
+        n, width = values.shape
+        bits = values.view(np.uint64)
+        index = np.arange(n)
+        reused = (index > index[::-1]) & (bits == bits[::-1]).all(axis=1)
+        texts = [""] * n  # each row's values, without the I cell
+        fresh = np.flatnonzero(~reused) if width else []  # no Q: every row is ""
+        step = max(1, _BLOCK_CELLS // max(width, 1))
+        for k in range(0, len(fresh), step):
+            rows = fresh[k : k + step]
+            for i, text in zip(rows.tolist(), _format_rows(values[rows]).split("\n")):
+                texts[i] = text
+        for i in np.flatnonzero(reused).tolist():
+            texts[i] = texts[n - 1 - i]
+        q_header = _format_rows(self.Q_axis[None, :]) if width else "\n"
+        i_cells = _format_rows(self.I_axis[:, None]).split("\n") if n else []
+        parts = ["#schema=wigner-grid-v1\n,", q_header]
+        for i_cell, text in zip(i_cells, texts):
+            parts += (i_cell, ",", text, "\n")
+        return "".join(parts)
 
 
 def wigner(
@@ -196,12 +228,18 @@ def wigner_grid_for(
     """Wigner grid spanning ``n_sigmas`` standard deviations on each axis.
 
     The distribution's standard deviation along I is sigma_I/2 in this
-    convention (vacuum: 1/2).
+    convention (vacuum: 1/2).  Each axis is exactly antisymmetric,
+    ``axis == -axis[::-1]``, with a centre sample of +0.0 when ``n_points``
+    is odd, so the values are bitwise even in I and in Q
+    (``(-x)**2 == x**2``) and :meth:`WignerGrid.to_csv` encodes each
+    distinct row once.
     """
     if n_points < 2:
         raise ValueError("grid needs at least 2 points per axis")
     half_i = n_sigmas * math.sqrt(v.sigmaI_sq) / 2.0
     half_q = n_sigmas * math.sqrt(v.sigmaQ_sq) / 2.0
-    i_axis = np.linspace(-half_i, half_i, n_points)
-    q_axis = np.linspace(-half_q, half_q, n_points)
-    return wigner(v, i_axis, q_axis)
+    axes = []
+    for half in (half_i, half_q):
+        a = np.linspace(-half, half, n_points)
+        axes.append(0.5 * (a - a[::-1]))  # a[k] - a[n-1-k] flips sign exactly
+    return wigner(v, *axes)

@@ -789,6 +789,36 @@ class TestMain:
         assert "Traceback" not in captured.err + captured.out
         assert taken.read_text() == "a file\n"
 
+    def test_unwritable_output_file_named_exit_2(self, fast_conf, tmp_path, capsys):
+        # The write that fails names its file; the files written before it
+        # are kept, as the README states.
+        out = tmp_path / "od"
+        (out / "wigner_summary.json").mkdir(parents=True)
+        code = main(["wigner", "--config", fast_conf, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: --out {out}: wigner_summary.json: Is a directory" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert (out / "wigner.csv").read_text().startswith("#schema=wigner-grid-v1\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "both"])
+    def test_overflowing_variance_exit_3(self, tmp_path, capsys, fmt):
+        # n = 1e308 is finite but sigma_I^2 = 2(n + m + 1/2) is not: the run
+        # fails before any axis is built, under either format, with no
+        # numpy warning and no file.
+        conf = tmp_path / "c.conf"
+        conf.write_text(_with_field(_with_field(BUNDLED, "n", "1e308"), "m", "0"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["wigner", "--config", str(conf), "--out", str(out), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "numerical failure in 'wigner': UnphysicalRatesError: quadrature variance " \
+            "sigma_I^2 = 2(N + |M| + 1/2) is not finite at N = 1e+308, |M| = 0" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")

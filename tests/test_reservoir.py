@@ -18,6 +18,7 @@ from sqbloch.reservoir import (
     wigner_grid_for,
 )
 from sqbloch._table import _decimal9, _format_rows
+from sqbloch.errors import UnphysicalRatesError
 
 # Reference operating point: N = 0.88, M = 1.08.
 OPERATING = SqueezedReservoir(N=0.88, M=1.08)
@@ -58,6 +59,17 @@ class TestSqueezedReservoir:
 
 
 class TestVariances:
+    @pytest.mark.parametrize("n, m", [(1e308, 0.0), (1e308, 1e308), (8.99e307, 8.99e307)])
+    def test_overflow_raises(self, n, m):
+        # Finite moments whose sigma_I^2 = 2(N + |M| + 1/2) overflows.
+        r = SqueezedReservoir(N=n, M=m)
+        with pytest.raises(UnphysicalRatesError, match=r"sigma_I\^2 = .* is not finite"):
+            variances(r)
+
+    def test_largest_finite_variance(self):
+        v = variances(SqueezedReservoir(N=8.98e307, M=0.0))
+        assert v.sigmaI_sq == v.sigmaQ_sq == 2.0 * (8.98e307 + 0.5)
+
     def test_vacuum(self):
         v = variances(SqueezedReservoir(N=0.0, M=0.0))
         assert (v.sigmaI_sq, v.sigmaQ_sq) == (1.0, 1.0)
@@ -195,8 +207,38 @@ class TestWigner:
     def test_nonnegative_and_symmetric(self):
         grid = wigner_grid_for(QuadratureVariances(4.92, 0.60), n_points=51)
         assert np.all(grid.values >= 0.0)
-        assert np.allclose(grid.values, grid.values[::-1, :])
-        assert np.allclose(grid.values, grid.values[:, ::-1])
+        assert np.array_equal(grid.values, grid.values[::-1, :])
+        assert np.array_equal(grid.values, grid.values[:, ::-1])
+
+    @pytest.mark.parametrize("n_points", [2, 3, 40, 41, 241])
+    @pytest.mark.parametrize(
+        "v",
+        [
+            QuadratureVariances(1.0, 1.0),
+            QuadratureVariances(4.92, 0.60),
+            variances(SqueezedReservoir(N=3.0, M=ideal_M(3.0))),
+            variances(SqueezedReservoir(N=0.37, M=0.21)),
+        ],
+    )
+    def test_grid_is_exactly_even(self, v, n_points):
+        # Both axes are exactly antisymmetric (== compares every nonzero
+        # sample's bits), so the values are even in I and in Q bit for bit,
+        # and an odd grid's centre sample is +0.0.
+        grid = wigner_grid_for(v, n_points=n_points)
+        bits = grid.values.view(np.uint64)
+        for axis in (grid.I_axis, grid.Q_axis):
+            assert np.array_equal(axis, -axis[::-1])
+        assert np.array_equal(bits, bits[::-1, :])
+        assert np.array_equal(bits, bits[:, ::-1])
+        if n_points % 2:
+            centre = n_points // 2
+            assert grid.I_axis[centre] == 0.0 and grid.Q_axis[centre] == 0.0
+            assert math.copysign(1.0, grid.I_axis[centre]) == 1.0  # printed "0"
+            assert math.copysign(1.0, grid.Q_axis[centre]) == 1.0
+        rows = np.column_stack((grid.I_axis, grid.values))
+        header = "," + ",".join("%.9g" % q for q in grid.Q_axis.tolist()) + "\n"
+        text = "#schema=wigner-grid-v1\n" + header + _per_value_rows(rows)
+        assert grid.to_csv() == text
 
     def test_csv_roundtrip(self):
         grid = wigner_grid_for(QuadratureVariances(1.0, 1.0), n_points=5)

@@ -17,7 +17,8 @@ from sqbloch._table import csv_table
 from sqbloch.blochdyn import DecayRates
 from sqbloch.cli import _trace_grid_csv, load_config, main
 from sqbloch.protocols import detuning_sweep, gain_sweep
-from sqbloch.reservoir import WignerGrid
+from sqbloch import reservoir
+from sqbloch.reservoir import QuadratureVariances, WignerGrid, wigner_grid_for
 
 TIMES = [-1e300, -2.5, -0.0, 5e-324, 1e-310, 1.0 / 3.0, 123456789.5, 1e300]
 SZ = [-1.0, -0.0, 0.0, 5e-324, -1e-310, -1.0 / 3.0, 0.999999999, 1e-300]
@@ -176,3 +177,54 @@ def test_wigner_grid():
     assert grid.to_csv() == _wigner_oracle(grid)
     empty = WignerGrid(I_axis=np.array([]), Q_axis=np.array([]), values=np.empty((0, 0)))
     assert empty.to_csv() == _wigner_oracle(empty)
+
+
+def _even_grid(n_points=41):
+    return wigner_grid_for(QuadratureVariances(4.92, 0.60), n_points=n_points)
+
+
+def test_wigner_partial_mirror():
+    # Mirror rows share their text only where their bits agree: a changed
+    # last bit in either half, and 0.0 against -0.0, keep their own text;
+    # rows with the same NaN bits share it.
+    grid = _even_grid()
+    values = grid.values.copy()
+    values[40 - 3, 7] = np.nextafter(values[40 - 3, 7], 1.0)  # past the middle
+    values[5, 11] = np.nextafter(values[5, 11], 0.0)  # before it
+    values[1, 0], values[39, 0] = 0.0, -0.0
+    values[2, :3], values[38, :3] = np.nan, np.nan
+    partial = WignerGrid(I_axis=grid.I_axis, Q_axis=grid.Q_axis, values=values)
+    text = partial.to_csv()
+    assert text == _wigner_oracle(partial)
+    lines = text.splitlines()
+    assert lines[2 + 39].split(",", 2)[1] == "-0" and lines[2 + 1].split(",", 2)[1] == "0"
+
+
+def test_wigner_no_mirror_rows():
+    # Random rows are never bitwise mirrors, so every row is encoded; 301
+    # columns make 20 rows span two encoder blocks.
+    rng = np.random.default_rng(23)
+    i_axis = np.sort(rng.normal(size=20))
+    q_axis = rng.normal(size=301)
+    values = np.abs(rng.normal(size=(20, 301))) * 10.0 ** rng.integers(-320, 300, (20, 301))
+    grid = WignerGrid(I_axis=i_axis, Q_axis=q_axis, values=values)
+    assert grid.to_csv() == _wigner_oracle(grid)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_wigner_zero_and_one_rows(n_rows):
+    q_axis = np.array([-1.5, -0.0, 0.0, 2.0 / 3.0])
+    grid = WignerGrid(I_axis=np.full(n_rows, -0.25), Q_axis=q_axis, values=np.full((n_rows, 4), 0.5))
+    assert grid.to_csv() == _wigner_oracle(grid)
+
+
+@pytest.mark.parametrize("n_points", [2, 40, 41, 241])
+def test_even_grid_encodes_each_distinct_row_once(monkeypatch, n_points):
+    # The header, the I column and the first ceil(n / 2) rows of the body
+    # are all the cells an even grid sends to the encoder.
+    encoded = []
+    encode = reservoir._format_rows
+    monkeypatch.setattr(reservoir, "_format_rows", lambda rows: encoded.append(rows.size) or encode(rows))
+    grid = _even_grid(n_points)
+    assert grid.to_csv() == _wigner_oracle(grid)
+    assert sum(encoded) == 2 * n_points + (n_points + 1) // 2 * n_points
