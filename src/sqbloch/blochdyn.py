@@ -136,30 +136,30 @@ class DecayRates:
         return self.gamma * (2.0 * self.N + 1.0)
 
 
-def bloch_rhs(
-    s: BlochState | np.ndarray, r: DecayRates, drive: np.ndarray | None = None
-) -> np.ndarray:
-    """Time derivative of the Bloch vector for resonant squeezing.
+def _generator(r: DecayRates, drive=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` of ``ds/dt = A s + b``: the axis rates on the diagonal, the
+    torque Omega x s of an optional Rabi vector ``drive`` (rad/us), b = (0, 0, gamma)."""
+    if r.delta != 0.0:
+        raise ValueError("Bloch equations require delta = 0; use polarization_propagator")
+    a = np.diag([-r.rate_x, -r.rate_y, -r.rate_z])
+    if drive is not None:
+        wx, wy, wz = np.asarray(drive, dtype=float)
+        a += [[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]]
+    return a, np.array([0.0, 0.0, r.gamma])
+
+
+def bloch_rhs(s: BlochState | np.ndarray, r: DecayRates, drive=None) -> np.ndarray:
+    """Time derivative ``A s + b`` of the Bloch vector for resonant squeezing.
 
     ``drive`` is an optional Rabi vector in rad/us entering as the torque
     Omega x s.  Detuned squeezing must go through the polarization
-    propagator instead.  Plain 3-arrays are accepted alongside
-    :class:`BlochState` so integrator stage values (which may sit slightly
-    outside the ball) can be evaluated.
+    propagator instead (ValueError here).  Plain 3-arrays are accepted
+    alongside :class:`BlochState` so integrator stage values (which may sit
+    slightly outside the ball) can be evaluated.
     """
-    if r.delta != 0.0:
-        raise ValueError("bloch_rhs requires delta = 0; use polarization_propagator")
+    a, b = _generator(r, drive)
     v = s.as_array() if isinstance(s, BlochState) else np.asarray(s, dtype=float)
-    ds = np.array(
-        [
-            -r.rate_x * v[0],
-            -r.rate_y * v[1],
-            -r.rate_z * v[2] + r.gamma,
-        ]
-    )
-    if drive is not None:
-        ds += np.cross(np.asarray(drive, dtype=float), v)
-    return ds
+    return a @ v + b
 
 
 @dataclass(frozen=True)
@@ -189,14 +189,12 @@ def axis_timescales(r: DecayRates) -> AxisTimescales:
         raise UnphysicalRatesError(
             f"N - M + 1/2 = {denom_x:.6g} <= 0: transverse rate is nonpositive"
         )
-    rate_x_tilde = r.gamma * denom_x
-    rate_y_tilde = r.gamma * (r.N + r.M_abs + 0.5)
     return AxisTimescales(
-        Tx=1.0 / (rate_x_tilde + r.gamma_phi),
-        Ty=1.0 / (rate_y_tilde + r.gamma_phi),
+        Tx=1.0 / r.rate_x,
+        Ty=1.0 / r.rate_y,
         Tz=1.0 / r.rate_z,
-        Tx_tilde=1.0 / rate_x_tilde,
-        Ty_tilde=1.0 / rate_y_tilde,
+        Tx_tilde=1.0 / (r.gamma * denom_x),
+        Ty_tilde=1.0 / (r.gamma * (r.N + r.M_abs + 0.5)),
     )
 
 
@@ -290,26 +288,16 @@ def steady_state(r: DecayRates, drive: np.ndarray | None = None) -> BlochState:
     """Fixed point of the resonant Bloch equations, optionally driven.
 
     Without drive this is (0, 0, 1/(2N+1)); the undriven steady state is
-    unaffected by detuning.  With a drive the 3x3 linear system is solved
-    exactly.
+    unaffected by detuning.  With a drive it solves ``A s = -b`` for the
+    generator of :func:`bloch_rhs` and, like it, raises ValueError at delta != 0.
     """
     if drive is None:
         if r.rate_z <= 0.0:
             raise ValueError("steady state undefined for zero rates")
         return BlochState(sx=0.0, sy=0.0, sz=r.gamma / r.rate_z)
-    if r.delta != 0.0:
-        raise ValueError("driven steady state requires delta = 0")
-    omega = np.asarray(drive, dtype=float)
-    a = np.array(
-        [
-            [-r.rate_x, -omega[2], omega[1]],
-            [omega[2], -r.rate_y, -omega[0]],
-            [-omega[1], omega[0], -r.rate_z],
-        ]
-    )
-    b = np.array([0.0, 0.0, -r.gamma])
+    a, b = _generator(r, drive)
     try:
-        s = np.linalg.solve(a, b)
+        s = np.linalg.solve(a, -b)
     except np.linalg.LinAlgError as exc:
         raise ValueError("steady-state system is singular (zero rates?)") from exc
     return BlochState.from_array(s)

@@ -6,8 +6,9 @@ bundled ``paper.conf`` encodes the reference operating point and is used when
 ``--config`` is omitted.  Exit codes: 0 success, 2 configuration errors
 (with field-level messages, an ``--out`` that cannot be written included),
 3 numerical failures naming the operation.  Each subcommand stages its
-outputs in a dict; ``main`` writes them only when the subcommand returns, so
-a run that fails before writing exits 2 or 3 with no file written
+outputs in a dict (a JSON payload or a zero-argument CSV encoder per file);
+``main`` encodes and writes the chosen files only when the subcommand
+returns, so a run that fails before writing exits 2 or 3 with no file written
 (``validate`` returns 3 with its report when a criterion fails).  A write
 that fails exits 2 naming the file and keeps the files written before it.
 Re-running any subcommand with an identical configuration produces
@@ -18,11 +19,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -289,15 +291,17 @@ def _polariton_payload(system) -> dict:
     }
 
 
+def _levels_csv(system) -> str:
+    rows = (f"{k},{x},{e:.9g}\n" for k, (x, e) in enumerate(zip(system.labels, system.energies)))
+    return "#schema=polariton-levels-v1\nlevel,label,energy_ghz\n" + "".join(rows)
+
+
 def _cmd_polariton(cfg: RunConfig, out: dict) -> int:
     system = _polariton_system(cfg)
     payload = _polariton_payload(system)
     f_minus, splitting = payload["g_to_minus_ghz"], payload["splitting_mhz"]
     out["polariton.json"] = payload
-    lines = ["#schema=polariton-levels-v1", "level,label,energy_ghz"]
-    for k, (label, e) in enumerate(zip(system.labels, system.energies)):
-        lines.append(f"{k},{label},{e:.9g}")
-    out["polariton.csv"] = "\n".join(lines) + "\n"
+    out["polariton.csv"] = partial(_levels_csv, system)
     from . import acceptance  # the paper's spectrum targets
 
     ok_freq = abs(f_minus - acceptance.F_MINUS_GHZ) * 1e3 <= acceptance.F_MINUS_TOL_MHZ
@@ -317,7 +321,7 @@ def _cmd_ramsey(cfg: RunConfig, out: dict) -> int:
         phi = phi_pi * math.pi
         for rates, tag in ((rates_off, "off"), (rates_on, "on")):
             sz = protocols.ramsey(rates, phi, cfg.omega_mod_mhz, t)
-            table = csv_table("ramsey-trace-v1", "t_us,sz", t, sz)
+            table = partial(csv_table, "ramsey-trace-v1", "t_us,sz", t, sz)
             out[f"ramsey_{tag}_phi{idx:02d}.csv"] = table
             fit = estimation.fit_damped_sinusoid(t, sz, cfg.omega_mod_mhz)
             fits[f"{tag}_phi{idx:02d}"] = {
@@ -338,7 +342,7 @@ def _cmd_trajectory(cfg: RunConfig, out: dict) -> int:
     rates = _rates(cfg)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     traj = protocols.tomography_trajectory(rates, (cfg.prep_theta, cfg.prep_phi), t)
-    out["trajectory.csv"] = csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj)
+    out["trajectory.csv"] = partial(csv_table, "bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj)
     fit = estimation.fit_exp(t, traj[:, 2])
     out["trajectory_summary.json"] = {
         "prep_theta_pi": cfg.prep_theta / math.pi,
@@ -357,7 +361,7 @@ def _cmd_wigner(cfg: RunConfig, out: dict) -> int:
     )
     v = reservoir.variances(resv)
     grid = reservoir.wigner_grid_for(v)
-    out["wigner.csv"] = grid.to_csv()
+    out["wigner.csv"] = grid.to_csv
     out["wigner_summary.json"] = {
         "sigmaI_sq": v.sigmaI_sq,
         "sigmaQ_sq": v.sigmaQ_sq,
@@ -368,27 +372,31 @@ def _cmd_wigner(cfg: RunConfig, out: dict) -> int:
     return 0
 
 
-def _trace_grid_csv(deltas, t, traces) -> str:
-    header = "t_us," + ",".join(f"delta_{d:+.4g}" for d in deltas)
+def _trace_grid_csv(labels, t, traces) -> str:
+    header = "t_us," + ",".join(f"delta_{label}" for label in labels)
     return csv_table("detuning-trace-grid-v1", header, t, *traces)
 
 
 def _cmd_sweep_detuning(cfg: RunConfig, out: dict) -> int:
+    deltas = cfg.delta_grid_mhz
+    labels = [f"{d:+.4g}" for d in deltas]  # keys the summary and the trace-grid columns
+    repeated = [label for label, k in Counter(labels).items() if k > 1]
+    if repeated:  # more points than 4 significant digits tell apart
+        raise ConfigError([f"[protocol] delta_points = {len(deltas)} repeats label {repeated[0]}"])
     rates = _rates(cfg)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
-    deltas = cfg.delta_grid_mhz
     traces, T_eff, converged = protocols.detuning_sweep(
         rates, deltas, (0.5 * math.pi, math.pi), t, omega_mod=cfg.omega_mod_mhz
     )
     summary = {}
     header = "delta_mhz,T_eff_us,converged"
     for i, tag in enumerate("xy"):
-        table = csv_table("detuning-sweep-v1", header, deltas, T_eff[i], converged[i])
+        table = partial(csv_table, "detuning-sweep-v1", header, deltas, T_eff[i], converged[i])
         out[f"detuning_t{tag}.csv"] = table
-        out[f"detuning_traces_{tag}.csv"] = _trace_grid_csv(deltas, t, traces[i])
+        out[f"detuning_traces_{tag}.csv"] = partial(_trace_grid_csv, labels, t, traces[i])
         summary[tag] = {
-            f"{d:+.4g}": (T if math.isfinite(T) else None)
-            for d, T in zip(deltas, T_eff[i].tolist())
+            label: (T if math.isfinite(T) else None)
+            for label, T in zip(labels, T_eff[i].tolist())
         }
     out["detuning_summary.json"] = summary
     print(f"swept {len(deltas)} detunings for both prep axes")
@@ -400,9 +408,9 @@ def _cmd_sweep_gain(cfg: RunConfig, out: dict) -> int:
     t1 = _t1_of(cfg, rates)
     header = "N,M,Tx_us,Ty_us,Tz_us,M_minus_N"
     rows = protocols.gain_sweep(cfg.n_grid, cfg.eta, t1, cfg.t_phi_us)
-    out["gain_sweep.csv"] = csv_table("gain-sweep-v1", header, rows)
+    out["gain_sweep.csv"] = partial(csv_table, "gain-sweep-v1", header, rows)
     ideal = protocols.gain_sweep(cfg.n_grid, 1.0, t1, cfg.t_phi_us)
-    out["gain_sweep_ideal.csv"] = csv_table("gain-sweep-v1", header, ideal)
+    out["gain_sweep_ideal.csv"] = partial(csv_table, "gain-sweep-v1", header, ideal)
     out["gain_summary.json"] = {
         "eta": cfg.eta,
         "rows": [dict(zip(("N", "M", "Tx", "Ty", "Tz"), row)) for row in rows[:, :5].tolist()],
@@ -512,7 +520,7 @@ def _cmd_estimate(cfg: RunConfig, out: dict) -> int:
         raise UnphysicalRatesError(
             f"Wigner reconstruction from N = {est.N:.6g}, M = {est.M:.6g}: {exc}"
         ) from None
-    out["wigner_reconstructed.csv"] = grid.to_csv()
+    out["wigner_reconstructed.csv"] = grid.to_csv
     print(
         f"estimated N = {est.N:.4f}, M = {est.M:.4f}"
         + (f", eta = {est.eta_inferred:.3f}" if est.eta_inferred else "")
@@ -547,7 +555,7 @@ COMMANDS = {
 }
 
 
-@functools.cache
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqbloch",
@@ -567,14 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    out: dict = {}  # file name -> CSV text or JSON payload, in staging order
+    out: dict = {}  # file name -> CSV encoder or JSON payload, in staging order
     try:
         cfg = load_config(args.config)
         code = COMMANDS[args.command](cfg, out)
         formats = args.format or cfg.formats
-        # Every JSON file is encoded before the first file is written.
+        # Every file to write is encoded before the first is written.
         texts = {
-            name: value if name.endswith(".csv") else _json_text(name, value)
+            name: value() if name.endswith(".csv") else _json_text(name, value)
             for name, value in out.items()
             if formats in ("both", name.rsplit(".", 1)[1])
         }

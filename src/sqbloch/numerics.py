@@ -1,4 +1,4 @@
-"""Self-contained numerical kernel used by every other module.
+"""Self-contained numerical kernel of ``polariton``, ``estimation`` and ``acceptance``.
 
 Dense complex matrices are plain ``numpy.ndarray`` in row-major order.  The
 entry points are
@@ -99,17 +99,10 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     # keyed on each vector's largest-magnitude component.
     lead = np.argmax(np.abs(vectors), axis=0)
     cluster_tol = max(1e-9 * max(np.abs(eigenvalues).max(), 1.0), 1e-300)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and eigenvalues[j] - eigenvalues[j - 1] <= cluster_tol:
-            j += 1
-        if j - i > 1:
-            sub = i + np.argsort(lead[i:j], kind="stable")
-            vectors[:, i:j] = vectors[:, sub]
-            eigenvalues[i:j] = eigenvalues[sub]
-            lead[i:j] = lead[sub]
-        i = j
+    cluster = np.cumsum(np.diff(eigenvalues, prepend=eigenvalues[0]) > cluster_tol)
+    order = np.lexsort((lead, cluster))  # stable: ties keep LAPACK's order
+    vectors[:] = vectors[:, order]  # in place, so the memory layout stays
+    eigenvalues, lead = eigenvalues[order], lead[order]
     z = vectors[lead, np.arange(n)]
     nonzero = z != 0.0
     # np.hypot rounds |z| as the scalar abs(z) does; the array np.abs can

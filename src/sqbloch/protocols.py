@@ -3,8 +3,9 @@ detuning sweeps, and gain sweeps.
 
 Pulses are instantaneous ideal rotations (right-hand rule about equatorial
 axes); squeezing toggles instantaneously between pulse and evolution windows.
-The closed-form routines take the squeezer state from the rates alone: for
-"squeezer off", pass rates with N = M = 0 (``replace(r, N=0.0, M_abs=0.0)``).
+Every routine is closed form, with no ODE integrated in this module, and
+takes the squeezer state from the rates alone: for "squeezer off", pass
+rates with N = M = 0 (``replace(r, N=0.0, M_abs=0.0)``).
 A Ramsey run prepares |pi/2, phi> with a pi/2 pulse about the
 ``-x cos(phi) + y sin(phi)`` axis, evolves, then applies a second pi/2 pulse
 about an axis rotating at the modulation frequency, which yields fringes
@@ -209,36 +210,18 @@ def ramsey(r: DecayRates, phi: float, omega_mod: float, t_samples) -> np.ndarray
     return _fringe(r, [phi], [r.delta], omega_mod, t_samples)[0, 0].real
 
 
-def tomography_trajectory(
-    r: DecayRates,
-    prep: tuple[float, float],
-    t_samples,
-    drive: np.ndarray | None = None,
-) -> np.ndarray:
+def tomography_trajectory(r: DecayRates, prep: tuple[float, float], t_samples) -> np.ndarray:
     """Bloch vectors (sx, sy, sz) from |theta, phi>, as a (len(t_samples), 3) array.
 
     Readout is ideal tomography (the rotate-then-read bookkeeping is the
-    ``read_component`` helper, verified to agree exactly).  An optional weak
-    drive adds its torque; with a drive the trajectory is integrated
-    numerically, otherwise the closed-form propagator is used.  Raises
+    ``read_component`` helper, verified to agree exactly), every sample in
+    closed form; driven dynamics live in :mod:`sqbloch.blochdyn`.  Raises
     ValueError if some sample leaves the Bloch ball (norm^2 above 1).
     """
     t_samples = np.asarray(t_samples, dtype=float)
     s0 = BlochState.from_angles(*prep)
-    if drive is None:
-        prop = frame_rotation(r, t_samples) @ transverse_propagator_xy(r, t_samples)
-        s = np.column_stack([prop @ s0.as_array()[:2], _sz_relax(s0.sz, r, t_samples)])
-    else:
-        from .numerics import integrate_ode
-
-        sol = integrate_ode(
-            lambda t, y: blochdyn.bloch_rhs(y, r, drive),
-            s0.as_array(),
-            (0.0, float(t_samples[-1]) if t_samples[-1] > 0 else 1e-9),
-            tol=1e-10,
-            t_eval=t_samples,
-        )
-        s = sol.y
+    prop = frame_rotation(r, t_samples) @ transverse_propagator_xy(r, t_samples)
+    s = np.column_stack([prop @ s0.as_array()[:2], _sz_relax(s0.sz, r, t_samples)])
     norm_sq = (s**2).sum(axis=1)
     if np.any(norm_sq > 1.0 + 1e-9):  # BlochState's bound, on every sample
         raise ValueError(f"Bloch vector norm^2 = {norm_sq.max():.6g} exceeds 1")

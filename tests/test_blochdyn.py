@@ -79,6 +79,16 @@ class TestBlochRhs:
         with pytest.raises(ValueError, match="delta"):
             bloch_rhs(BlochState(1.0, 0.0, 0.0), rates)
 
+    def test_matches_written_out_equations(self):
+        omega = np.array([0.3, -0.1, 0.2])
+        v = np.array([0.4, -0.5, 0.6])
+        r = SQUEEZED_RATES
+        expected = np.array([-r.rate_x * v[0], -r.rate_y * v[1], -r.rate_z * v[2] + r.gamma])
+        assert np.array_equal(bloch_rhs(v, r), expected)
+        assert bloch_rhs(v, r, drive=omega) == pytest.approx(
+            expected + np.cross(omega, v), abs=1e-15
+        )
+
 
 class TestAxisTimescales:
     def test_vacuum_limit(self):
@@ -246,6 +256,21 @@ class TestSteadyState:
         assert 0.1 * omega_r * 0.65 <= abs(s.sy) <= omega_r * 0.65
         assert s.sz == pytest.approx(0.3623, abs=1e-3)
 
+    def test_driven_rejects_detuning_as_bloch_rhs_does(self):
+        detuned = DecayRates.from_times(T1=0.65, N=0.88, M=1.08, delta=0.5)
+        drive = np.array([0.3, 0.0, 0.0])
+        with pytest.raises(ValueError) as from_rhs:
+            bloch_rhs(np.zeros(3), detuned, drive)
+        with pytest.raises(ValueError) as from_steady:
+            steady_state(detuned, drive=drive)
+        assert str(from_steady.value) == str(from_rhs.value)
+        assert "delta = 0" in str(from_rhs.value)
+
+    def test_undriven_detuned_is_closed_form(self):
+        detuned = DecayRates.from_times(T1=0.65, N=0.88, M=1.08, delta=0.5)
+        s = steady_state(detuned)
+        assert (s.sx, s.sy, s.sz) == (0.0, 0.0, detuned.gamma / detuned.rate_z)
+
     def test_driven_matches_rhs_zero(self):
         omega = np.array([0.3, -0.1, 0.2])
         s = steady_state(SQUEEZED_RATES, drive=omega)
@@ -313,6 +338,18 @@ class TestTrajectories:
         )
         target = steady_state(rates).as_array()
         assert np.abs(sol.y[-1] - target).max() <= 1e-6
+
+    def test_driven_trajectory_reaches_driven_steady_state(self):
+        omega = np.array([2.0 * math.pi * 0.01, 0.0, 0.0])
+        sol = integrate_ode(
+            lambda t, y: bloch_rhs(y, SQUEEZED_RATES, omega),
+            BlochState(0.0, 0.0, 1.0).as_array(),
+            (0.0, 25.0),
+            tol=1e-10,
+            t_eval=[25.0],
+        )
+        target = steady_state(SQUEEZED_RATES, drive=omega)
+        assert sol.y[-1] == pytest.approx(target.as_array(), abs=1e-6)
 
     @given(
         rates_strategy(),

@@ -696,6 +696,41 @@ class TestMain:
         assert not (out / "wigner.csv").exists()
         assert (out / "wigner_summary.json").exists()
 
+    def test_json_format_encodes_no_csv(self, fast_conf, tmp_path, monkeypatch):
+        from sqbloch.reservoir import WignerGrid
+
+        def fail(self):
+            raise AssertionError("wigner.csv encoded but not written")
+
+        monkeypatch.setattr(WignerGrid, "to_csv", fail)
+        out = tmp_path / "fmt"
+        assert main(["wigner", "--config", fast_conf, "--out", str(out), "--format", "json"]) == 0
+        assert [p.name for p in out.iterdir()] == ["wigner_summary.json"]
+
+    def test_sweep_labels_key_summary_and_trace_columns(self, fast_conf, tmp_path):
+        out = tmp_path / "s"
+        assert main(["sweep-detuning", "--config", fast_conf, "--out", str(out)]) == 0
+        summary = json.loads((out / "detuning_summary.json").read_text())
+        header = (out / "detuning_traces_x.csv").read_text().split("\n")[1].split(",")
+        labels = [f"{d:+.4g}" for d in load_config(fast_conf).delta_grid_mhz]
+        assert header == ["t_us"] + [f"delta_{label}" for label in labels]
+        assert sorted(summary["x"]) == sorted(summary["y"]) == sorted(labels)
+
+    def test_repeated_detuning_label_exit_2(self, tmp_path, capsys):
+        # 10001 points over +-2 MHz are 0.0004 MHz apart, which 4 significant
+        # digits cannot tell apart near +-2: the run stops before the sweep.
+        conf = tmp_path / "c.conf"
+        conf.write_text(
+            _with_field(_with_field(FAST_CONF, "delta_max_mhz", "2"), "delta_points", "10001")
+        )
+        out = tmp_path / "o"
+        code = main(["sweep-detuning", "--config", str(conf), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error: [protocol] delta_points = 10001 repeats label -2" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     def test_cached_parser_parses_each_call_on_its_own(self, fast_conf, tmp_path, capsys):
         # build_parser() is built once per process; every main() call must
         # still read only its own argv.

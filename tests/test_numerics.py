@@ -25,6 +25,36 @@ def random_hermitian(rng, n):
     return a + a.conj().T
 
 
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _eigh_loop_oracle(h):
+    """Decomposition as :func:`eigh` made it with a loop over degenerate
+    clusters, each sorted on its own, before one stable sort replaced it."""
+    n = h.shape[0]
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    lead = np.argmax(np.abs(vectors), axis=0)
+    cluster_tol = max(1e-9 * max(np.abs(eigenvalues).max(), 1.0), 1e-300)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and eigenvalues[j] - eigenvalues[j - 1] <= cluster_tol:
+            j += 1
+        if j - i > 1:
+            sub = i + np.argsort(lead[i:j], kind="stable")
+            vectors[:, i:j] = vectors[:, sub]
+            eigenvalues[i:j] = eigenvalues[sub]
+            lead[i:j] = lead[sub]
+        i = j
+    z = vectors[lead, np.arange(n)]
+    nonzero = z != 0.0
+    z = z[nonzero]
+    vectors[:, nonzero] *= np.conj(z) / np.hypot(z.real, z.imag)
+    return eigenvalues, vectors
+
+
 class TestEigh:
     def test_scalar(self):
         dec = eigh(np.array([[3.5]]))
@@ -71,6 +101,29 @@ class TestEigh:
         # Degenerate pair ordered by row index of the dominant component.
         assert abs(dec.eigenvectors[0, 1]) == pytest.approx(1.0)
         assert abs(dec.eigenvectors[1, 2]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cluster_order_matches_loop_oracle(self, seed):
+        # Exact clusters of 3 and more levels, each eigenspace spread by a
+        # random unitary: the whole matrix's on even seeds, one over blocks
+        # of a second partition of the rows on odd ones, which localises the
+        # vectors and puts equal leading rows inside a cluster.
+        rng = np.random.default_rng(seed)
+        levels = np.repeat([-1.5, 0.2, 2.0, 3.1, 4.0], [3, 1, 4, 3, 5])
+        n = levels.size
+        if seed % 2 == 0:
+            mix = random_unitary(rng, n)
+        else:
+            mix = np.zeros((n, n), dtype=complex)
+            for block in np.split(rng.permutation(n), [5, 9, 14]):
+                mix[np.ix_(block, block)] = random_unitary(rng, block.size)
+        h = mix @ np.diag(levels) @ mix.conj().T
+        h = 0.5 * (h + h.conj().T)
+        dec = eigh(h)
+        want_values, want_vectors = _eigh_loop_oracle(h)
+        assert dec.eigenvalues.tobytes() == want_values.tobytes()
+        assert dec.eigenvectors.tobytes() == want_vectors.tobytes()
+        assert dec.eigenvectors.flags.c_contiguous == want_vectors.flags.c_contiguous
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):

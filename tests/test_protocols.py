@@ -13,7 +13,6 @@ from sqbloch.blochdyn import (
     axis_timescales,
     frame_rotation,
     polarization_propagator,
-    steady_state,
     transverse_propagator_xy,
 )
 from sqbloch.errors import DegenerateFitError
@@ -287,14 +286,6 @@ class TestTomography:
         assert abs(sx) <= 1e-6
         assert abs(sy) <= 1e-6
         assert sz == pytest.approx(0.3623, abs=1e-4)
-
-    def test_driven_trajectory_reaches_driven_steady_state(self):
-        omega = np.array([2.0 * math.pi * 0.01, 0.0, 0.0])
-        traj = tomography_trajectory(SQUEEZED, (0.0, 0.0), [25.0], drive=omega)
-        target = steady_state(SQUEEZED, drive=omega)
-        assert traj[-1] == pytest.approx(
-            target.as_array(), abs=1e-6
-        )
 
     def test_csv(self):
         t = np.linspace(0.0, 1.0, 5)

@@ -163,7 +163,8 @@ def test_trace_grid(long):
         t = np.array(TIMES)
         traces = [_edge_trace(shift)[1] for shift in range(3)]
     deltas = np.linspace(-0.6, 0.6, len(traces))
-    assert _trace_grid_csv(deltas, t, traces) == _trace_grid_oracle(deltas, t, traces)
+    labels = [f"{d:+.4g}" for d in deltas]
+    assert _trace_grid_csv(labels, t, traces) == _trace_grid_oracle(deltas, t, traces)
 
 
 def test_wigner_grid():
