@@ -4,7 +4,7 @@ numbers, each printed exactly as ``"%.9g" % x`` prints it.
 Every CSV file of the package is written by :func:`csv_table` except two:
 the polariton level table, which has a text column, and the Wigner grid,
 which :meth:`sqbloch.reservoir.WignerGrid.to_csv` joins from
-:func:`_format_rows` rows so that it can encode a mirror row once.
+:func:`_format_rows` rows so that it can encode one quadrant of an even grid.
 """
 
 from __future__ import annotations

@@ -6,11 +6,14 @@ bundled ``paper.conf`` encodes the reference operating point and is used when
 ``--config`` is omitted.  Exit codes: 0 success, 2 configuration errors
 (with field-level messages, an ``--out`` that cannot be written included),
 3 numerical failures naming the operation.  Each subcommand stages its
-outputs in a dict (a JSON payload or a zero-argument CSV encoder per file);
-``main`` encodes and writes the chosen files only when the subcommand
-returns, so a run that fails before writing exits 2 or 3 with no file written
-(``validate`` returns 3 with its report when a criterion fails).  A write
-that fails exits 2 naming the file and keeps the files written before it.
+outputs in a dict (a JSON payload or a zero-argument CSV encoder per file)
+and returns its exit code and result line; ``main`` encodes the chosen files
+only when the subcommand returns, writes each under a temporary name, moves
+them all into place, and only then prints the result line.  A run that exits
+2 or 3 prints nothing on stdout and moves no file into place: an output file
+that is a directory, or a write that fails, exits 2 naming the file, and the
+temporary files and the directories the run created are removed
+(``validate`` returns 3 with its report and lines when a criterion fails).
 Re-running any subcommand with an identical configuration produces
 byte-identical outputs.
 """
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import json
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
@@ -296,7 +301,7 @@ def _levels_csv(system) -> str:
     return "#schema=polariton-levels-v1\nlevel,label,energy_ghz\n" + "".join(rows)
 
 
-def _cmd_polariton(cfg: RunConfig, out: dict) -> int:
+def _cmd_polariton(cfg: RunConfig, out: dict) -> tuple[int, str]:
     system = _polariton_system(cfg)
     payload = _polariton_payload(system)
     f_minus, splitting = payload["g_to_minus_ghz"], payload["splitting_mhz"]
@@ -306,12 +311,13 @@ def _cmd_polariton(cfg: RunConfig, out: dict) -> int:
 
     ok_freq = abs(f_minus - acceptance.F_MINUS_GHZ) * 1e3 <= acceptance.F_MINUS_TOL_MHZ
     ok_split = abs(splitting - acceptance.SPLITTING_MHZ) <= acceptance.SPLITTING_TOL_MHZ
-    print(f"g->- transition: {f_minus:.4f} GHz ({'ok' if ok_freq else 'off'})")
-    print(f"polariton splitting: {splitting:.1f} MHz ({'ok' if ok_split else 'off'})")
-    return 0
+    return 0, (
+        f"g->- transition: {f_minus:.4f} GHz ({'ok' if ok_freq else 'off'})\n"
+        f"polariton splitting: {splitting:.1f} MHz ({'ok' if ok_split else 'off'})"
+    )
 
 
-def _cmd_ramsey(cfg: RunConfig, out: dict) -> int:
+def _cmd_ramsey(cfg: RunConfig, out: dict) -> tuple[int, str]:
     rates_on = _rates(cfg)
     rates_off = replace(rates_on, N=0.0, M_abs=0.0)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
@@ -334,11 +340,10 @@ def _cmd_ramsey(cfg: RunConfig, out: dict) -> int:
     summary["fits"] = fits
     out["ramsey_summary.json"] = summary
     off_times = [v["T_us"] for k, v in fits.items() if k.startswith("off")]
-    print(f"squeezing off: mean fitted T2* = {np.mean(off_times):.4f} us")
-    return 0
+    return 0, f"squeezing off: mean fitted T2* = {np.mean(off_times):.4f} us"
 
 
-def _cmd_trajectory(cfg: RunConfig, out: dict) -> int:
+def _cmd_trajectory(cfg: RunConfig, out: dict) -> tuple[int, str]:
     rates = _rates(cfg)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     traj = protocols.tomography_trajectory(rates, (cfg.prep_theta, cfg.prep_phi), t)
@@ -351,11 +356,10 @@ def _cmd_trajectory(cfg: RunConfig, out: dict) -> int:
         "sz_steady": fit.offset,
         "final_state": dict(zip(("sx", "sy", "sz"), traj[-1].tolist())),
     }
-    print(f"fitted Tz = {fit.T:.4f} us, steady <sz> = {fit.offset:.4f}")
-    return 0
+    return 0, f"fitted Tz = {fit.T:.4f} us, steady <sz> = {fit.offset:.4f}"
 
 
-def _cmd_wigner(cfg: RunConfig, out: dict) -> int:
+def _cmd_wigner(cfg: RunConfig, out: dict) -> tuple[int, str]:
     resv = reservoir.SqueezedReservoir(
         N=cfg.n, M=cfg.m, bandwidth=cfg.bandwidth_mhz, N_th=cfg.n_th
     )
@@ -368,8 +372,7 @@ def _cmd_wigner(cfg: RunConfig, out: dict) -> int:
         "peak": float(grid.values.max()),
         "integral": grid.integral(),
     }
-    print(f"variances: sigma_I^2 = {v.sigmaI_sq:.4f}, sigma_Q^2 = {v.sigmaQ_sq:.4f}")
-    return 0
+    return 0, f"variances: sigma_I^2 = {v.sigmaI_sq:.4f}, sigma_Q^2 = {v.sigmaQ_sq:.4f}"
 
 
 def _trace_grid_csv(labels, t, traces) -> str:
@@ -377,7 +380,7 @@ def _trace_grid_csv(labels, t, traces) -> str:
     return csv_table("detuning-trace-grid-v1", header, t, *traces)
 
 
-def _cmd_sweep_detuning(cfg: RunConfig, out: dict) -> int:
+def _cmd_sweep_detuning(cfg: RunConfig, out: dict) -> tuple[int, str]:
     deltas = cfg.delta_grid_mhz
     labels = [f"{d:+.4g}" for d in deltas]  # keys the summary and the trace-grid columns
     repeated = [label for label, k in Counter(labels).items() if k > 1]
@@ -399,11 +402,10 @@ def _cmd_sweep_detuning(cfg: RunConfig, out: dict) -> int:
             for label, T in zip(labels, T_eff[i].tolist())
         }
     out["detuning_summary.json"] = summary
-    print(f"swept {len(deltas)} detunings for both prep axes")
-    return 0
+    return 0, f"swept {len(deltas)} detunings for both prep axes"
 
 
-def _cmd_sweep_gain(cfg: RunConfig, out: dict) -> int:
+def _cmd_sweep_gain(cfg: RunConfig, out: dict) -> tuple[int, str]:
     rates = _rates(cfg)
     t1 = _t1_of(cfg, rates)
     header = "N,M,Tx_us,Ty_us,Tz_us,M_minus_N"
@@ -415,8 +417,7 @@ def _cmd_sweep_gain(cfg: RunConfig, out: dict) -> int:
         "eta": cfg.eta,
         "rows": [dict(zip(("N", "M", "Tx", "Ty", "Tz"), row)) for row in rows[:, :5].tolist()],
     }
-    print(f"swept {len(rows)} gain points at eta = {cfg.eta}")
-    return 0
+    return 0, f"swept {len(rows)} gain points at eta = {cfg.eta}"
 
 
 def _read_trace_csv(key: str, path: Path):
@@ -455,7 +456,7 @@ def _read_trace_csv(key: str, path: Path):
     return np.asarray(t), np.asarray(y)
 
 
-def _cmd_estimate(cfg: RunConfig, out: dict) -> int:
+def _cmd_estimate(cfg: RunConfig, out: dict) -> tuple[int, str]:
     """Inverse pipeline on supplied or simulated traces.
 
     Simulated traces model the measured environment: the configured (n, m)
@@ -521,26 +522,19 @@ def _cmd_estimate(cfg: RunConfig, out: dict) -> int:
             f"Wigner reconstruction from N = {est.N:.6g}, M = {est.M:.6g}: {exc}"
         ) from None
     out["wigner_reconstructed.csv"] = grid.to_csv
-    print(
+    return 0, (
         f"estimated N = {est.N:.4f}, M = {est.M:.4f}"
         + (f", eta = {est.eta_inferred:.3f}" if est.eta_inferred else "")
     )
-    return 0
 
 
-def _cmd_validate(cfg: RunConfig, out: dict) -> int:
+def _cmd_validate(cfg: RunConfig, out: dict) -> tuple[int, str]:
     from . import acceptance  # only this subcommand pays for its import
 
     results = acceptance.run_all()
-    for r in results:
-        print(r.summary_line())
-    out["validate.json"] = {
-        "all_passed": all(r.passed for r in results),
-        "criteria": [asdict(r) for r in results],
-    }
-    if not all(r.passed for r in results):
-        return 3
-    return 0
+    passed = all(r.passed for r in results)
+    out["validate.json"] = {"all_passed": passed, "criteria": [asdict(r) for r in results]}
+    return 0 if passed else 3, "\n".join(r.summary_line() for r in results)
 
 
 COMMANDS = {
@@ -578,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
     out: dict = {}  # file name -> CSV encoder or JSON payload, in staging order
     try:
         cfg = load_config(args.config)
-        code = COMMANDS[args.command](cfg, out)
+        code, result_line = COMMANDS[args.command](cfg, out)
         formats = args.format or cfg.formats
         # Every file to write is encoded before the first is written.
         texts = {
@@ -597,16 +591,34 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 3
     out_dir = Path(args.out)
-    where = f"--out {args.out}"
+    # Each file is written under a temporary name, and all are moved into
+    # place once every one is written; no file can replace a directory.
+    where, created, staged = f"--out {args.out}", [], []
     try:
-        if texts:
-            out_dir.mkdir(parents=True, exist_ok=True)
+        for name in texts:
+            if (out_dir / name).is_dir():
+                where = f"--out {args.out}: {name}"
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if texts and not out_dir.is_dir():
+            absolute = Path(os.path.abspath(out_dir))  # "x/.." is not a parent to remove
+            missing = [d for d in (absolute, *absolute.parents) if not d.exists()]
+            out_dir.mkdir(parents=True)
+            created = missing  # deepest first, so each is empty when removed
         for name, text in texts.items():
             where = f"--out {args.out}: {name}"
-            (out_dir / name).write_text(text)
+            staged.append(out_dir / f".{name}.{os.getpid()}.tmp")
+            staged[-1].write_text(text)
+        for temporary, name in zip(staged, texts):
+            where = f"--out {args.out}: {name}"
+            os.replace(temporary, out_dir / name)
     except OSError as exc:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+        for directory in created:
+            directory.rmdir()
         print(f"config error: {where}: {exc.strerror}", file=sys.stderr)
         return 2
+    print(result_line)
     return code
 
 

@@ -175,25 +175,24 @@ class WignerGrid:
         """CSV: header row of Q values, first column I values, body W values,
         each printed as ``"%.9g" % x`` prints it.
 
-        A row past the middle whose values are bitwise equal to its mirror
-        row ``values[n - 1 - i]`` reuses that row's text, so an even grid
-        (every grid of :func:`wigner_grid_for`) encodes each distinct row
-        once; any other row is encoded on its own.
+        An axis along which the values are bitwise even (every grid of
+        :func:`wigner_grid_for` is even along both) is encoded up to its
+        middle sample, and the rest repeats that text in mirror order, so an
+        even grid encodes one quadrant; any other axis is encoded in full.
         """
         values = np.asarray(self.values, dtype=float)
         n, width = values.shape
         bits = values.view(np.uint64)
-        index = np.arange(n)
-        reused = (index > index[::-1]) & (bits == bits[::-1]).all(axis=1)
-        texts = [""] * n  # each row's values, without the I cell
-        fresh = np.flatnonzero(~reused) if width else []  # no Q: every row is ""
-        step = max(1, _BLOCK_CELLS // max(width, 1))
-        for k in range(0, len(fresh), step):
-            rows = fresh[k : k + step]
-            for i, text in zip(rows.tolist(), _format_rows(values[rows]).split("\n")):
-                texts[i] = text
-        for i in np.flatnonzero(reused).tolist():
-            texts[i] = texts[n - 1 - i]
+        rows = (n + 1) // 2 if np.array_equal(bits, bits[::-1]) else n
+        cols = (width + 1) // 2 if np.array_equal(bits, bits[:, ::-1]) else width
+        texts = [""] * rows  # each row's values, without the I cell; no Q: ""
+        if cols:
+            step = max(1, _BLOCK_CELLS // cols)
+            blocks = (values[k : min(k + step, rows), :cols] for k in range(0, rows, step))
+            texts = "".join(map(_format_rows, blocks)).splitlines()
+        if cols < width:
+            texts = [t + "," + ",".join(t.split(",")[width - cols - 1 :: -1]) for t in texts]
+        texts += texts[: n - rows][::-1]
         q_header = _format_rows(self.Q_axis[None, :]) if width else "\n"
         i_cells = _format_rows(self.I_axis[:, None]).split("\n") if n else []
         parts = ["#schema=wigner-grid-v1\n,", q_header]
@@ -211,14 +210,22 @@ def wigner(
 
     W(I, Q) = 2/(pi sqrt(sigma_I^2 sigma_Q^2)) exp(-2I^2/sigma_I^2 - 2Q^2/sigma_Q^2),
     normalized so vacuum gives W0 = (2/pi) exp(-2(I^2+Q^2)) and the integral
-    over the plane is 1.
+    over the plane is 1.  Along an exactly antisymmetric axis,
+    ``axis == -axis[::-1]``, only the first ``(size + 1) // 2`` samples are
+    evaluated and the rest mirror them, bitwise what the full expression
+    gives since ``(-x)**2 == x**2``; any other axis is evaluated in full.
     """
     i_axis = np.asarray(i_axis, dtype=float)
     q_axis = np.asarray(q_axis, dtype=float)
     norm = 2.0 / (math.pi * math.sqrt(v.sigmaI_sq * v.sigmaQ_sq))
-    ii = i_axis[:, None]
-    qq = q_axis[None, :]
-    values = norm * np.exp(-2.0 * ii**2 / v.sigmaI_sq - 2.0 * qq**2 / v.sigmaQ_sq)
+    ni, nq = (
+        (a.size + 1) // 2 if np.array_equal(a, -a[::-1]) else a.size for a in (i_axis, q_axis)
+    )
+    ii, qq = i_axis[:ni, None], q_axis[None, :nq]
+    values = np.empty((i_axis.size, q_axis.size))
+    values[:ni, :nq] = norm * np.exp(-2.0 * ii**2 / v.sigmaI_sq - 2.0 * qq**2 / v.sigmaQ_sq)
+    values[:ni, nq:] = values[:ni, : q_axis.size - nq][:, ::-1]
+    values[ni:] = values[: i_axis.size - ni][::-1]
     return WignerGrid(I_axis=i_axis, Q_axis=q_axis, values=values)
 
 
@@ -230,9 +237,9 @@ def wigner_grid_for(
     The distribution's standard deviation along I is sigma_I/2 in this
     convention (vacuum: 1/2).  Each axis is exactly antisymmetric,
     ``axis == -axis[::-1]``, with a centre sample of +0.0 when ``n_points``
-    is odd, so the values are bitwise even in I and in Q
-    (``(-x)**2 == x**2``) and :meth:`WignerGrid.to_csv` encodes each
-    distinct row once.
+    is odd, so :func:`wigner` evaluates one quadrant, the values are bitwise
+    even in I and in Q (``(-x)**2 == x**2``), and :meth:`WignerGrid.to_csv`
+    encodes that quadrant only.
     """
     if n_points < 2:
         raise ValueError("grid needs at least 2 points per axis")

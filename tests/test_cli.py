@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import importlib
 import inspect
 import io
 import json
 import math
+import os
 import pkgutil
 import re
 import subprocess
@@ -629,7 +631,8 @@ class TestMain:
         assert code == 3
         assert f"numerical failure in '{command}'" in captured.err
         assert message in captured.err
-        assert "Traceback" not in captured.err + captured.out
+        assert captured.out == ""  # trajectory computes its Tz line, then fails
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
     def test_relative_trace_paths(self, tmp_path, monkeypatch):
@@ -804,8 +807,10 @@ class TestMain:
         out.mkdir()
         (out / "sentinel").write_bytes(b"keep\n")
         code = main([command, "--out", str(out)])
+        captured = capsys.readouterr()
         assert code == 3
-        assert f"numerical failure in '{command}'" in capsys.readouterr().err
+        assert f"numerical failure in '{command}'" in captured.err
+        assert captured.out == ""
         assert [p.name for p in out.iterdir()] == ["sentinel"]
         assert (out / "sentinel").read_bytes() == b"keep\n"
 
@@ -825,16 +830,59 @@ class TestMain:
         assert taken.read_text() == "a file\n"
 
     def test_unwritable_output_file_named_exit_2(self, fast_conf, tmp_path, capsys):
-        # The write that fails names its file; the files written before it
-        # are kept, as the README states.
+        # An output file that is a directory is named before any file is
+        # written, so --out is left as it was.
         out = tmp_path / "od"
         (out / "wigner_summary.json").mkdir(parents=True)
         code = main(["wigner", "--config", fast_conf, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
         assert f"config error: --out {out}: wigner_summary.json: Is a directory" in captured.err
-        assert "Traceback" not in captured.err + captured.out
-        assert (out / "wigner.csv").read_text().startswith("#schema=wigner-grid-v1\n")
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert [p.name for p in out.iterdir()] == ["wigner_summary.json"]
+        assert not any((out / "wigner_summary.json").iterdir())
+
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    @pytest.mark.parametrize("exists", [False, True], ids=["new-out", "existing-out"])
+    def test_failed_write_leaves_out_as_it_was(
+        self, fast_conf, tmp_path, capsys, monkeypatch, step, exists
+    ):
+        # The second file's write fails part-way, or the first move into
+        # place fails: every temporary file is removed, and so are the --out
+        # directory and its parents that the run created.
+        out = tmp_path / "new" / "o"
+        if exists:
+            out.mkdir(parents=True)
+            (out / "sentinel").write_bytes(b"keep\n")
+        calls = []
+        write, replace = Path.write_text, cli.os.replace
+
+        def failing(original, fails_on, *args):
+            calls.append(args)
+            if len(calls) < fails_on:
+                return original(*args)
+            if original is write:
+                write(args[0], args[1][:100])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        if step == "write":
+            monkeypatch.setattr(Path, "write_text", lambda *a: failing(write, 2, *a))
+            name = "wigner_summary.json"
+        else:
+            monkeypatch.setattr(cli.os, "replace", lambda *a: failing(replace, 1, *a))
+            name = "wigner.csv"
+        code = main(["wigner", "--config", fast_conf, "--out", str(out)])
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: --out {out}: {name}: No space left on device" in captured.err
+        assert captured.out == ""
+        if exists:
+            assert [p.name for p in out.iterdir()] == ["sentinel"]
+            assert (out / "sentinel").read_bytes() == b"keep\n"
+        else:
+            assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "both"])
     def test_overflowing_variance_exit_3(self, tmp_path, capsys, fmt):

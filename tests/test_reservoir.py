@@ -271,6 +271,36 @@ class TestWigner:
         g = wigner(QuadratureVariances(1.0, 1.0), np.array([0.0]), np.array([0.0, 1.0]))
         assert g.values.shape == (1, 2)
 
+    @pytest.mark.parametrize("size_q", [0, 2, 7, 41])
+    @pytest.mark.parametrize("size_i", [1, 2, 40, 41])
+    @pytest.mark.parametrize("kind_i", ["antisymmetric", "shifted", "centre -0", "random"])
+    @pytest.mark.parametrize("kind_q", ["antisymmetric", "random"])
+    def test_values_equal_the_full_formula(self, size_i, size_q, kind_i, kind_q):
+        # Half of an antisymmetric axis is evaluated and mirrored; any other
+        # axis is evaluated in full.  Either way every value's bits are the
+        # full broadcast formula's.
+        rng = np.random.default_rng(7 * size_i + size_q)
+
+        def axis(kind, size):
+            a = np.linspace(-2.5, 2.5, size) * rng.uniform(0.5, 2.0)
+            a = 0.5 * (a - a[::-1])
+            if kind == "shifted" and size:
+                a[-1] = np.nextafter(a[-1], 3.0)  # one ulp off the mirror of a[0]
+            elif kind == "centre -0" and size % 2:
+                a[size // 2] = -0.0  # still == its negation
+            elif kind == "random":
+                a = rng.normal(size=size)
+            return a
+
+        v = QuadratureVariances(4.92, 0.60)
+        i_axis, q_axis = axis(kind_i, size_i), axis(kind_q, size_q)
+        norm = 2.0 / (math.pi * math.sqrt(v.sigmaI_sq * v.sigmaQ_sq))
+        ii, qq = i_axis[:, None], q_axis[None, :]
+        full = norm * np.exp(-2.0 * ii**2 / v.sigmaI_sq - 2.0 * qq**2 / v.sigmaQ_sq)
+        values = wigner(v, i_axis, q_axis).values
+        assert values.shape == full.shape
+        assert np.array_equal(values.view(np.uint64), full.view(np.uint64))
+
 
 def _per_value_rows(rows) -> str:
     """The reference encoding: one Python "%.9g" per value."""

@@ -185,9 +185,9 @@ def _even_grid(n_points=41):
 
 
 def test_wigner_partial_mirror():
-    # Mirror rows share their text only where their bits agree: a changed
-    # last bit in either half, and 0.0 against -0.0, keep their own text;
-    # rows with the same NaN bits share it.
+    # An axis whose bits are not even is encoded in full: a changed last bit
+    # in either half, and 0.0 against -0.0, keep their own text; mirror rows
+    # with the same NaN bits get the same text.
     grid = _even_grid()
     values = grid.values.copy()
     values[40 - 3, 7] = np.nextafter(values[40 - 3, 7], 1.0)  # past the middle
@@ -219,13 +219,65 @@ def test_wigner_zero_and_one_rows(n_rows):
     assert grid.to_csv() == _wigner_oracle(grid)
 
 
-@pytest.mark.parametrize("n_points", [2, 40, 41, 241])
-def test_even_grid_encodes_each_distinct_row_once(monkeypatch, n_points):
-    # The header, the I column and the first ceil(n / 2) rows of the body
-    # are all the cells an even grid sends to the encoder.
+def _encoded_cells(monkeypatch, grid):
+    """The CSV text of ``grid`` and the number of cells sent to the encoder."""
     encoded = []
     encode = reservoir._format_rows
     monkeypatch.setattr(reservoir, "_format_rows", lambda rows: encoded.append(rows.size) or encode(rows))
+    return grid.to_csv(), sum(encoded)
+
+
+@pytest.mark.parametrize("n_points", [2, 40, 41, 241])
+def test_even_grid_encodes_one_quadrant(monkeypatch, n_points):
+    # The header, the I column and the first ceil(n / 2) cells of the first
+    # ceil(n / 2) rows are all the cells an even grid sends to the encoder.
     grid = _even_grid(n_points)
+    text, cells = _encoded_cells(monkeypatch, grid)
+    assert text == _wigner_oracle(grid)
+    assert cells == 2 * n_points + ((n_points + 1) // 2) ** 2
+
+
+@pytest.mark.parametrize("shape", [(41, 40), (40, 41), (41, 41), (2, 3)])
+@pytest.mark.parametrize("even", ["rows", "columns"])
+def test_grid_even_along_one_axis(monkeypatch, shape, even):
+    # Mirror rows (or columns) of random values: only that axis is halved.
+    n, width = shape
+    rng = np.random.default_rng(n * width)
+    values = np.abs(rng.normal(size=shape)) * 10.0 ** rng.integers(-320, 300, shape)
+    if even == "rows":
+        values[n - n // 2 :] = values[: n // 2][::-1]
+        expected = (n + 1) // 2 * width
+    else:
+        values[:, width - width // 2 :] = values[:, : width // 2][:, ::-1]
+        expected = n * ((width + 1) // 2)
+    grid = WignerGrid(I_axis=rng.normal(size=n), Q_axis=rng.normal(size=width), values=values)
+    text, cells = _encoded_cells(monkeypatch, grid)
+    assert text == _wigner_oracle(grid)
+    assert cells == n + width + expected
+
+
+@pytest.mark.parametrize("n_points", [40, 41])
+def test_one_cell_breaks_the_column_mirror(monkeypatch, n_points):
+    # One cell of a right-hand column, doubled in two mirror rows, leaves
+    # the rows even: half the rows are encoded, each in full.
+    grid = _even_grid(n_points)
+    values = grid.values.copy()
+    values[[3, n_points - 4], n_points - 2] *= 2.0
+    broken = WignerGrid(I_axis=grid.I_axis, Q_axis=grid.Q_axis, values=values)
+    text, cells = _encoded_cells(monkeypatch, broken)
+    assert text == _wigner_oracle(broken)
+    assert text != grid.to_csv()
+    assert cells == 2 * n_points + (n_points + 1) // 2 * n_points
+
+
+@pytest.mark.parametrize("n_cols", [0, 1, 2])
+@pytest.mark.parametrize("n_rows", [0, 1, 2])
+@pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+def test_wigner_small_shapes(n_rows, n_cols, even):
+    values = np.full((n_rows, n_cols), 0.5)
+    if not even:
+        values += np.arange(n_rows * n_cols).reshape(n_rows, n_cols) / 3.0
+    i_axis = np.linspace(-0.25, 0.0, n_rows)
+    q_axis = np.array([-1.5, 2.0 / 3.0])[:n_cols]
+    grid = WignerGrid(I_axis=i_axis, Q_axis=q_axis, values=values)
     assert grid.to_csv() == _wigner_oracle(grid)
-    assert sum(encoded) == 2 * n_points + (n_points + 1) // 2 * n_points
