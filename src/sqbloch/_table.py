@@ -4,7 +4,7 @@ numbers, each printed exactly as ``"%.9g" % x`` prints it.
 Every CSV file of the package is written by :func:`csv_table` except two:
 the polariton level table, which has a text column, and the Wigner grid,
 which :meth:`sqbloch.reservoir.WignerGrid.to_csv` joins from
-:func:`_format_rows` rows so that it can encode one quadrant of an even grid.
+:func:`_format_table` rows so that it can encode one quadrant of an even grid.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ def csv_table(schema: str, header: str, *columns) -> str:
     several columns, all of the same length; every number is printed as
     ``"%.9g" % x`` prints it."""
     columns = [np.asarray(c, dtype=float) for c in columns]
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    # A few thousand cells per block bound the encoder's temporaries, and
-    # the table is stacked one block at a time.
-    step = max(1, _BLOCK_CELLS // width)
-    parts = [f"#schema={schema}\n{header}\n"]
-    for k in range(0, len(columns[0]), step):
-        parts.append(_format_rows(np.column_stack([c[k : k + step] for c in columns])))
-    return "".join(parts)
+    return f"#schema={schema}\n{header}\n" + _format_table(np.column_stack(columns))
+
+
+def _format_table(table: np.ndarray) -> str:
+    """:func:`_format_rows` of a 2-D array, a few thousand cells at a time to
+    bound the encoder's temporaries."""
+    step = max(1, _BLOCK_CELLS // table.shape[1])
+    return "".join(_format_rows(table[k : k + step]) for k in range(0, len(table), step))
 
 
 # --- Vectorised "%.9g" ---------------------------------------------------------

@@ -225,17 +225,15 @@ def criterion_5_detuning_sweep(res: CriterionResult) -> None:
     )
 
     # Full-curve agreement against the closed-form route: the same fit applied
-    # to propagator-generated envelopes must reproduce the pipeline values.
-    def direct_fit(delta: float, axis: int, t_samples) -> float:
-        r = replace(rates, delta=delta)
-        e0 = np.array([1.0, 0.0]) if axis == 0 else np.array([0.0, 1.0])
-        env = np.linalg.norm(blochdyn.transverse_propagator_xy(r, t_samples) @ e0, axis=-1)
-        return estimation.fit_exp(t_samples, env).T
-
-    dual_err = max(
-        max(abs(tx[d] - direct_fit(d, 0, t_x)) / tx[d] for d in [0.0] + half),
-        max(abs(ty[d] - direct_fit(d, 1, t_y)) / ty[d] for d in [0.0] + half),
-    )
+    # to each detuning's own propagator envelopes must reproduce the pipeline.
+    ref, dual_err = [0.0] + half, 0.0
+    for fitted, e0, t in ((tx, [1.0, 0.0], t_x), (ty, [0.0, 1.0], t_y)):
+        maps = [blochdyn.transverse_propagator_xy(replace(rates, delta=d), t) for d in ref]
+        env = np.linalg.norm(np.array(maps) @ e0, axis=-1)
+        for d, fit in zip(ref, estimation.fit_exp_stack(t, env)):
+            if isinstance(fit, Exception):
+                raise fit
+            dual_err = max(dual_err, abs(fitted[d] - fit.T) / fitted[d])
     res.check(
         dual_err <= 1e-6,
         f"pipeline matches direct closed-form envelope fits (rel err {dual_err:.1e})",

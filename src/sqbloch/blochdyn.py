@@ -232,12 +232,10 @@ def _closed_form(r: DecayRates, deltas: np.ndarray, t, b: np.ndarray) -> np.ndar
     lead = (len(kappa),) + (1,) * t.ndim
     kappa, b, t = kappa.reshape(lead + (1, 1)), b.reshape(lead + (2, 2)), t[..., None, None]
     z = kappa * t
-    # The series keeps the kappa -> 0 limit exact to double precision; where
-    # kappa = 0 every sample takes it, so the division never sees zero.
-    small = np.abs(z) < 1e-6
-    ch = np.where(small, 1.0 + z * z / 2.0, np.cosh(z))
-    shc = np.where(small, t * (1.0 + z * z / 6.0), np.sinh(z) / np.where(kappa == 0, 1, kappa))
-    return np.exp(-r.gamma_N * t) * (ch * np.eye(2) + shc * b)
+    # cosh(z) and sinh(z) / kappa keep double precision as z -> 0; only
+    # kappa = 0, where every z is 0, needs the limit sinh(kappa t) / kappa = t.
+    shc = np.where(z == 0, t, np.sinh(z) / np.where(kappa == 0, 1, kappa))
+    return np.exp(-r.gamma_N * t) * (np.cosh(z) * np.eye(2) + shc * b)
 
 
 def polarization_propagator(r: DecayRates, t) -> np.ndarray:

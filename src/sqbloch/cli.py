@@ -93,6 +93,7 @@ _REQUIRED = object()  # table default of a key that its section, when present, m
 _FINITE = (math.isfinite, "finite")
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "nonnegative and finite")
 
 # Every config key once: section, key, cast, default and the domain rule as
 # (test, what the value must be).  A rule of None leaves the value to the
@@ -114,7 +115,7 @@ _FIELDS = (
     # m is |M|; SqueezedReservoir takes a complex M and names a NaN or inf m.
     ("reservoir", "m", float, 0.0, (lambda v: not v < 0.0, "nonnegative")),
     ("reservoir", "bandwidth_mhz", float, 13.0, None),
-    ("reservoir", "n_th", float, 0.0, None),
+    ("reservoir", "n_th", float, 0.0, _NONNEGATIVE),
     ("reservoir", "eta", float, 1.0, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
     ("reservoir", "omega0_ghz", float, None, _FINITE),
     ("protocol", "omega_mod_mhz", float, 5.0, _POSITIVE),
@@ -125,7 +126,7 @@ _FIELDS = (
      (lambda v: v and all(map(math.isfinite, v)), "a non-empty list of finite numbers")),
     ("protocol", "delta_max_mhz", float, 2.0, _FINITE),
     ("protocol", "delta_points", int, 21, _AT_LEAST_1),
-    ("protocol", "n_max", float, 3.0, (lambda v: 0.0 <= v < math.inf, "nonnegative and finite")),
+    ("protocol", "n_max", float, 3.0, _NONNEGATIVE),
     ("protocol", "n_points", int, 25, _AT_LEAST_1),
     ("protocol", "prep_theta_pi", float, 0.67, _FINITE),
     ("protocol", "prep_phi_pi", float, 0.83, _FINITE),
@@ -220,7 +221,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         except ValueError as exc:
             errors.append(f"[polariton] invalid parameters: {exc}")
     try:
-        reservoir.SqueezedReservoir(v["n"], v["m"], bandwidth=v["bandwidth_mhz"], N_th=v["n_th"])
+        reservoir.SqueezedReservoir(v["n"], v["m"], bandwidth=v["bandwidth_mhz"])
     except ValueError as exc:
         errors.append(f"[reservoir] invalid moments: {exc}")
     if errors:
@@ -260,9 +261,7 @@ def _rates(cfg: RunConfig) -> DecayRates:
     omega0 = cfg.omega0_ghz
     if omega0 is None:  # the squeezer defaults to resonance
         omega0 = system.transition_frequency(0, i_minus)
-    resv = reservoir.SqueezedReservoir(
-        N=cfg.n, M=cfg.m, omega0=omega0, bandwidth=cfg.bandwidth_mhz, N_th=cfg.n_th
-    )
+    resv = reservoir.SqueezedReservoir(N=cfg.n, M=cfg.m, omega0=omega0, bandwidth=cfg.bandwidth_mhz)
     base = 2.0 * math.pi * cfg.gamma_over_2pi_mhz / abs(system.A[0, i_minus]) ** 2
     rates = polariton.two_level_reduction(system, base, resv)
     gamma_phi = 0.0 if math.isinf(cfg.t_phi_us) else 1.0 / cfg.t_phi_us
@@ -360,9 +359,7 @@ def _cmd_trajectory(cfg: RunConfig, out: dict) -> tuple[int, str]:
 
 
 def _cmd_wigner(cfg: RunConfig, out: dict) -> tuple[int, str]:
-    resv = reservoir.SqueezedReservoir(
-        N=cfg.n, M=cfg.m, bandwidth=cfg.bandwidth_mhz, N_th=cfg.n_th
-    )
+    resv = reservoir.SqueezedReservoir(N=cfg.n, M=cfg.m, bandwidth=cfg.bandwidth_mhz)
     v = reservoir.variances(resv)
     grid = reservoir.wigner_grid_for(v)
     out["wigner.csv"] = grid.to_csv
@@ -595,15 +592,16 @@ def main(argv: list[str] | None = None) -> int:
     # place once every one is written; no file can replace a directory.
     where, created, staged = f"--out {args.out}", [], []
     try:
+        if texts:  # make each missing directory on the way, "x" of "x/../y" too
+            for directory in reversed((out_dir, *out_dir.parents)):
+                if not directory.exists():
+                    directory.mkdir()
+                    created.insert(0, directory)  # deepest first, to remove
+            out_dir.mkdir(exist_ok=True)  # an existing file is refused
         for name in texts:
             if (out_dir / name).is_dir():
                 where = f"--out {args.out}: {name}"
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        if texts and not out_dir.is_dir():
-            absolute = Path(os.path.abspath(out_dir))  # "x/.." is not a parent to remove
-            missing = [d for d in (absolute, *absolute.parents) if not d.exists()]
-            out_dir.mkdir(parents=True)
-            created = missing  # deepest first, so each is empty when removed
         for name, text in texts.items():
             where = f"--out {args.out}: {name}"
             staged.append(out_dir / f".{name}.{os.getpid()}.tmp")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._table import _BLOCK_CELLS, _format_rows
+from ._table import _format_table
 from .errors import NumericalFailure, UnphysicalRatesError
 
 __all__ = [
@@ -37,25 +37,23 @@ _PHYSICALITY_SLACK = 1e-12
 class SqueezedReservoir:
     """Broadband squeezed vacuum characterized by moments (N, M).
 
-    ``omega0`` is the squeezer center frequency in GHz, ``bandwidth`` in MHz,
-    and ``N_th`` the thermal photon floor of the environment.
+    ``omega0`` is the squeezer center frequency in GHz and ``bandwidth`` in
+    MHz; the environment's thermal floor is not part of the state, and enters
+    only :func:`~sqbloch.estimation.moments_from_decays` (``N_th``).
     """
 
     N: float
     M: complex
     omega0: float = 0.0
     bandwidth: float = 13.0
-    N_th: float = 0.0
 
     def __post_init__(self):
-        values = {"N": self.N, "|M|": abs(self.M), "bandwidth": self.bandwidth, "N_th": self.N_th}
+        values = {"N": self.N, "|M|": abs(self.M), "bandwidth": self.bandwidth}
         for name, value in values.items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.N < 0.0:
             raise ValueError(f"N must be nonnegative, got {self.N}")
-        if self.N_th < 0.0:
-            raise ValueError(f"N_th must be nonnegative, got {self.N_th}")
         if self.bandwidth <= 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         # A product, not **, so a huge |M| squares to inf instead of raising.
@@ -185,16 +183,13 @@ class WignerGrid:
         bits = values.view(np.uint64)
         rows = (n + 1) // 2 if np.array_equal(bits, bits[::-1]) else n
         cols = (width + 1) // 2 if np.array_equal(bits, bits[:, ::-1]) else width
-        texts = [""] * rows  # each row's values, without the I cell; no Q: ""
-        if cols:
-            step = max(1, _BLOCK_CELLS // cols)
-            blocks = (values[k : min(k + step, rows), :cols] for k in range(0, rows, step))
-            texts = "".join(map(_format_rows, blocks)).splitlines()
+        # Each row's values, without the I cell; with no Q, "".
+        texts = _format_table(values[:rows, :cols]).splitlines() if cols else [""] * rows
         if cols < width:
             texts = [t + "," + ",".join(t.split(",")[width - cols - 1 :: -1]) for t in texts]
         texts += texts[: n - rows][::-1]
-        q_header = _format_rows(self.Q_axis[None, :]) if width else "\n"
-        i_cells = _format_rows(self.I_axis[:, None]).split("\n") if n else []
+        q_header = _format_table(self.Q_axis[None, :]) if width else "\n"
+        i_cells = _format_table(self.I_axis[:, None]).splitlines()
         parts = ["#schema=wigner-grid-v1\n,", q_header]
         for i_cell, text in zip(i_cells, texts):
             parts += (i_cell, ",", text, "\n")

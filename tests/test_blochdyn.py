@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,50 @@ class TestPolarizationPropagator:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             polarization_propagator(SQUEEZED_RATES, -0.1)
+
+    @staticmethod
+    def _generators(r):
+        """The ``b`` of the polarization map and of the real (sx~, sy~) map."""
+        d = 2.0 * math.pi * r.delta
+        return (
+            np.array([[-1j * d, r.gamma_M], [r.gamma_M, 1j * d]]),
+            np.array([[r.gamma_M, -d], [d, -r.gamma_M]]),
+        )
+
+    @pytest.mark.parametrize("eps", [1e-15, 1e-13, 1e-12, -1e-13])
+    def test_near_exceptional_point_matches_series(self, eps):
+        # Within 1e-12 of |2 pi delta| = Gamma_M, |kappa t| stays below 1e-4,
+        # where cosh z = 1 + z^2/2 and sinh(kappa t)/kappa = t (1 + z^2/6)
+        # hold to double precision: the propagators must agree with that
+        # series form.
+        r = replace(SQUEEZED_RATES, delta=SQUEEZED_RATES.gamma_M / (2.0 * math.pi) * (1.0 + eps))
+        t = np.linspace(0.0, 6.0, 241)[:, None, None]
+        kappa = complex(r.gamma_M**2 - (2.0 * math.pi * r.delta) ** 2) ** 0.5
+        z = kappa * t
+        assert 0.0 < np.abs(z).max() < 1e-4
+        pol_b, xy_b = self._generators(r)
+        ch, shc = 1.0 + z * z / 2.0, t * (1.0 + z * z / 6.0)
+        series = [np.exp(-r.gamma_N * t) * (ch * np.eye(2) + shc * b) for b in (pol_b, xy_b)]
+        assert np.abs(polarization_propagator(r, t[:, 0, 0]) - series[0]).max() <= 2.3e-16
+        assert np.abs(transverse_propagator_xy(r, t[:, 0, 0]) - series[1].real).max() <= 2.3e-16
+
+    @pytest.mark.parametrize(
+        "r",
+        [
+            DecayRates(gamma=1.0 / 0.65, gamma_phi=0.15, N=0.3),
+            # 2 pi * 0.25 and Gamma_M = pi are the same double: kappa = 0 with M != 0.
+            DecayRates(gamma=math.pi, gamma_phi=0.15, N=0.6, M_abs=0.5, delta=0.25),
+        ],
+        ids=["M=0", "critical"],
+    )
+    def test_kappa_zero_is_the_linear_limit(self, r):
+        # kappa = 0 takes sinh(kappa t)/kappa = t exactly, bit for bit.
+        t = np.linspace(0.0, 5.0, 101)
+        pol_b, xy_b = self._generators(r)
+        decay = np.exp(-r.gamma_N * t)[:, None, None]
+        tt = t[:, None, None]
+        assert np.array_equal(polarization_propagator(r, t), decay * (np.eye(2) + tt * pol_b))
+        assert np.array_equal(transverse_propagator_xy(r, t), decay * (np.eye(2) + tt * xy_b))
 
 
 class TestSteadyState:

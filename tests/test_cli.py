@@ -510,12 +510,10 @@ class TestMain:
         [
             ("n = 0.88", "n = 0", "unphysical moments: |M|^2 = 1.1664 exceeds N(N+1) = 0"),
             ("n = 0.88", "n = -1", "N must be nonnegative, got -1.0"),
-            ("n_th = 0.019", "n_th = -1", "N_th must be nonnegative, got -1.0"),
             ("bandwidth_mhz = 13.0", "bandwidth_mhz = 0", "bandwidth must be positive, got 0.0"),
             ("bandwidth_mhz = 13.0", "bandwidth_mhz = -1", "bandwidth must be positive, got -1.0"),
             ("n = 0.88", "n = nan", "N must be finite, got nan"),
             ("m = 1.08", "m = inf", "|M| must be finite, got inf"),
-            ("n_th = 0.019", "n_th = nan", "N_th must be finite, got nan"),
             ("m = 1.08", "m = 1e300", "unphysical moments: |M|^2 = inf exceeds N(N+1) = 1.6544"),
         ],
     )
@@ -557,6 +555,8 @@ class TestMain:
             ("protocol", "n_max", "-1"),
             ("polariton", "gamma_over_2pi_mhz", "-1"),
             ("reservoir", "m", "-1"),
+            ("reservoir", "n_th", "-1"),
+            ("reservoir", "n_th", "nan"),
             # Positive and finite, but the sample step t_max_us / (n_samples - 1)
             # is subnormal; at 1e-305 only on estimate's t_max_us / 3 grid.
             ("protocol", "t_max_us", "5e-324"),
@@ -842,6 +842,44 @@ class TestMain:
         assert "Traceback" not in captured.err
         assert [p.name for p in out.iterdir()] == ["wigner_summary.json"]
         assert not any((out / "wigner_summary.json").iterdir())
+
+    def test_output_file_named_through_new_parent_exit_2(self, fast_conf, tmp_path, capsys):
+        # "x" of "x/../partial" does not exist until the run makes it: the
+        # directory output file is still named, nothing is moved into
+        # "partial", and "x" is removed again.
+        partial = tmp_path / "partial"
+        (partial / "wigner_summary.json").mkdir(parents=True)
+        out = tmp_path / "x" / ".." / "partial"
+        code = main(["wigner", "--config", fast_conf, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: --out {out}: wigner_summary.json: Is a directory" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
+        assert [p.name for p in partial.iterdir()] == ["wigner_summary.json"]
+        assert not any((partial / "wigner_summary.json").iterdir())
+
+    def test_failed_write_through_new_parent_removes_it(
+        self, fast_conf, tmp_path, capsys, monkeypatch
+    ):
+        # Both "x" and "y" of "x/../y" are made by the run, and both are
+        # removed when a write fails.
+        write = Path.write_text
+
+        def failing(path, text):
+            if path.name.startswith(".wigner_summary.json."):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(path, text)
+
+        monkeypatch.setattr(Path, "write_text", failing)
+        out = tmp_path / "x" / ".." / "y"
+        code = main(["wigner", "--config", fast_conf, "--out", str(out)])
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: --out {out}: wigner_summary.json: No space left" in captured.err
+        assert not (tmp_path / "x").exists()
+        assert not (tmp_path / "y").exists()
 
     @pytest.mark.parametrize("step", ["write", "replace"])
     @pytest.mark.parametrize("exists", [False, True], ids=["new-out", "existing-out"])

@@ -240,7 +240,7 @@ class TestClosedFormOracle:
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     def test_array_propagators_stack_scalar_calls(self, regime):
         r = REGIMES[regime]
-        # Includes t = 0 and samples on the small-|kappa t| series branch.
+        # Includes t = 0 and samples where |kappa t| is tiny.
         t = np.array([0.0, 1e-9, 3e-7, 0.01, 0.5, 2.0, 4.5])
         for f in (transverse_propagator_xy, frame_rotation, polarization_propagator):
             stack = f(r, t)
@@ -448,8 +448,8 @@ class TestDetuningSweepGrid:
     """One call computes every (phase, detuning) point on one propagator grid;
     each point must be what it was when computed on its own."""
 
-    # On CRITICAL's rates delta = 0.25 is the exact kappa = 0 point (series
-    # branch); |delta| below it is overdamped and above it underdamped.
+    # On CRITICAL's rates delta = 0.25 is the exact kappa = 0 point (the
+    # linear limit); |delta| below it is overdamped and above it underdamped.
     DELTAS = [0.0, 0.1, 0.25, -0.25, -0.18, 1.3, -0.7]
     PHIS = [0.5 * math.pi, math.pi, 0.3]
 

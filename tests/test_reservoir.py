@@ -38,8 +38,7 @@ class TestSqueezedReservoir:
             SqueezedReservoir(N=0.5, M=1.0)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"N": math.nan}, {"M": complex(0.0, math.inf)}, {"bandwidth": math.inf},
-                   {"N_th": math.nan}],
+        "kwargs", [{"N": math.nan}, {"M": complex(0.0, math.inf)}, {"bandwidth": math.inf}],
     )
     def test_rejects_non_finite(self, kwargs):
         with pytest.raises(ValueError, match="must be finite"):

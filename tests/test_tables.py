@@ -13,11 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from sqbloch._table import csv_table
+from sqbloch import _table
+from sqbloch._table import _BLOCK_CELLS, _format_table, csv_table
 from sqbloch.blochdyn import DecayRates
 from sqbloch.cli import _trace_grid_csv, load_config, main
 from sqbloch.protocols import detuning_sweep, gain_sweep
-from sqbloch import reservoir
 from sqbloch.reservoir import QuadratureVariances, WignerGrid, wigner_grid_for
 
 TIMES = [-1e300, -2.5, -0.0, 5e-324, 1e-310, 1.0 / 3.0, 123456789.5, 1e300]
@@ -222,8 +222,8 @@ def test_wigner_zero_and_one_rows(n_rows):
 def _encoded_cells(monkeypatch, grid):
     """The CSV text of ``grid`` and the number of cells sent to the encoder."""
     encoded = []
-    encode = reservoir._format_rows
-    monkeypatch.setattr(reservoir, "_format_rows", lambda rows: encoded.append(rows.size) or encode(rows))
+    encode = _table._format_rows
+    monkeypatch.setattr(_table, "_format_rows", lambda rows: encoded.append(rows.size) or encode(rows))
     return grid.to_csv(), sum(encoded)
 
 
@@ -281,3 +281,22 @@ def test_wigner_small_shapes(n_rows, n_cols, even):
     q_axis = np.array([-1.5, 2.0 / 3.0])[:n_cols]
     grid = WignerGrid(I_axis=i_axis, Q_axis=q_axis, values=values)
     assert grid.to_csv() == _wigner_oracle(grid)
+
+
+@pytest.mark.parametrize(
+    "shape", [(819, 5), (1024, 4), (17, 241), (4095, 1), (4096, 1), (4097, 1), (5000, 1)]
+)
+def test_format_table_blocks(monkeypatch, shape):
+    # 4,095, 4,096 and 4,097 cells sit on either side of one encoder block,
+    # and 5,000 one-cell rows span two; every block holds whole rows and at
+    # most _BLOCK_CELLS cells, and the text is the per-value one.
+    rng = np.random.default_rng(shape[0] * shape[1])
+    table = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, shape)
+    table.flat[: len(EDGE) + 2] = EDGE + [math.inf, math.nan]
+    blocks = []
+    encode = _table._format_rows
+    monkeypatch.setattr(_table, "_format_rows", lambda rows: blocks.append(rows.shape) or encode(rows))
+    expected = "".join(",".join("%.9g" % v for v in row) + "\n" for row in table)
+    assert _format_table(table) == expected
+    step = _BLOCK_CELLS // shape[1]
+    assert blocks == [(min(step, shape[0] - k), shape[1]) for k in range(0, shape[0], step)]
