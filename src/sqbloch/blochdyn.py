@@ -105,13 +105,12 @@ class DecayRates:
         M: float = 0.0,
         delta: float = 0.0,
     ) -> "DecayRates":
-        """Rates from the vacuum T1 and pure-dephasing time (us)."""
+        """Rates from the vacuum T1 and pure-dephasing time (us; inf: none)."""
         if T1 <= 0.0:
             raise ValueError("T1 must be positive")
         if T_phi <= 0.0:
             raise ValueError("T_phi must be positive")
-        gamma_phi = 0.0 if math.isinf(T_phi) else 1.0 / T_phi
-        return cls(gamma=1.0 / T1, gamma_phi=gamma_phi, N=N, M_abs=M, delta=delta)
+        return cls(gamma=1.0 / T1, gamma_phi=1.0 / T_phi, N=N, M_abs=M, delta=delta)
 
     @property
     def gamma_N(self) -> float:

@@ -2,8 +2,8 @@
 plot-ready file outputs (CSV and JSON, no rendering).
 
 Configuration is a key-value file with nested sections (INI syntax); the
-bundled ``paper.conf`` encodes the reference operating point and is used when
-``--config`` is omitted.  Exit codes: 0 success, 2 configuration errors
+bundled ``data/paper.conf`` encodes the reference operating point and is read
+when ``--config`` is omitted.  Exit codes: 0 success, 2 configuration errors
 (with field-level messages, an ``--out`` that cannot be written included),
 3 numerical failures naming the operation.  Each subcommand stages its
 outputs in a dict (a JSON payload or a zero-argument CSV encoder per file)
@@ -30,7 +30,6 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache, partial
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +50,17 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration.
+    """Validated run configuration: each ``_FIELDS`` key is a field of its
+    name holding the file's value (a relative trace path resolved against the
+    file's directory), except the seven circuit keys, which build
+    ``polariton_params``.  Each subcommand derives its grids and radians.
 
     Exactly one dynamics source is active: direct rates (``t1_us`` etc.) or a
     polariton-derived calibration.  The [polariton] section may coexist with
     direct rates to serve the spectrum subcommand.
     """
 
-    system_type: str
+    type: str
     t1_us: float
     t_phi_us: float
     polariton_params: polariton.TransmonCavityParams | None
@@ -72,13 +74,16 @@ class RunConfig:
     omega_mod_mhz: float
     t_max_us: float
     n_samples: int
-    phi_grid: tuple[float, ...]
-    delta_grid_mhz: tuple[float, ...]
-    n_grid: tuple[float, ...]
-    prep_theta: float
-    prep_phi: float
+    phi_grid_pi: tuple[float, ...]
+    delta_max_mhz: float
+    delta_points: int
+    n_max: float
+    n_points: int
+    prep_theta_pi: float
+    prep_phi_pi: float
     formats: str
-    trace_files: tuple[tuple[str, str], ...] = ()
+    trace_x: str | None
+    trace_z: str | None
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -139,7 +144,8 @@ _ONE_SYSTEM = "exactly one system specification is allowed"
 
 
 def load_config(path: str | Path | None) -> RunConfig:
-    """Parse and validate a configuration file (bundled default when None).
+    """Parse and validate a UTF-8 configuration file, a leading byte-order
+    mark ignored (the bundled ``data/paper.conf`` when None).
 
     Relative ``[estimate]`` trace paths resolve against the file's directory;
     a key or section outside ``_FIELDS`` is an error, ``[DEFAULT]`` included.
@@ -147,19 +153,16 @@ def load_config(path: str | Path | None) -> RunConfig:
     parser = configparser.ConfigParser(  # "" is no header: [DEFAULT] is a plain section
         inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
     )
+    path = Path(__file__).with_name("data") / "paper.conf" if path is None else Path(path)
     where = f"config file {path}"
-    if path is None:
-        parser.read_string(resources.files("sqbloch").joinpath("data/paper.conf").read_text())
-    else:
-        path = Path(path)
-        try:
-            parser.read_string(path.read_text(), source=str(path))
-        except FileNotFoundError:
-            raise ConfigError([f"{where} does not exist"]) from None
-        except OSError as exc:
-            raise ConfigError([f"{where}: {exc.strerror}"]) from None
-        except (UnicodeDecodeError, configparser.Error) as exc:
-            raise ConfigError([f"{where}: {' '.join(str(exc).split())}"]) from None
+    try:
+        parser.read_string(path.read_text(encoding="utf-8-sig"), source=str(path))
+    except FileNotFoundError:
+        raise ConfigError([f"{where} does not exist"]) from None
+    except OSError as exc:
+        raise ConfigError([f"{where}: {exc.strerror}"]) from None
+    except (UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError([f"{where}: {' '.join(str(exc).split())}"]) from None
 
     has = parser.has_option
     errors = [] if parser.has_section("system") else [f"{where}: missing [system] section"]
@@ -211,13 +214,13 @@ def load_config(path: str | Path | None) -> RunConfig:
         missing = "trace_z" if traces == ["trace_x"] else "trace_x"
         errors.append(f"[estimate] {missing} is not set; give both traces or neither")
 
-    pol_params = None
+    v["polariton_params"] = None
     if parser.has_section("polariton"):
         names = {"e_c_ghz": "E_C", "e_j_ghz": "E_J", "omega_c_ghz": "omega_c", "g_ghz": "g"}
         keys = (*names, "n_transmon", "n_photon", "n_charge")  # unset: the class default
         circuit = {names.get(k, k): v[k] for k in keys if v[k] is not None}
         try:
-            pol_params = polariton.TransmonCavityParams(**circuit)
+            v["polariton_params"] = polariton.TransmonCavityParams(**circuit)
         except ValueError as exc:
             errors.append(f"[polariton] invalid parameters: {exc}")
     try:
@@ -227,20 +230,9 @@ def load_config(path: str | Path | None) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    base = Path() if path is None else path.parent
-    delta_max = v["delta_max_mhz"]
-    return RunConfig(
-        # Fields named after their key take its value as is.
-        **{f.name: v[f.name] for f in fields(RunConfig) if f.name in v},
-        system_type=v["type"],
-        polariton_params=pol_params,
-        phi_grid=v["phi_grid_pi"],
-        delta_grid_mhz=tuple(np.linspace(-delta_max, delta_max, v["delta_points"])),
-        n_grid=tuple(np.linspace(0.0, v["n_max"], v["n_points"])),
-        prep_theta=v["prep_theta_pi"] * math.pi,
-        prep_phi=v["prep_phi_pi"] * math.pi,
-        trace_files=tuple((k, str(base / v[k])) for k in traces),
-    )
+    for k in traces:
+        v[k] = str(path.parent / v[k])
+    return RunConfig(**{f.name: v[f.name] for f in fields(RunConfig)})
 
 
 def _polariton_system(cfg: RunConfig):
@@ -252,7 +244,7 @@ def _polariton_system(cfg: RunConfig):
 
 def _rates(cfg: RunConfig) -> DecayRates:
     """Dynamics rates from whichever system specification is active."""
-    if cfg.system_type == "direct":
+    if cfg.type == "direct":
         return DecayRates.from_times(
             T1=cfg.t1_us, T_phi=cfg.t_phi_us, N=cfg.n, M=cfg.m
         )
@@ -264,12 +256,11 @@ def _rates(cfg: RunConfig) -> DecayRates:
     resv = reservoir.SqueezedReservoir(N=cfg.n, M=cfg.m, omega0=omega0, bandwidth=cfg.bandwidth_mhz)
     base = 2.0 * math.pi * cfg.gamma_over_2pi_mhz / abs(system.A[0, i_minus]) ** 2
     rates = polariton.two_level_reduction(system, base, resv)
-    gamma_phi = 0.0 if math.isinf(cfg.t_phi_us) else 1.0 / cfg.t_phi_us
-    return replace(rates, gamma_phi=gamma_phi)
+    return replace(rates, gamma_phi=1.0 / cfg.t_phi_us)
 
 
 def _t1_of(cfg: RunConfig, rates: DecayRates) -> float:
-    return cfg.t1_us if cfg.system_type == "direct" else 1.0 / rates.gamma
+    return cfg.t1_us if cfg.type == "direct" else 1.0 / rates.gamma
 
 
 def _json_text(name: str, payload) -> str:
@@ -320,9 +311,9 @@ def _cmd_ramsey(cfg: RunConfig, out: dict) -> tuple[int, str]:
     rates_on = _rates(cfg)
     rates_off = replace(rates_on, N=0.0, M_abs=0.0)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
-    summary = {"omega_mod_mhz": cfg.omega_mod_mhz, "phi_grid_pi": list(cfg.phi_grid)}
+    summary = {"omega_mod_mhz": cfg.omega_mod_mhz, "phi_grid_pi": list(cfg.phi_grid_pi)}
     fits = {}
-    for idx, phi_pi in enumerate(cfg.phi_grid):
+    for idx, phi_pi in enumerate(cfg.phi_grid_pi):
         phi = phi_pi * math.pi
         for rates, tag in ((rates_off, "off"), (rates_on, "on")):
             sz = protocols.ramsey(rates, phi, cfg.omega_mod_mhz, t)
@@ -345,12 +336,13 @@ def _cmd_ramsey(cfg: RunConfig, out: dict) -> tuple[int, str]:
 def _cmd_trajectory(cfg: RunConfig, out: dict) -> tuple[int, str]:
     rates = _rates(cfg)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
-    traj = protocols.tomography_trajectory(rates, (cfg.prep_theta, cfg.prep_phi), t)
+    prep = (cfg.prep_theta_pi * math.pi, cfg.prep_phi_pi * math.pi)
+    traj = protocols.tomography_trajectory(rates, prep, t)
     out["trajectory.csv"] = partial(csv_table, "bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj)
     fit = estimation.fit_exp(t, traj[:, 2])
     out["trajectory_summary.json"] = {
-        "prep_theta_pi": cfg.prep_theta / math.pi,
-        "prep_phi_pi": cfg.prep_phi / math.pi,
+        "prep_theta_pi": cfg.prep_theta_pi,
+        "prep_phi_pi": cfg.prep_phi_pi,
         "Tz_us": fit.T,
         "sz_steady": fit.offset,
         "final_state": dict(zip(("sx", "sy", "sz"), traj[-1].tolist())),
@@ -378,7 +370,7 @@ def _trace_grid_csv(labels, t, traces) -> str:
 
 
 def _cmd_sweep_detuning(cfg: RunConfig, out: dict) -> tuple[int, str]:
-    deltas = cfg.delta_grid_mhz
+    deltas = np.linspace(-cfg.delta_max_mhz, cfg.delta_max_mhz, cfg.delta_points)
     labels = [f"{d:+.4g}" for d in deltas]  # keys the summary and the trace-grid columns
     repeated = [label for label, k in Counter(labels).items() if k > 1]
     if repeated:  # more points than 4 significant digits tell apart
@@ -406,9 +398,10 @@ def _cmd_sweep_gain(cfg: RunConfig, out: dict) -> tuple[int, str]:
     rates = _rates(cfg)
     t1 = _t1_of(cfg, rates)
     header = "N,M,Tx_us,Ty_us,Tz_us,M_minus_N"
-    rows = protocols.gain_sweep(cfg.n_grid, cfg.eta, t1, cfg.t_phi_us)
+    n_grid = np.linspace(0.0, cfg.n_max, cfg.n_points)
+    rows = protocols.gain_sweep(n_grid, cfg.eta, t1, cfg.t_phi_us)
     out["gain_sweep.csv"] = partial(csv_table, "gain-sweep-v1", header, rows)
-    ideal = protocols.gain_sweep(cfg.n_grid, 1.0, t1, cfg.t_phi_us)
+    ideal = protocols.gain_sweep(n_grid, 1.0, t1, cfg.t_phi_us)
     out["gain_sweep_ideal.csv"] = partial(csv_table, "gain-sweep-v1", header, ideal)
     out["gain_summary.json"] = {
         "eta": cfg.eta,
@@ -418,18 +411,18 @@ def _cmd_sweep_gain(cfg: RunConfig, out: dict) -> tuple[int, str]:
 
 
 def _read_trace_csv(key: str, path: Path):
-    """Two-column ``t_us,value`` trace named by ``[estimate] key``: past blank
-    lines, ``#`` comments and one header line before the data, every row must
-    be two finite numbers, each time after the one before, at least
-    ``estimation.MIN_SAMPLES`` rows."""
+    """Two-column UTF-8 ``t_us,value`` trace named by ``[estimate] key``: past a
+    byte-order mark, blank or whitespace-only lines, ``#`` comments and one
+    header line before the data, every row must be two finite numbers, each
+    time after the one before, at least ``estimation.MIN_SAMPLES`` rows."""
     where = f"[estimate] {key} = {str(path)!r}"
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError([f"{where}: {exc.strerror}"]) from None
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{where}: {exc}"]) from None
-    lines = [(n, s) for n, s in enumerate(text.splitlines(), 1) if s and s[0] != "#"]
+    lines = [(n, s) for n, s in enumerate(text.splitlines(), 1) if s.strip() and s[0] != "#"]
     rows: list[tuple[float, float]] = []
     for k, (lineno, line) in enumerate(lines):
         try:
@@ -464,10 +457,10 @@ def _cmd_estimate(cfg: RunConfig, out: dict) -> tuple[int, str]:
     """
     rates = _rates(cfg)
     t1 = _t1_of(cfg, rates)
-    supplied = dict(cfg.trace_files)
+    supplied = cfg.trace_x is not None  # load_config requires both or neither
     if supplied:
-        tx_t, tx_y = _read_trace_csv("trace_x", Path(supplied["trace_x"]))
-        tz_t, tz_y = _read_trace_csv("trace_z", Path(supplied["trace_z"]))
+        tx_t, tx_y = _read_trace_csv("trace_x", Path(cfg.trace_x))
+        tz_t, tz_y = _read_trace_csv("trace_z", Path(cfg.trace_z))
         fits = {
             "Tx": estimation.fit_damped_sinusoid(tx_t, tx_y, cfg.omega_mod_mhz),
             "Tz": estimation.fit_exp(tz_t, tz_y),

@@ -96,7 +96,7 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     eigenvalues, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
 
     # Deterministic ordering inside degenerate clusters and phase gauge, both
-    # keyed on each vector's largest-magnitude component.
+    # keyed on each vector's largest component, nonzero in a unit column.
     lead = np.argmax(np.abs(vectors), axis=0)
     cluster_tol = max(1e-9 * max(np.abs(eigenvalues).max(), 1.0), 1e-300)
     cluster = np.cumsum(np.diff(eigenvalues, prepend=eigenvalues[0]) > cluster_tol)
@@ -104,11 +104,9 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     vectors[:] = vectors[:, order]  # in place, so the memory layout stays
     eigenvalues, lead = eigenvalues[order], lead[order]
     z = vectors[lead, np.arange(n)]
-    nonzero = z != 0.0
     # np.hypot rounds |z| as the scalar abs(z) does; the array np.abs can
     # differ in the last bit, which would change the eigenvectors' bytes.
-    z = z[nonzero]
-    vectors[:, nonzero] *= np.conj(z) / np.hypot(z.real, z.imag)
+    vectors *= np.conj(z) / np.hypot(z.real, z.imag)
 
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 

@@ -53,6 +53,12 @@ class TestBlochState:
         assert (s.as_array() ** 2).sum() == pytest.approx(1.0)
 
 
+def test_no_dephasing_is_positive_zero():
+    # T_phi = inf gives gamma_phi = 1 / inf, which IEEE division makes +0.0.
+    gamma_phi = DecayRates.from_times(T1=1.0).gamma_phi
+    assert gamma_phi == 0.0 and math.copysign(1.0, gamma_phi) == 1.0
+
+
 class TestBlochRhs:
     def test_vacuum_fixed_point(self):
         rates = DecayRates.from_times(T1=0.65)

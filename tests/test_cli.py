@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -83,6 +84,16 @@ TRACE_ROWS = "".join(f"{0.1 * k:.9g},{math.exp(-0.1 * k):.9g}\n" for k in range(
 UNSET = object()
 
 
+def _measured_traces() -> tuple[str, str]:
+    """``trace_x`` and ``trace_z`` CSV text whose inversion is physical."""
+    t = np.linspace(0.0, 4.0, 160)
+    x = np.exp(-t / 1.6312) * np.sin(2.0 * math.pi * 5.0 * t + 0.3)
+    z = 0.3623 + 0.6377 * np.exp(-t / 0.23551)
+    return tuple(
+        "t_us,sz\n" + "".join(f"{a:.9g},{b:.9g}\n" for a, b in zip(t, y)) for y in (x, z)
+    )
+
+
 def _supplied_traces_conf(tmp_path, trace_x: str, trace_z: str) -> str:
     """FAST_CONF plus an [estimate] section pointing at the two traces."""
     (tmp_path / "x.csv").write_text(trace_x)
@@ -127,12 +138,12 @@ def fast_conf(tmp_path):
 class TestLoadConfig:
     def test_bundled_default(self):
         cfg = load_config(None)
-        assert cfg.system_type == "direct"
+        assert cfg.type == "direct"
         assert cfg.t1_us == 0.65
         assert cfg.polariton_params is not None
         assert cfg.gamma_over_2pi_mhz == 0.240
-        assert len(cfg.delta_grid_mhz) == 21
-        assert cfg.prep_theta == pytest.approx(0.67 * math.pi)
+        assert cfg.delta_points == 21
+        assert cfg.prep_theta_pi == 0.67
 
     def test_missing_system_block(self, tmp_path):
         path = tmp_path / "empty.conf"
@@ -179,6 +190,45 @@ class TestLoadConfig:
             "[system] gamma_over_2pi_mhz belongs to [polariton]; "
             "exactly one system specification is allowed"
         ]
+
+    def test_fields_are_the_config_keys(self):
+        circuit = set("e_c_ghz e_j_ghz omega_c_ghz g_ghz n_transmon n_photon n_charge".split())
+        keys = {key for _, key, *_ in cli._FIELDS}
+        names = {f.name for f in fields(cli.RunConfig)}
+        assert names == keys - circuit | {"polariton_params"}
+
+    def test_polariton_without_t_phi_has_no_dephasing(self, tmp_path):
+        path = tmp_path / "p.conf"
+        path.write_text(POLARITON_CONF.replace("t_phi_us = 6.6\n", ""))
+        cfg = load_config(path)
+        assert cfg.t_phi_us == math.inf
+        assert cli._rates(cfg).gamma_phi == 0.0
+
+    def test_bom_config_loads(self, tmp_path):
+        bom, plain = tmp_path / "bom.conf", tmp_path / "plain.conf"
+        bom.write_text("\ufeff" + FAST_CONF, encoding="utf-8")
+        plain.write_text(FAST_CONF)
+        assert load_config(bom) == load_config(plain)
+
+    def test_utf8_config_loads_in_the_c_locale(self, tmp_path):
+        # Without UTF-8 mode or locale coercion, Python's default encoding
+        # under LC_ALL=C is ASCII; the config and its traces are read as UTF-8.
+        conf = _supplied_traces_conf(tmp_path, *_measured_traces())
+        for path in (tmp_path / "x.csv", tmp_path / "z.csv", Path(conf)):
+            path.write_text("# times in µs\n" + path.read_text(), encoding="utf-8")
+        import sqbloch
+
+        env = os.environ | {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        env["PYTHONPATH"] = str(Path(sqbloch.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqbloch.cli", "estimate", "--config", conf,
+             "--out", str(tmp_path / "o")],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert (tmp_path / "o" / "moments.json").exists()
 
     def test_polariton_config_resolves_calibrated_t1(self, tmp_path):
         path = tmp_path / "p.conf"
@@ -635,6 +685,29 @@ class TestMain:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda text: "\ufeff" + text, id="byte-order-mark"),
+            pytest.param(lambda text: text + "   \n\t\n", id="whitespace-only-lines"),
+            pytest.param(lambda text: " \n" + text, id="leading-whitespace-line"),
+        ],
+    )
+    def test_trace_edits_read_as_the_plain_trace(self, tmp_path, edit):
+        trace_x, trace_z = _measured_traces()
+        moments = []
+        for name, edited in (("plain", lambda text: text), ("edited", edit)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "x.csv").write_text(edited(trace_x), encoding="utf-8")
+            (tmp_path / name / "z.csv").write_text(edited(trace_z), encoding="utf-8")
+            conf = tmp_path / name / "c.conf"
+            conf.write_text(FAST_CONF + "[estimate]\ntrace_x = x.csv\ntrace_z = z.csv\n")
+            out = tmp_path / name / "o"
+            assert main(["estimate", "--config", str(conf), "--out", str(out)]) == 0
+            moments.append((out / "moments.json").read_bytes())
+        assert json.loads(moments[0])["source"] == "supplied"
+        assert moments[1] == moments[0]
+
     def test_relative_trace_paths(self, tmp_path, monkeypatch):
         # Relative trace names resolve against the config file's directory,
         # whatever the working directory; the result matches absolute names.
@@ -681,15 +754,27 @@ class TestMain:
         # Each trace-grid column is the Ramsey trace at that detuning.
         cfg = load_config(fast_conf)
         t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
+        deltas = np.linspace(-cfg.delta_max_mhz, cfg.delta_max_mhz, cfg.delta_points)
         lines = (out_a / "detuning_traces_x.csv").read_text().splitlines()
         columns = list(zip(*(line.split(",") for line in lines[2:])))
-        assert len(columns) == 1 + len(cfg.delta_grid_mhz)
-        for column, delta in zip(columns[1:], cfg.delta_grid_mhz):
+        assert len(columns) == 1 + len(deltas)
+        for column, delta in zip(columns[1:], deltas):
             rates = DecayRates.from_times(
                 T1=cfg.t1_us, T_phi=cfg.t_phi_us, N=cfg.n, M=cfg.m, delta=delta
             )
             trace = ramsey(rates, 0.5 * math.pi, cfg.omega_mod_mhz, t)
             assert list(column) == [f"{v:.9g}" for v in trace]
+
+    def test_trajectory_echoes_prep_angles_as_configured(self, tmp_path):
+        # x * pi / pi is not x for every x: 1.3897349477489307 comes back as
+        # 1.3897349477489305, so the summary must echo the configured value.
+        conf = tmp_path / "c.conf"
+        conf.write_text(FAST_CONF.replace("[output]", "prep_theta_pi = 1.3897349477489307\n[output]"))
+        out = tmp_path / "t"
+        assert main(["trajectory", "--config", str(conf), "--out", str(out)]) == 0
+        summary = json.loads((out / "trajectory_summary.json").read_text())
+        assert summary["prep_theta_pi"] == 1.3897349477489307
+        assert summary["prep_phi_pi"] == 0.83
 
     def test_format_override(self, fast_conf, tmp_path):
         out = tmp_path / "fmt"
@@ -715,7 +800,9 @@ class TestMain:
         assert main(["sweep-detuning", "--config", fast_conf, "--out", str(out)]) == 0
         summary = json.loads((out / "detuning_summary.json").read_text())
         header = (out / "detuning_traces_x.csv").read_text().split("\n")[1].split(",")
-        labels = [f"{d:+.4g}" for d in load_config(fast_conf).delta_grid_mhz]
+        cfg = load_config(fast_conf)
+        deltas = np.linspace(-cfg.delta_max_mhz, cfg.delta_max_mhz, cfg.delta_points)
+        labels = [f"{d:+.4g}" for d in deltas]
         assert header == ["t_us"] + [f"delta_{label}" for label in labels]
         assert sorted(summary["x"]) == sorted(summary["y"]) == sorted(labels)
 

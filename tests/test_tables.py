@@ -137,14 +137,14 @@ def test_cli_sweep_tables(tmp_path):
     # The files sweep-detuning and sweep-gain write for the bundled config,
     # against the oracles on the arrays the two sweeps return.
     cfg = load_config(None)
-    assert cfg.system_type == "direct"
+    assert cfg.type == "direct"
     rates = DecayRates.from_times(T1=cfg.t1_us, T_phi=cfg.t_phi_us, N=cfg.n, M=cfg.m)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
-    deltas = cfg.delta_grid_mhz
+    deltas = np.linspace(-cfg.delta_max_mhz, cfg.delta_max_mhz, cfg.delta_points)
     _, T_eff, converged = detuning_sweep(
         rates, deltas, (0.5 * math.pi, math.pi), t, omega_mod=cfg.omega_mod_mhz
     )
-    rows = gain_sweep(cfg.n_grid, cfg.eta, cfg.t1_us, cfg.t_phi_us)
+    rows = gain_sweep(np.linspace(0.0, cfg.n_max, cfg.n_points), cfg.eta, cfg.t1_us, cfg.t_phi_us)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep-detuning", "--out", str(tmp_path)]) == 0
         assert main(["sweep-gain", "--out", str(tmp_path)]) == 0
