@@ -228,8 +228,8 @@ def criterion_5_detuning_sweep(res: CriterionResult) -> None:
     # to each detuning's own propagator envelopes must reproduce the pipeline.
     ref, dual_err = [0.0] + half, 0.0
     for fitted, e0, t in ((tx, [1.0, 0.0], t_x), (ty, [0.0, 1.0], t_y)):
-        maps = [blochdyn.transverse_propagator_xy(replace(rates, delta=d), t) for d in ref]
-        env = np.linalg.norm(np.array(maps) @ e0, axis=-1)
+        maps = blochdyn.transverse_propagator_xy(rates, t, ref)
+        env = np.linalg.norm(maps @ e0, axis=-1)
         for d, fit in zip(ref, estimation.fit_exp_stack(t, env)):
             if isinstance(fit, Exception):
                 raise fit

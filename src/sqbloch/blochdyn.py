@@ -75,7 +75,9 @@ class DecayRates:
     dephasing rate, ``N``/``M_abs`` the reservoir moments seen by the qubit
     and ``delta`` the squeezer-qubit detuning in MHz.  A moment pair outside
     the physicality bound |M|^2 <= N(N+1) is tolerated with a warning because
-    fitted estimates may violate it within their errors.
+    fitted estimates may violate it within their errors.  Rates that give an
+    infinite or NaN axis rate (an overflowing 1/T or gamma (2N + 1), or a NaN
+    rate) raise :class:`UnphysicalRatesError` naming them.
     """
 
     gamma: float
@@ -89,6 +91,11 @@ class DecayRates:
             raise ValueError("rates must be nonnegative")
         if self.N < 0.0 or self.M_abs < 0.0:
             raise ValueError("moments must be nonnegative")
+        if not math.isfinite(self.rate_y + self.rate_z):
+            raise UnphysicalRatesError(
+                f"rates gamma = {self.gamma:.6g}, gamma_phi = {self.gamma_phi:.6g} at "
+                f"N = {self.N:.6g}, |M| = {self.M_abs:.6g} give a non-finite decay rate"
+            )
         if self.M_abs**2 > self.N * (self.N + 1.0) + 1e-9:
             warnings.warn(
                 f"moments (N={self.N:.4g}, M={self.M_abs:.4g}) violate "

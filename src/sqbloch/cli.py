@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, make_dataclass, replace
 from functools import cache, partial
 from pathlib import Path
 
@@ -46,44 +46,6 @@ class ConfigError(Exception):
     def __init__(self, messages: list[str]):
         super().__init__("; ".join(messages))
         self.messages = messages
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration: each ``_FIELDS`` key is a field of its
-    name holding the file's value (a relative trace path resolved against the
-    file's directory), except the seven circuit keys, which build
-    ``polariton_params``.  Each subcommand derives its grids and radians.
-
-    Exactly one dynamics source is active: direct rates (``t1_us`` etc.) or a
-    polariton-derived calibration.  The [polariton] section may coexist with
-    direct rates to serve the spectrum subcommand.
-    """
-
-    type: str
-    t1_us: float
-    t_phi_us: float
-    polariton_params: polariton.TransmonCavityParams | None
-    gamma_over_2pi_mhz: float | None
-    n: float
-    m: float
-    bandwidth_mhz: float
-    n_th: float
-    eta: float
-    omega0_ghz: float | None
-    omega_mod_mhz: float
-    t_max_us: float
-    n_samples: int
-    phi_grid_pi: tuple[float, ...]
-    delta_max_mhz: float
-    delta_points: int
-    n_max: float
-    n_points: int
-    prep_theta_pi: float
-    prep_phi_pi: float
-    formats: str
-    trace_x: str | None
-    trace_z: str | None
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -141,6 +103,25 @@ _FIELDS = (
 )
 _KEYS = {section: {k for s, k, *_ in _FIELDS if s == section} for section, *_ in _FIELDS}
 _ONE_SYSTEM = "exactly one system specification is allowed"
+# The seven [polariton] circuit keys, each with the TransmonCavityParams field it sets.
+_CIRCUIT = {"e_c_ghz": "E_C", "e_j_ghz": "E_J", "omega_c_ghz": "omega_c", "g_ghz": "g",
+            "n_transmon": "n_transmon", "n_photon": "n_photon", "n_charge": "n_charge"}
+RunConfig = make_dataclass(
+    "RunConfig",
+    [key for _, key, *_ in _FIELDS if key not in _CIRCUIT] + ["polariton_params"],
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": """Validated run configuration,
+    built from ``_FIELDS``: each key, in table order, is a field of its name
+    holding the file's value (a relative trace path resolved against the
+    file's directory), except the circuit keys of ``_CIRCUIT``, which build
+    the last field, ``polariton_params`` (None without a [polariton] section).
+    Each subcommand derives its grids and radians.
+
+    Exactly one dynamics source is active: direct rates (``t1_us`` etc.) or a
+    polariton-derived calibration.  The [polariton] section may coexist with
+    direct rates to serve the spectrum subcommand.
+    """},
+)
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -216,9 +197,8 @@ def load_config(path: str | Path | None) -> RunConfig:
 
     v["polariton_params"] = None
     if parser.has_section("polariton"):
-        names = {"e_c_ghz": "E_C", "e_j_ghz": "E_J", "omega_c_ghz": "omega_c", "g_ghz": "g"}
-        keys = (*names, "n_transmon", "n_photon", "n_charge")  # unset: the class default
-        circuit = {names.get(k, k): v[k] for k in keys if v[k] is not None}
+        # An unset key takes the class default.
+        circuit = {name: v[k] for k, name in _CIRCUIT.items() if v[k] is not None}
         try:
             v["polariton_params"] = polariton.TransmonCavityParams(**circuit)
         except ValueError as exc:
@@ -413,8 +393,9 @@ def _cmd_sweep_gain(cfg: RunConfig, out: dict) -> tuple[int, str]:
 def _read_trace_csv(key: str, path: Path):
     """Two-column UTF-8 ``t_us,value`` trace named by ``[estimate] key``: past a
     byte-order mark, blank or whitespace-only lines, ``#`` comments and one
-    header line before the data, every row must be two finite numbers, each
-    time after the one before, at least ``estimation.MIN_SAMPLES`` rows."""
+    header line before the data (either may be indented), every row must be
+    two finite numbers, each time after the one before, at least
+    ``estimation.MIN_SAMPLES`` rows; a message quotes the line as written."""
     where = f"[estimate] {key} = {str(path)!r}"
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -422,14 +403,14 @@ def _read_trace_csv(key: str, path: Path):
         raise ConfigError([f"{where}: {exc.strerror}"]) from None
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{where}: {exc}"]) from None
-    lines = [(n, s) for n, s in enumerate(text.splitlines(), 1) if s.strip() and s[0] != "#"]
+    lines = [(n, s) for n, s in enumerate(text.splitlines(), 1) if s.lstrip()[:1] not in ("", "#")]
     rows: list[tuple[float, float]] = []
     for k, (lineno, line) in enumerate(lines):
         try:
             a, b = line.split(",")
             tk, yk = float(a), float(b)
         except ValueError:
-            if k == 0 and line[0].isalpha():
+            if k == 0 and line.lstrip()[0].isalpha():
                 continue  # the header line
             msg = f"{where}: line {lineno} ({line!r}) is not a pair of numbers"
             raise ConfigError([msg]) from None

@@ -59,6 +59,24 @@ def test_no_dephasing_is_positive_zero():
     assert gamma_phi == 0.0 and math.copysign(1.0, gamma_phi) == 1.0
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: DecayRates(gamma=math.inf), id="gamma-inf"),
+        pytest.param(lambda: DecayRates(gamma=math.nan), id="gamma-nan"),
+        pytest.param(lambda: DecayRates(gamma=1.0, gamma_phi=math.inf), id="gamma_phi-inf"),
+        pytest.param(lambda: DecayRates(gamma=1.0, gamma_phi=math.nan), id="gamma_phi-nan"),
+        pytest.param(lambda: DecayRates.from_times(T1=5e-324), id="T1-subnormal"),
+        pytest.param(lambda: DecayRates.from_times(T1=1e-300, N=1e10), id="gamma-2N+1-overflows"),
+    ],
+)
+def test_non_finite_rates_raise(build):
+    # Every rate passes the sign checks; an infinite or NaN axis rate is refused
+    # when the rates are built, naming them, instead of propagating as NaN.
+    with pytest.raises(UnphysicalRatesError, match="give a non-finite decay rate"):
+        build()
+
+
 class TestBlochRhs:
     def test_vacuum_fixed_point(self):
         rates = DecayRates.from_times(T1=0.65)

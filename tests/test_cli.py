@@ -3,6 +3,7 @@ import errno
 import importlib
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from importlib import resources
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqbloch.blochdyn import DecayRates
-from sqbloch import cli, errors
+from sqbloch import cli, errors, polariton
 from sqbloch.cli import ConfigError, _polariton_system, load_config, main
 from sqbloch.protocols import ramsey
 
@@ -196,6 +197,59 @@ class TestLoadConfig:
         keys = {key for _, key, *_ in cli._FIELDS}
         names = {f.name for f in fields(cli.RunConfig)}
         assert names == keys - circuit | {"polariton_params"}
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        # Each key set to a value other than its default is read into the
+        # field of its name; the circuit keys build polariton_params.
+        raw = {
+            "type": "direct", "t1_us": "0.7", "t_phi_us": "7.5",
+            "e_c_ghz": "0.21", "e_j_ghz": "23.0", "omega_c_ghz": "6.05", "g_ghz": "0.12",
+            "n_transmon": "4", "n_photon": "5", "n_charge": "15", "gamma_over_2pi_mhz": "0.25",
+            "n": "0.5", "m": "0.6", "bandwidth_mhz": "11.0", "n_th": "0.02", "eta": "0.75",
+            "omega0_ghz": "5.9", "omega_mod_mhz": "4.0", "t_max_us": "4.5", "n_samples": "99",
+            "phi_grid_pi": "0.25 0.75", "delta_max_mhz": "1.5", "delta_points": "7",
+            "n_max": "2.5", "n_points": "9", "prep_theta_pi": "0.5", "prep_phi_pi": "0.25",
+            "formats": "csv", "trace_x": "x.csv", "trace_z": "traces/z.csv",
+        }
+        assert list(raw) == [key for _, key, *_ in cli._FIELDS]
+        text = "".join(
+            f"[{section}]\n" + "".join(f"{key} = {raw[key]}\n" for _, key, *_ in rows)
+            for section, rows in itertools.groupby(cli._FIELDS, key=lambda row: row[0])
+        )
+        (tmp_path / "c.conf").write_text(text)
+        cfg = load_config(tmp_path / "c.conf")
+        for _, key, cast, default, _ in cli._FIELDS:
+            expected = cast(raw[key])
+            assert expected != default, key
+            if key.startswith("trace_"):
+                expected = str(tmp_path / raw[key])
+            if key not in cli._CIRCUIT:
+                assert getattr(cfg, key) == expected, key
+        assert cfg.polariton_params == polariton.TransmonCavityParams(
+            E_C=0.21, E_J=23.0, omega_c=6.05, g=0.12, n_transmon=4, n_photon=5, n_charge=15
+        )
+
+    def test_run_config_is_a_frozen_dataclass_of_the_cli(self):
+        assert cli.RunConfig.__module__ == "sqbloch.cli"
+        assert "Exactly one dynamics source is active" in inspect.getdoc(cli.RunConfig)
+        cfg = load_config(None)
+        with pytest.raises(FrozenInstanceError):
+            cfg.n = 1.0
+
+    def test_readme_table_names_the_config_keys(self):
+        # Section and key columns of README's Configuration table, whose
+        # continuation rows leave the section blank.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Configuration", 1)[1].split("\n\n| section", 1)[1]
+        documented, section = {}, None
+        for row in table.split("\n\n", 1)[0].splitlines()[2:]:
+            cells = row.split("|")
+            section = cells[1].strip().strip("`[]") or section
+            documented.setdefault(section, []).extend(re.findall(r"`(\w+)`", cells[2]))
+        assert list(documented) == list(cli._KEYS)
+        assert {s: sorted(keys) for s, keys in documented.items()} == {
+            s: sorted(keys) for s, keys in cli._KEYS.items()
+        }
 
     def test_polariton_without_t_phi_has_no_dephasing(self, tmp_path):
         path = tmp_path / "p.conf"
@@ -463,6 +517,12 @@ class TestMain:
                 id="trace_x-not-utf8",
             ),
             pytest.param(
+                "trace_z",
+                "  # exported by scope\n  t_us,sz\n  0.0,1.0\n  1,abc\n" + TRACE_ROWS,
+                "line 4 ('  1,abc') is not a pair of numbers",
+                id="trace_z-indented-bad-row",
+            ),
+            pytest.param(
                 "trace_x",
                 "t_us,sz\n0.0,1.0\nx1,0.2\n" + TRACE_ROWS,
                 "line 3 ('x1,0.2') is not a pair of numbers",
@@ -686,11 +746,44 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command", ["ramsey", "trajectory", "sweep-detuning", "sweep-gain", "estimate"]
+    )
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"t_phi_us": "5e-324"},
+            {"t1_us": "5e-324"},
+            {"t1_us": "1e-300", "n": "1e10"},
+        ],
+        ids=["t_phi-subnormal", "t1-subnormal", "t1-tiny-n-huge"],
+    )
+    def test_non_finite_rates_exit_3(self, tmp_path, capsys, command, edits):
+        # Each value passes its config rule, but a rate 1/T or gamma (2N + 1)
+        # overflows: every subcommand that builds the rates fails naming them.
+        text = BUNDLED
+        for key, value in edits.items():
+            text = _with_field(text, key, value)
+        conf = tmp_path / "c.conf"
+        conf.write_text(text)
+        out = tmp_path / "o"
+        code = main([command, "--config", str(conf), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"numerical failure in '{command}': UnphysicalRatesError: rates gamma = " in (
+            captured.err
+        )
+        assert "give a non-finite decay rate" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "edit",
         [
             pytest.param(lambda text: "\ufeff" + text, id="byte-order-mark"),
             pytest.param(lambda text: text + "   \n\t\n", id="whitespace-only-lines"),
             pytest.param(lambda text: " \n" + text, id="leading-whitespace-line"),
+            pytest.param(lambda text: "  # exported by scope\n" + text, id="indented-comment"),
+            pytest.param(lambda text: "\t " + text, id="indented-header"),
         ],
     )
     def test_trace_edits_read_as_the_plain_trace(self, tmp_path, edit):
