@@ -1,13 +1,16 @@
 """Inverse pipeline: decay constants from traces, then reservoir moments.
 
-Fits wrap the damped Gauss-Newton kernel with decay-specific initialization
-(offset from the trace tail, time constant from a log-linear regression,
-amplitude from the first sample), which removes initial-guess sensitivity on
-the trace shapes this package produces; each fit model comes with its
-closed-form derivative.  Moment extraction follows the
-measured-timescale route: pure dephasing is subtracted from the transverse
-time, then (Tz, Tx~) invert the axis-timescale map for (N, M), with the
-thermal floor folded into the T1 calibration and subtracted from N.
+Fits wrap the damped Gauss-Newton kernel with decay-specific initialization;
+each fit model comes with its closed-form derivative.  Exponential fits start
+from an early-window guess, computed for a whole stack of traces in one array
+pass: offset and noise from the last quarter of each trace, time constant
+from the log-residual slope over the samples up to where the residual reaches
+the noise, amplitude from the first sample.  Keeping the noise-dominated tail
+out of the slope lets finite-shot traces fit as exact ones do.  Moment
+extraction follows the measured-timescale route: pure dephasing is subtracted
+from the transverse time, then (Tz, Tx~) invert the axis-timescale map for
+(N, M), with the thermal floor folded into the T1 calibration and subtracted
+from N.
 """
 
 from __future__ import annotations
@@ -143,25 +146,62 @@ def _validate_trace(t, y):
     return t, y
 
 
-def _exp_guess(t, y) -> list[float] | None:
-    """Initial (a, T, c) of :func:`fit_exp` for one trace, or None for a trace
-    with no resolvable decay."""
-    lo, hi = float(y.min()), float(y.max())
-    if hi - lo <= 1e-10 * max(1.0, -lo, hi):  # -lo or hi is max |y|
-        return None
-    tail = max(2, t.size // 10)
-    offset0 = float(y[-tail:].mean())
-    amp0 = float(y[0] - offset0)
-    resid = np.abs(y - offset0)
-    mask = resid > 1e-3 * resid.max()
-    if np.count_nonzero(mask) >= 2:
-        slope = np.polyfit(t[mask], np.log(resid[mask]), 1)[0]
-        tau0 = -1.0 / slope if slope < 0.0 else float(t[-1] - t[0])
-    else:
-        tau0 = float(t[-1] - t[0])
-    if amp0 == 0.0:
-        amp0 = float(np.sign(y[np.argmax(resid)] - offset0) * resid.max())
-    return [amp0, tau0, offset0]
+def _exp_guess(t, y):
+    """Initial (a, T, c) of :func:`fit_exp` for every row of a ``(rows, n)``
+    stack, as a ``(rows, 3)`` array, and the ``(rows,)`` mask of rows with no
+    resolvable decay, whose guess is not used.
+
+    The offset c and the noise sigma come from the last quarter of the
+    samples.  T is -1 / slope of the least-squares line through
+    log|y - c| over the early window, which runs up to and including the
+    first sample whose residual falls below max(3 sigma, 1e-3 max residual),
+    so the noise-dominated tail stays out of it; samples of zero residual
+    are left out.  A window of fewer than 2 such samples, or a slope that
+    is not negative, gives the sampled span instead.  The amplitude is the
+    first sample less c, or the signed largest residual where that is 0.
+    Every reduction runs along the contiguous last axis, so a row's guess
+    has the same bytes alone as in any stack.
+    """
+    y = np.ascontiguousarray(y)
+    rows, n = y.shape
+    k = max(2, n // 4)
+    s = t - t[0]
+    guess = np.empty((rows, 3))
+    # A window of fewer than 2 samples divides by zero (T falls back to the
+    # span), and a trace near the float limit overflows (the fit refuses its
+    # non-finite guess): neither may warn.
+    with np.errstate(all="ignore"):
+        lo, hi = np.minimum.reduce(y, axis=-1), np.maximum.reduce(y, axis=-1)
+        flat = hi - lo <= 1e-10 * np.maximum(np.maximum(-lo, hi), 1.0)  # max |y|, at least 1
+        c0 = guess[:, 2]
+        np.divide(np.add.reduce(y[:, -k:], axis=-1), k, out=c0)
+        dev = y[:, -k:] - c0[:, None]
+        sigma = np.sqrt(np.add.reduce(dev * dev, axis=-1) / k)
+        resid = np.abs(y - c0[:, None])
+        rmax = np.maximum.reduce(resid, axis=-1)
+        below = resid < np.maximum(3.0 * sigma, 1e-3 * rmax)[:, None]
+        # The window: no sample before it is below the floor.
+        use = np.empty_like(below)
+        use[:, 0] = True
+        np.logical_not(np.logical_or.accumulate(below[:, :-1], axis=-1), out=use[:, 1:])
+        use &= resid > 0.0
+        # Masked sums of 1, s, s^2, log r and s log r, in one reduction.
+        w = np.empty((rows, 5, n))
+        w[:, 0] = use
+        np.multiply(s, use, out=w[:, 1])
+        np.multiply(w[:, 1], s, out=w[:, 2])
+        np.log(np.where(use, resid, 1.0), out=w[:, 3])
+        np.multiply(w[:, 3], s, out=w[:, 4])
+        m, st, stt, sl, stl = np.add.reduce(w, axis=-1).T
+        slope = (m * stl - st * sl) / (m * stt - st * st)
+        guess[:, 1] = np.where((m >= 2.0) & (slope < 0.0), -1.0 / slope, s[-1])
+        amp0 = guess[:, 0]
+        np.subtract(y[:, 0], c0, out=amp0)
+        zero = amp0 == 0.0
+        if zero.any():
+            peak = y[zero, np.argmax(resid[zero], axis=-1)]
+            amp0[zero] = np.sign(peak - c0[zero]) * rmax[zero]
+    return guess, flat
 
 
 def _exp_fit(y, res: FitResult | None) -> ExpFit:
@@ -188,13 +228,17 @@ def _exp_fit(y, res: FitResult | None) -> ExpFit:
 def fit_exp(t, y) -> ExpFit:
     """Fit a trace to ``a exp(-t/T) + c``.
 
-    A trace with no resolvable decay returns T = inf with ``no_decay`` set.
+    The fit starts from the early-window guess of :func:`_exp_guess`: the
+    offset from the last quarter of the samples, T from the log-residual
+    slope over the samples up to where the residual reaches the tail's
+    noise, and the amplitude from the first sample.  A trace with no
+    resolvable decay returns T = inf with ``no_decay`` set.
     """
     t, y = _validate_trace(t, y)
-    guess = _exp_guess(t, y)
-    if guess is None:
+    guess, flat = _exp_guess(t, y[None])
+    if flat[0]:
         return _exp_fit(y, None)
-    return _exp_fit(y, fit_least_squares(_exp_model, t, y, guess, jac=_exp_jac))
+    return _exp_fit(y, fit_least_squares(_exp_model, t, y, guess[0], jac=_exp_jac))
 
 
 def fit_exp_stack(t, y) -> list[ExpFit | DegenerateFitError]:
@@ -202,23 +246,24 @@ def fit_exp_stack(t, y) -> list[ExpFit | DegenerateFitError]:
     decaying rows fitted in one :func:`~sqbloch.numerics.fit_least_squares_stack`
     call.
 
-    Each row gets the initial guess and the result :func:`fit_exp` gives it.
-    A row whose fit fails gets the :class:`DegenerateFitError` that
-    :func:`fit_exp` would raise, returned rather than raised; the other rows
-    are unaffected.  A ``ValueError`` from the inputs is raised for the
-    whole stack.
+    The early-window guesses of all rows come from one array pass
+    (:func:`_exp_guess`), and each row gets the guess and the result
+    :func:`fit_exp` gives it alone.  A row whose fit fails gets the
+    :class:`DegenerateFitError` that :func:`fit_exp` would raise, returned
+    rather than raised; the other rows are unaffected.  A ``ValueError``
+    from the inputs is raised for the whole stack.
     """
     t, y = _validate_trace(t, y)
     if y.ndim != 2:
         raise ValueError(f"expected a (rows, {t.size}) stack, got shape {y.shape}")
-    guesses = [_exp_guess(t, row) for row in y]
-    decaying = [b for b, g in enumerate(guesses) if g is not None]
+    guesses, flat = _exp_guess(t, y)
+    decaying = np.flatnonzero(~flat)
     fits = {}
-    if decaying:
-        stack = [guesses[b] for b in decaying]
-        fits = dict(
-            zip(decaying, fit_least_squares_stack(_exp_model, t, y[decaying], stack, jac=_exp_jac))
+    if decaying.size:
+        stack = fit_least_squares_stack(
+            _exp_model, t, y[decaying], guesses[decaying], jac=_exp_jac
         )
+        fits = dict(zip(decaying.tolist(), stack))
     out: list[ExpFit | DegenerateFitError] = []
     for b, row in enumerate(y):
         fit = fits.get(b)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqbloch import estimation
 from sqbloch.blochdyn import DecayRates, axis_timescales
 from sqbloch.cli import _json_text
 from sqbloch.errors import (
+    DegenerateFitError,
     InconsistentInputsError,
     NotSqueezedError,
     UnphysicalRatesError,
@@ -19,6 +21,7 @@ from sqbloch.estimation import (
     estimate_moments,
     fit_damped_sinusoid,
     fit_exp,
+    fit_exp_stack,
     infer_eta,
     moments_from_decays,
     reconstruct_wigner,
@@ -66,6 +69,189 @@ class TestFitExp:
         t = np.linspace(0.0, 4.0 * tau, 64)
         fit = fit_exp(t, a * np.exp(-t / tau) + c)
         assert fit.T == pytest.approx(tau, rel=1e-6)
+
+
+def _fit_bytes(fit):
+    """Every byte of a stacked fit's outcome: the error text, or each field."""
+    if isinstance(fit, DegenerateFitError):
+        return ("failed", str(fit))
+    return tuple(float(v).hex() if isinstance(v, float) else v for v in asdict(fit).values())
+
+
+def _edge_rows(t):
+    """Rows that reach each branch of the stacked exponential guess, by name."""
+    return {
+        "decay": 0.8 * np.exp(-t / 1.1) + 0.1,
+        "noisy decay": 0.8 * np.exp(-t / 1.1)
+        + 0.1
+        + 0.01 * np.random.default_rng(7).standard_normal(t.size),
+        # Residual 0 everywhere, so a floor of 0 that no sample drops below.
+        "flat": np.full(t.size, 0.25),
+        # The first sample equals the offset: the amplitude comes from the
+        # largest residual, and the window holds no sample of nonzero residual.
+        "a0 zero": np.where((t > 0.0) & (t < 0.5), 0.25 + 0.5 * np.exp(-t), 0.25),
+        # Exactly at the offset from the second sample on: a window of one
+        # sample of nonzero residual.
+        "one-sample window": np.where(t == 0.0, 0.7, 0.0),
+        # Below the floor from the second sample on: the window ends with it.
+        "two-sample window": np.exp(-t / 0.01),
+        # Exact zeros after six decaying samples end the window.
+        "zeros after the window": np.where(t < 0.7, 0.25 + 0.5 * np.exp(-t / 0.5), 0.25),
+    }
+
+
+def _reference_guess(t, y):
+    """The early-window guess of one trace, written out sample by sample
+    with ``np.polyfit`` for the slope."""
+    k = max(2, t.size // 4)
+    c = y[-k:].mean()
+    resid = np.abs(y - c)
+    floor = max(3.0 * y[-k:].std(), 1e-3 * resid.max())
+    below = np.flatnonzero(resid < floor)
+    end = below[0] + 1 if below.size else t.size
+    window = [i for i in range(end) if resid[i] > 0.0]
+    tau = t[-1] - t[0]
+    if len(window) >= 2:
+        slope = np.polyfit(t[window], np.log(resid[window]), 1)[0]
+        if slope < 0.0:
+            tau = -1.0 / slope
+    a = y[0] - c
+    if a == 0.0:
+        a = np.sign(y[np.argmax(resid)] - c) * resid.max()
+    return a, tau, c
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExpGuess:
+    """The guess of :func:`fit_exp` and :func:`fit_exp_stack`, one array pass
+    over a stack of rows."""
+
+    t = np.linspace(0.0, 5.0, 41)
+
+    def test_edge_rows_alone_match_the_stack(self):
+        rows = _edge_rows(self.t)
+        y = np.array(list(rows.values()))
+        guesses, flat = estimation._exp_guess(self.t, y)
+        assert guesses.shape == (len(rows), 3) and flat.shape == (len(rows),)
+        for b in range(len(y)):
+            alone, flat_alone = estimation._exp_guess(self.t, y[b : b + 1])
+            assert alone.tobytes() == guesses[b].tobytes(), b
+            assert flat_alone[0] == flat[b]
+        # Reversed, and within a larger stack of seeded noisy decays.
+        rng = np.random.default_rng(11)
+        noisy = (
+            rng.uniform(0.2, 1.0, (30, 1)) * np.exp(-self.t / rng.uniform(0.1, 3.0, (30, 1)))
+            + rng.uniform(-0.5, 0.5, (30, 1))
+            + rng.uniform(0.0, 0.05, (30, 1)) * rng.standard_normal((30, self.t.size))
+        )
+        big = np.vstack([noisy[:13], y[::-1], noisy[13:]])
+        big_guesses, big_flat = estimation._exp_guess(self.t, big)
+        assert big_guesses[13 : 13 + len(y)][::-1].tobytes() == guesses.tobytes()
+        assert (big_flat[13 : 13 + len(y)][::-1] == flat).all()
+        for b, row in enumerate(noisy):
+            alone, _ = estimation._exp_guess(self.t, row[None])
+            assert alone.tobytes() == big_guesses[b if b < 13 else b + len(y)].tobytes()
+
+    def test_matches_a_row_by_row_reference(self):
+        rng = np.random.default_rng(12)
+        y = np.vstack(
+            [
+                np.array(list(_edge_rows(self.t).values())),
+                rng.uniform(0.2, 1.0, (40, 1)) * np.exp(-self.t / rng.uniform(0.1, 3.0, (40, 1)))
+                + rng.uniform(0.0, 0.05, (40, 1)) * rng.standard_normal((40, self.t.size)),
+            ]
+        )
+        guesses, _ = estimation._exp_guess(self.t, y)
+        for b, (row, got) in enumerate(zip(y, guesses)):
+            assert got == pytest.approx(_reference_guess(self.t, row), rel=1e-9, abs=1e-15), b
+
+    def test_edge_rows_fit_alone_as_in_the_stack(self):
+        rows = _edge_rows(self.t)
+        y = np.array(list(rows.values()))
+        fits = fit_exp_stack(self.t, y)
+        for (name, row), fit in zip(rows.items(), fits):
+            if isinstance(fit, DegenerateFitError):
+                with pytest.raises(DegenerateFitError) as exc:
+                    fit_exp(self.t, row)
+                alone = exc.value
+            else:
+                alone = fit_exp(self.t, row)
+            assert _fit_bytes(alone) == _fit_bytes(fit), name
+
+    def test_edge_row_guesses(self):
+        rows = _edge_rows(self.t)
+        guesses, flat = estimation._exp_guess(self.t, np.array(list(rows.values())))
+        got = {name: (tuple(g), f) for name, g, f in zip(rows, guesses.tolist(), flat)}
+        span = 5.0
+        assert got["flat"] == ((0.0, span, 0.25), True)
+        # The offset is the mean of the last quarter, 10 of the 41 samples.
+        assert got["decay"][0][2] == np.add.reduce(rows["decay"][-10:]) / 10
+        # The largest residual, at the second sample, with its sign.
+        assert got["a0 zero"][0] == (rows["a0 zero"][1] - 0.25, span, 0.25)
+        assert got["one-sample window"][0] == (0.7, span, 0.0)
+        # The sample that ends the window sets the slope with the first.
+        assert got["two-sample window"][0][1] == pytest.approx(0.01, rel=1e-9)
+        assert got["zeros after the window"][0][1] == pytest.approx(0.5, rel=1e-12)
+        # A guess: the tail mean sits above the true offset of a trace this
+        # short, which steepens the slope.
+        assert got["decay"][0][1] == pytest.approx(1.1, rel=0.2)
+        assert got["noisy decay"][0][1] == pytest.approx(1.1, rel=0.25)
+        assert not any(f for name, (_, f) in got.items() if name != "flat")
+
+    def test_overflowing_tail_never_drops_below_its_floor(self):
+        # The tail mean overflows to inf, so every residual and the floor are
+        # inf: the guess is made without a warning, with the sampled span,
+        # alone as in a stack.
+        row = np.where(self.t < 3.0, 1.0, 1.7e308)
+        y = np.array([row, _edge_rows(self.t)["decay"]])
+        guesses, flat = estimation._exp_guess(self.t, y)
+        alone, _ = estimation._exp_guess(self.t, row[None])
+        assert alone.tobytes() == guesses[0].tobytes()
+        assert not flat[0] and guesses[0, 1] == 5.0 and guesses[0, 2] == math.inf
+
+
+def _probe_z_traces(seed):
+    """The z traces of one seed of the benchmark's noisy ``inverse`` probe
+    (``Inverse.generate_probe`` in ``perfbench/workloads.py``), rebuilt with
+    numpy alone: 32 inputs, each drawing its shot count in [200, 5000], then
+    T1, T_phi, n, m and n_th, then the binomial projection noise of the x
+    trace and of the z trace, each value written to 9 significant digits.
+    Yields the input index, t, z and the true 1/Gamma_z."""
+    rng = np.random.default_rng([3, seed, 1])
+    t = np.linspace(0.0, 5.0, 201)
+    t_read = np.array([float(f"{v:.9g}") for v in t])
+    for k in range(32):
+        shots = int(rng.integers(200, 5000, endpoint=True))
+        t1 = rng.uniform(0.5, 0.8)
+        t_phi = rng.uniform(5.0, 10.0)
+        n = rng.uniform(0.3, 1.2)
+        m = rng.uniform(0.5, 1.0) * math.sqrt(n * (n + 1.0))
+        n_th = rng.uniform(0.0, 0.03)
+        gamma = 1.0 / (t1 * (2.0 * n_th + 1.0))
+        n_bath = n + n_th
+        tx = 1.0 / (gamma * (n_bath - m + 0.5) + 1.0 / t_phi)
+        rz = gamma * (2.0 * n_bath + 1.0)
+        sx = np.exp(-t / tx) * np.cos(2.0 * math.pi * 5.0 * t)
+        sz = gamma / rz + (-1.0 - gamma / rz) * np.exp(-rz * t)
+        noisy = []
+        for trace in (sx, sz):
+            p_excited = np.clip(0.5 * (1.0 - trace), 0.0, 1.0)
+            noisy.append(1.0 - 2.0 * rng.binomial(shots, p_excited) / shots)
+        yield k, t_read, np.array([float(f"{v:.9g}") for v in noisy[1]]), 1.0 / rz
+
+
+# Fitted Tz over the true 1/Gamma_z on the 640 traces spans 0.948-1.064.
+NOISY_TZ_BAND = (0.94, 1.07)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_noisy_z_traces_fit_a_positive_tz(seed):
+    # The tail of these traces is projection noise; a guess fitted over it
+    # once sent 7 of the 640 to Tz near -2e5 us, flagged converged.
+    for k, t, z, tz in _probe_z_traces(seed):
+        fit = fit_exp(t, z)
+        assert math.isfinite(fit.T) and fit.T > 0.0, (seed, k, fit.T)
+        assert NOISY_TZ_BAND[0] <= fit.T / tz <= NOISY_TZ_BAND[1], (seed, k, fit.T / tz)
 
 
 class TestFitDampedSinusoid:

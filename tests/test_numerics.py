@@ -606,7 +606,9 @@ class TestFitLeastSquaresStack:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_row_does_not_depend_on_its_stack(self, seed):
         t, y = _sweep_envelopes(seed)
-        guesses = [estimation._exp_guess(t, row) for row in y]
+        guesses, flat = estimation._exp_guess(t, y)
+        assert not flat.any()
+        guesses = list(guesses)
         # Two rows that fail, in the middle: one non-finite at its guess, one
         # with no descent direction.
         y = np.insert(y, 3, [0.3 * np.exp(-t / 0.7) + 0.1, 0.5 * np.exp(-t) - 100.0], axis=0)
@@ -634,7 +636,7 @@ class TestFitLeastSquaresStack:
         # The rows stop at different rounds, so rows leave the loop while
         # others go on.
         t, y = _sweep_envelopes(5)
-        guesses = [estimation._exp_guess(t, row) for row in y]
+        guesses, _ = estimation._exp_guess(t, y)
         stack = fit_least_squares_stack(
             estimation._exp_model, t, y, guesses, jac=estimation._exp_jac
         )
