@@ -1,33 +1,51 @@
 """Plot-ready CSV tables: a ``#schema=`` line, a header line, then rows of
 numbers, each printed exactly as ``"%.9g" % x`` prints it.
 
-Every CSV file of the package is written by :func:`csv_table` except two:
+Every CSV file of the package is written by :func:`csv_blocks` except two:
 the polariton level table, which has a text column, and the Wigner grid,
-which :meth:`sqbloch.reservoir.WignerGrid.to_csv` joins from
-:func:`_format_table` rows so that it can encode one quadrant of an even grid.
+which :meth:`sqbloch.reservoir.WignerGrid.csv_blocks` builds from
+:func:`_format_table` blocks so that it can encode one quadrant of an even
+grid.  Each yields its text in blocks of whole rows of at most
+``_BLOCK_CELLS`` cells (one row where a row is wider), so that a file can
+be written without its whole text in memory.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-__all__ = ["csv_table"]
+__all__ = ["csv_blocks", "csv_table"]
+
+
+def csv_blocks(schema: str, header: str, *columns) -> Iterator[str]:
+    """CSV text of ``columns`` side by side under a ``#schema=`` line and
+    ``header``, in blocks.  Each column is a 1-D sequence of numbers or a 2-D
+    array of several columns, all of the same length; every number is
+    printed as ``"%.9g" % x`` prints it."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    yield f"#schema={schema}\n{header}\n"
+    yield from _format_table(np.column_stack(columns))
 
 
 def csv_table(schema: str, header: str, *columns) -> str:
-    """CSV text of ``columns`` side by side under a ``#schema=`` line and
-    ``header``.  Each column is a 1-D sequence of numbers or a 2-D array of
-    several columns, all of the same length; every number is printed as
-    ``"%.9g" % x`` prints it."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    return f"#schema={schema}\n{header}\n" + _format_table(np.column_stack(columns))
+    """The joined text of :func:`csv_blocks`."""
+    return "".join(csv_blocks(schema, header, *columns))
 
 
-def _format_table(table: np.ndarray) -> str:
-    """:func:`_format_rows` of a 2-D array, a few thousand cells at a time to
-    bound the encoder's temporaries."""
-    step = max(1, _BLOCK_CELLS // table.shape[1])
-    return "".join(_format_rows(table[k : k + step]) for k in range(0, len(table), step))
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` cells in one block: as many as ``_BLOCK_CELLS``
+    holds, at least one."""
+    return max(1, _BLOCK_CELLS // width)
+
+
+def _format_table(table: np.ndarray) -> Iterator[str]:
+    """:func:`_format_rows` of a 2-D array, :func:`_block_rows` rows at a
+    time to bound the encoder's temporaries."""
+    step = _block_rows(table.shape[1])
+    for k in range(0, len(table), step):
+        yield _format_rows(table[k : k + step])
 
 
 # --- Vectorised "%.9g" ---------------------------------------------------------

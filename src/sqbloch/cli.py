@@ -6,14 +6,17 @@ bundled ``data/paper.conf`` encodes the reference operating point and is read
 when ``--config`` is omitted.  Exit codes: 0 success, 2 configuration errors
 (with field-level messages, an ``--out`` that cannot be written included),
 3 numerical failures naming the operation.  Each subcommand stages its
-outputs in a dict (a JSON payload or a zero-argument CSV encoder per file)
-and returns its exit code and result line; ``main`` encodes the chosen files
-only when the subcommand returns, writes each under a temporary name, moves
-them all into place, and only then prints the result line.  A run that exits
-2 or 3 prints nothing on stdout and moves no file into place: an output file
-that is a directory, or a write that fails, exits 2 naming the file, and the
-temporary files and the directories the run created are removed
-(``validate`` returns 3 with its report and lines when a criterion fails).
+outputs in a dict (a JSON payload, or a zero-argument CSV encoder yielding
+text blocks, per file) and returns its exit code and result line; ``main``
+encodes the chosen JSON files, and the first block of each chosen CSV file,
+when the subcommand returns, then writes each file under a temporary name, a
+CSV file block by block as its encoder yields them, moves them all into
+place, and only then prints the result line.  A
+run that exits 2 or 3 prints nothing on stdout and moves no file into place:
+an output file that is a directory, or a write that fails, exits 2 naming the
+file, and on any failure the temporary files and the directories the run
+created are removed (``validate`` returns 3 with its report and lines when a
+criterion fails).
 Re-running any subcommand with an identical configuration produces
 byte-identical outputs.
 """
@@ -28,14 +31,16 @@ import math
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, fields, make_dataclass, replace
 from functools import cache, partial
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import estimation, polariton, protocols, reservoir
-from ._table import csv_table
+from ._table import csv_blocks
 from .blochdyn import DecayRates
 from .errors import NumericalFailure, UnphysicalRatesError
 
@@ -266,9 +271,9 @@ def _polariton_payload(system) -> dict:
     }
 
 
-def _levels_csv(system) -> str:
+def _levels_csv(system) -> Iterator[str]:
     rows = (f"{k},{x},{e:.9g}\n" for k, (x, e) in enumerate(zip(system.labels, system.energies)))
-    return "#schema=polariton-levels-v1\nlevel,label,energy_ghz\n" + "".join(rows)
+    yield "#schema=polariton-levels-v1\nlevel,label,energy_ghz\n" + "".join(rows)
 
 
 def _cmd_polariton(cfg: RunConfig, out: dict) -> tuple[int, str]:
@@ -297,7 +302,7 @@ def _cmd_ramsey(cfg: RunConfig, out: dict) -> tuple[int, str]:
         phi = phi_pi * math.pi
         for rates, tag in ((rates_off, "off"), (rates_on, "on")):
             sz = protocols.ramsey(rates, phi, cfg.omega_mod_mhz, t)
-            table = partial(csv_table, "ramsey-trace-v1", "t_us,sz", t, sz)
+            table = partial(csv_blocks, "ramsey-trace-v1", "t_us,sz", t, sz)
             out[f"ramsey_{tag}_phi{idx:02d}.csv"] = table
             fit = estimation.fit_damped_sinusoid(t, sz, cfg.omega_mod_mhz)
             fits[f"{tag}_phi{idx:02d}"] = {
@@ -313,13 +318,24 @@ def _cmd_ramsey(cfg: RunConfig, out: dict) -> tuple[int, str]:
     return 0, f"squeezing off: mean fitted T2* = {np.mean(off_times):.4f} us"
 
 
+def _check_decay_times(fits: dict) -> None:
+    """Refuse a fitted decay time, of each named fit, that is not positive
+    and finite."""
+    for k, fit in fits.items():
+        if not (math.isfinite(fit.T) and fit.T > 0.0):
+            raise UnphysicalRatesError(
+                f"fitted {k} = {fit.T:.6g} us is not a positive, finite decay time"
+            )
+
+
 def _cmd_trajectory(cfg: RunConfig, out: dict) -> tuple[int, str]:
     rates = _rates(cfg)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     prep = (cfg.prep_theta_pi * math.pi, cfg.prep_phi_pi * math.pi)
     traj = protocols.tomography_trajectory(rates, prep, t)
-    out["trajectory.csv"] = partial(csv_table, "bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj)
+    out["trajectory.csv"] = partial(csv_blocks, "bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj)
     fit = estimation.fit_exp(t, traj[:, 2])
+    _check_decay_times({"Tz": fit})
     out["trajectory_summary.json"] = {
         "prep_theta_pi": cfg.prep_theta_pi,
         "prep_phi_pi": cfg.prep_phi_pi,
@@ -334,7 +350,7 @@ def _cmd_wigner(cfg: RunConfig, out: dict) -> tuple[int, str]:
     resv = reservoir.SqueezedReservoir(N=cfg.n, M=cfg.m, bandwidth=cfg.bandwidth_mhz)
     v = reservoir.variances(resv)
     grid = reservoir.wigner_grid_for(v)
-    out["wigner.csv"] = grid.to_csv
+    out["wigner.csv"] = grid.csv_blocks
     out["wigner_summary.json"] = {
         "sigmaI_sq": v.sigmaI_sq,
         "sigmaQ_sq": v.sigmaQ_sq,
@@ -344,9 +360,9 @@ def _cmd_wigner(cfg: RunConfig, out: dict) -> tuple[int, str]:
     return 0, f"variances: sigma_I^2 = {v.sigmaI_sq:.4f}, sigma_Q^2 = {v.sigmaQ_sq:.4f}"
 
 
-def _trace_grid_csv(labels, t, traces) -> str:
+def _trace_grid_csv(labels, t, traces) -> Iterator[str]:
     header = "t_us," + ",".join(f"delta_{label}" for label in labels)
-    return csv_table("detuning-trace-grid-v1", header, t, *traces)
+    return csv_blocks("detuning-trace-grid-v1", header, t, *traces)
 
 
 def _cmd_sweep_detuning(cfg: RunConfig, out: dict) -> tuple[int, str]:
@@ -363,7 +379,7 @@ def _cmd_sweep_detuning(cfg: RunConfig, out: dict) -> tuple[int, str]:
     summary = {}
     header = "delta_mhz,T_eff_us,converged"
     for i, tag in enumerate("xy"):
-        table = partial(csv_table, "detuning-sweep-v1", header, deltas, T_eff[i], converged[i])
+        table = partial(csv_blocks, "detuning-sweep-v1", header, deltas, T_eff[i], converged[i])
         out[f"detuning_t{tag}.csv"] = table
         out[f"detuning_traces_{tag}.csv"] = partial(_trace_grid_csv, labels, t, traces[i])
         summary[tag] = {
@@ -380,9 +396,9 @@ def _cmd_sweep_gain(cfg: RunConfig, out: dict) -> tuple[int, str]:
     header = "N,M,Tx_us,Ty_us,Tz_us,M_minus_N"
     n_grid = np.linspace(0.0, cfg.n_max, cfg.n_points)
     rows = protocols.gain_sweep(n_grid, cfg.eta, t1, cfg.t_phi_us)
-    out["gain_sweep.csv"] = partial(csv_table, "gain-sweep-v1", header, rows)
+    out["gain_sweep.csv"] = partial(csv_blocks, "gain-sweep-v1", header, rows)
     ideal = protocols.gain_sweep(n_grid, 1.0, t1, cfg.t_phi_us)
-    out["gain_sweep_ideal.csv"] = partial(csv_table, "gain-sweep-v1", header, ideal)
+    out["gain_sweep_ideal.csv"] = partial(csv_blocks, "gain-sweep-v1", header, ideal)
     out["gain_summary.json"] = {
         "eta": cfg.eta,
         "rows": [dict(zip(("N", "M", "Tx", "Ty", "Tz"), row)) for row in rows[:, :5].tolist()],
@@ -466,11 +482,7 @@ def _cmd_estimate(cfg: RunConfig, out: dict) -> tuple[int, str]:
             "Tz": estimation.fit_exp(t, traj[:, 2]),
             "T2_star": ramsey_fit(rates_off, 0.5 * math.pi, t),
         }
-    for k, fit in fits.items():
-        if not (math.isfinite(fit.T) and fit.T > 0.0):
-            raise UnphysicalRatesError(
-                f"fitted {k} = {fit.T:.6g} us is not a positive, finite decay time"
-            )
+    _check_decay_times(fits)
     tx, tz = fits["Tx"].T, fits["Tz"].T
     est = estimation.estimate_moments(t1, cfg.t_phi_us, tx, tz, cfg.n_th)
     summary = asdict(est) | {
@@ -492,7 +504,7 @@ def _cmd_estimate(cfg: RunConfig, out: dict) -> tuple[int, str]:
         raise UnphysicalRatesError(
             f"Wigner reconstruction from N = {est.N:.6g}, M = {est.M:.6g}: {exc}"
         ) from None
-    out["wigner_reconstructed.csv"] = grid.to_csv
+    out["wigner_reconstructed.csv"] = grid.csv_blocks
     return 0, (
         f"estimated N = {est.N:.4f}, M = {est.M:.4f}"
         + (f", eta = {est.eta_inferred:.3f}" if est.eta_inferred else "")
@@ -538,6 +550,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_blocks(path: Path, blocks) -> None:
+    """Write the text ``blocks`` one after another into a new file ``path``."""
+    with path.open("w", encoding="utf-8") as f:
+        f.writelines(blocks)
+
+
+def _started(blocks: Iterator[str]) -> Iterator[str]:
+    """``blocks`` with its first two, a CSV file's header and first block of
+    rows, encoded now."""
+    head = list(islice(blocks, 2))
+    return chain(head, blocks)
+
+
+def _write_outputs(out: str, files: dict) -> None:
+    """Write ``files`` (name -> iterable of text blocks) into the ``--out``
+    directory ``out``.
+
+    Each file is written under a temporary name, and all are moved into
+    place once every one is written; no file can replace a directory.  On
+    any exception the temporary files and the directories made on the way
+    are removed, and an ``OSError`` becomes a :class:`ConfigError` naming
+    the file.
+    """
+    out_dir = Path(out)
+    where, created, staged = f"--out {out}", [], []
+    try:
+        if files:  # make each missing directory on the way, "x" of "x/../y" too
+            for directory in reversed((out_dir, *out_dir.parents)):
+                if not directory.exists():
+                    directory.mkdir()
+                    created.insert(0, directory)  # deepest first, to remove
+            out_dir.mkdir(exist_ok=True)  # an existing file is refused
+        for name in files:
+            if (out_dir / name).is_dir():
+                where = f"--out {out}: {name}"
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for name, blocks in files.items():
+            where = f"--out {out}: {name}"
+            staged.append(out_dir / f".{name}.{os.getpid()}.tmp")
+            _write_blocks(staged[-1], blocks)
+        for temporary, name in zip(staged, files):
+            where = f"--out {out}: {name}"
+            os.replace(temporary, out_dir / name)
+    except BaseException as exc:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+        for directory in created:
+            directory.rmdir()
+        if isinstance(exc, OSError):
+            raise ConfigError([f"{where}: {exc.strerror}"]) from None
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out: dict = {}  # file name -> CSV encoder or JSON payload, in staging order
@@ -545,12 +610,17 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         code, result_line = COMMANDS[args.command](cfg, out)
         formats = args.format or cfg.formats
-        # Every file to write is encoded before the first is written.
-        texts = {
-            name: value() if name.endswith(".csv") else _json_text(name, value)
+        # Every JSON file, and the header and first block of rows of every
+        # CSV file, is encoded before the first file is created; the rest of
+        # a CSV file is encoded as it is written.  Creating and writing a
+        # file right after an encoder run took about twice as long (2-vCPU
+        # Xeon VM), so tables of one block are written together.
+        files = {
+            name: _started(value()) if name.endswith(".csv") else (_json_text(name, value),)
             for name, value in out.items()
             if formats in ("both", name.rsplit(".", 1)[1])
         }
+        _write_outputs(args.out, files)
     except ConfigError as exc:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
@@ -561,35 +631,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
-    out_dir = Path(args.out)
-    # Each file is written under a temporary name, and all are moved into
-    # place once every one is written; no file can replace a directory.
-    where, created, staged = f"--out {args.out}", [], []
-    try:
-        if texts:  # make each missing directory on the way, "x" of "x/../y" too
-            for directory in reversed((out_dir, *out_dir.parents)):
-                if not directory.exists():
-                    directory.mkdir()
-                    created.insert(0, directory)  # deepest first, to remove
-            out_dir.mkdir(exist_ok=True)  # an existing file is refused
-        for name in texts:
-            if (out_dir / name).is_dir():
-                where = f"--out {args.out}: {name}"
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        for name, text in texts.items():
-            where = f"--out {args.out}: {name}"
-            staged.append(out_dir / f".{name}.{os.getpid()}.tmp")
-            staged[-1].write_text(text)
-        for temporary, name in zip(staged, texts):
-            where = f"--out {args.out}: {name}"
-            os.replace(temporary, out_dir / name)
-    except OSError as exc:
-        for temporary in staged:
-            temporary.unlink(missing_ok=True)
-        for directory in created:
-            directory.rmdir()
-        print(f"config error: {where}: {exc.strerror}", file=sys.stderr)
-        return 2
     print(result_line)
     return code
 

@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 8  # fewest samples the decay fitters accept
+# The failure of an exponential fit whose trace overflows its guess's sums.
+_NO_GUESS = "exponential fit: the initial guess (a, T, c) is not finite"
 
 
 @dataclass(frozen=True)
@@ -232,12 +234,15 @@ def fit_exp(t, y) -> ExpFit:
     offset from the last quarter of the samples, T from the log-residual
     slope over the samples up to where the residual reaches the tail's
     noise, and the amplitude from the first sample.  A trace with no
-    resolvable decay returns T = inf with ``no_decay`` set.
+    resolvable decay returns T = inf with ``no_decay`` set; a trace whose
+    guess is not finite (its sums overflow) raises :class:`DegenerateFitError`.
     """
     t, y = _validate_trace(t, y)
     guess, flat = _exp_guess(t, y[None])
     if flat[0]:
         return _exp_fit(y, None)
+    if not np.isfinite(guess).all():
+        raise DegenerateFitError(_NO_GUESS)
     return _exp_fit(y, fit_least_squares(_exp_model, t, y, guess[0], jac=_exp_jac))
 
 
@@ -257,13 +262,14 @@ def fit_exp_stack(t, y) -> list[ExpFit | DegenerateFitError]:
     if y.ndim != 2:
         raise ValueError(f"expected a (rows, {t.size}) stack, got shape {y.shape}")
     guesses, flat = _exp_guess(t, y)
-    decaying = np.flatnonzero(~flat)
-    fits = {}
+    finite = np.isfinite(guesses).all(axis=1)
+    decaying = np.flatnonzero(~flat & finite)
+    fits: dict = {b: DegenerateFitError(_NO_GUESS) for b in np.flatnonzero(~flat & ~finite).tolist()}
     if decaying.size:
         stack = fit_least_squares_stack(
             _exp_model, t, y[decaying], guesses[decaying], jac=_exp_jac
         )
-        fits = dict(zip(decaying.tolist(), stack))
+        fits.update(zip(decaying.tolist(), stack))
     out: list[ExpFit | DegenerateFitError] = []
     for b, row in enumerate(y):
         fit = fits.get(b)

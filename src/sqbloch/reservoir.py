@@ -10,11 +10,12 @@ is handled as a detuning/rotation in :mod:`sqbloch.blochdyn`.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._table import _format_table
+from ._table import _block_rows, _format_table
 from .errors import NumericalFailure, UnphysicalRatesError
 
 __all__ = [
@@ -169,9 +170,10 @@ class WignerGrid:
             np.trapezoid(np.trapezoid(self.values, self.Q_axis, axis=1), self.I_axis)
         )
 
-    def to_csv(self) -> str:
-        """CSV: header row of Q values, first column I values, body W values,
-        each printed as ``"%.9g" % x`` prints it.
+    def csv_blocks(self) -> Iterator[str]:
+        """CSV, in blocks of whole rows of at most ``_BLOCK_CELLS`` cells (one
+        row where a row is wider): header row of Q values, first column I
+        values, body W values, each printed as ``"%.9g" % x`` prints it.
 
         An axis along which the values are bitwise even (every grid of
         :func:`wigner_grid_for` is even along both) is encoded up to its
@@ -183,17 +185,29 @@ class WignerGrid:
         bits = values.view(np.uint64)
         rows = (n + 1) // 2 if np.array_equal(bits, bits[::-1]) else n
         cols = (width + 1) // 2 if np.array_equal(bits, bits[:, ::-1]) else width
-        # Each row's values, without the I cell; with no Q, "".
-        texts = _format_table(values[:rows, :cols]).splitlines() if cols else [""] * rows
-        if cols < width:
-            texts = [t + "," + ",".join(t.split(",")[width - cols - 1 :: -1]) for t in texts]
-        texts += texts[: n - rows][::-1]
-        q_header = _format_table(self.Q_axis[None, :]) if width else "\n"
-        i_cells = _format_table(self.I_axis[:, None]).splitlines()
-        parts = ["#schema=wigner-grid-v1\n,", q_header]
-        for i_cell, text in zip(i_cells, texts):
-            parts += (i_cell, ",", text, "\n")
-        return "".join(parts)
+        # Both axes in one encoder call, one cell a line.
+        axes = np.concatenate([self.Q_axis, self.I_axis])[:, None]
+        cells = "".join(_format_table(axes)).splitlines()
+        i_cells = cells[width:]
+        yield "#schema=wigner-grid-v1\n," + ",".join(cells[:width]) + "\n"
+        # With no Q, each row's values are "".
+        quadrant = _format_table(values[:rows, :cols]) if cols else iter(["\n" * rows])
+        texts: list[str] = []  # each encoded row's values, without the I cell
+        step = _block_rows(width + 1)
+        for k in range(0, n, step):
+            while len(texts) < min(k + step, rows):  # the next encoder block
+                block = next(quadrant).splitlines()
+                if cols < width:
+                    block = [t + "," + ",".join(t.split(",")[width - cols - 1 :: -1]) for t in block]
+                texts += block
+            parts = []
+            for i in range(k, min(k + step, n)):
+                parts += (i_cells[i], ",", texts[i if i < rows else n - 1 - i], "\n")
+            yield "".join(parts)
+
+    def to_csv(self) -> str:
+        """The joined text of :meth:`csv_blocks`."""
+        return "".join(self.csv_blocks())
 
 
 def wigner(
@@ -233,7 +247,7 @@ def wigner_grid_for(
     convention (vacuum: 1/2).  Each axis is exactly antisymmetric,
     ``axis == -axis[::-1]``, with a centre sample of +0.0 when ``n_points``
     is odd, so :func:`wigner` evaluates one quadrant, the values are bitwise
-    even in I and in Q (``(-x)**2 == x**2``), and :meth:`WignerGrid.to_csv`
+    even in I and in Q (``(-x)**2 == x**2``), and :meth:`WignerGrid.csv_blocks`
     encodes that quadrant only.
     """
     if n_points < 2:

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, fields
 from importlib import resources
@@ -572,6 +573,24 @@ class TestMain:
                 "0 data rows, need at least 8",
                 id="trace_x-header-only",
             ),
+            pytest.param(
+                "trace_z",
+                "".join(TRACE_ROWS.splitlines(keepends=True)[:7]),
+                "7 data rows, need at least 8",
+                id="trace_z-seven-rows",
+            ),
+            pytest.param(
+                "trace_x",
+                TRACE_ROWS + "1.2,0.5,1\n1.3\n",
+                "line 12 ('1.2,0.5,1') is not a pair of numbers",
+                id="trace_x-three-fields-then-one",
+            ),
+            pytest.param(
+                "trace_z",
+                TRACE_ROWS + "1.2,x\n1.3,nan\n",
+                "line 12 ('1.2,x') is not a pair of numbers",
+                id="trace_z-word-before-nan",
+            ),
             pytest.param("trace_x", UNSET, "trace_x is not set", id="trace_x-unset"),
             pytest.param("trace_z", UNSET, "trace_z is not set", id="trace_z-unset"),
         ],
@@ -725,7 +744,7 @@ class TestMain:
             ("direct", "n_max", "1e300", "sweep-gain", "M - N at N = 4.16667e+298 overflows"),
             ("direct", "n_th", "1e300", "estimate", "overflow their squares"),
             ("direct", "t1_us", "1e300", "trajectory",
-             "trajectory_summary.json would hold a non-finite value"),
+             "fitted Tz = inf us is not a positive, finite decay time"),
             ("direct", "e_c_ghz", "1e300", "polariton", "vanishing 0-1 charge matrix element"),
             ("polariton", "g_ghz", "0", "ramsey", "transition (0, 1) is radiatively dark"),
         ],
@@ -786,6 +805,7 @@ class TestMain:
             pytest.param(lambda text: " \n" + text, id="leading-whitespace-line"),
             pytest.param(lambda text: "  # exported by scope\n" + text, id="indented-comment"),
             pytest.param(lambda text: "\t " + text, id="indented-header"),
+            pytest.param(lambda text: text.replace(",", " ,\t "), id="space-padded-fields"),
         ],
     )
     def test_trace_edits_read_as_the_plain_trace(self, tmp_path, edit):
@@ -885,7 +905,7 @@ class TestMain:
         def fail(self):
             raise AssertionError("wigner.csv encoded but not written")
 
-        monkeypatch.setattr(WignerGrid, "to_csv", fail)
+        monkeypatch.setattr(WignerGrid, "csv_blocks", fail)
         out = tmp_path / "fmt"
         assert main(["wigner", "--config", fast_conf, "--out", str(out), "--format", "json"]) == 0
         assert [p.name for p in out.iterdir()] == ["wigner_summary.json"]
@@ -996,6 +1016,25 @@ class TestMain:
         assert [p.name for p in out.iterdir()] == ["sentinel"]
         assert (out / "sentinel").read_bytes() == b"keep\n"
 
+    def test_non_finite_json_exit_3(self, fast_conf, tmp_path, capsys, monkeypatch):
+        # A JSON payload holding NaN after every check of its subcommand is
+        # refused by its encoder, naming the file, before any file exists.
+        wigner = cli.COMMANDS["wigner"]
+
+        def nan_summary(cfg, out):
+            result = wigner(cfg, out)
+            out["wigner_summary.json"]["sigmaI_sq"] = math.nan
+            return result
+
+        monkeypatch.setitem(cli.COMMANDS, "wigner", nan_summary)
+        out = tmp_path / "new" / "o"
+        code = main(["wigner", "--config", fast_conf, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "wigner_summary.json would hold a non-finite value" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize(
         "under, message", [("", "File exists"), ("sub", "Not a directory")],
         ids=["out-is-a-file", "out-under-a-file"],
@@ -1046,14 +1085,14 @@ class TestMain:
     ):
         # Both "x" and "y" of "x/../y" are made by the run, and both are
         # removed when a write fails.
-        write = Path.write_text
+        write = cli._write_blocks
 
-        def failing(path, text):
+        def failing(path, blocks):
             if path.name.startswith(".wigner_summary.json."):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return write(path, text)
+            return write(path, blocks)
 
-        monkeypatch.setattr(Path, "write_text", failing)
+        monkeypatch.setattr(cli, "_write_blocks", failing)
         out = tmp_path / "x" / ".." / "y"
         code = main(["wigner", "--config", fast_conf, "--out", str(out)])
         monkeypatch.undo()
@@ -1076,18 +1115,18 @@ class TestMain:
             out.mkdir(parents=True)
             (out / "sentinel").write_bytes(b"keep\n")
         calls = []
-        write, replace = Path.write_text, cli.os.replace
+        write, replace = cli._write_blocks, cli.os.replace
 
         def failing(original, fails_on, *args):
             calls.append(args)
             if len(calls) < fails_on:
                 return original(*args)
             if original is write:
-                write(args[0], args[1][:100])
+                write(args[0], ["".join(args[1])[:100]])
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         if step == "write":
-            monkeypatch.setattr(Path, "write_text", lambda *a: failing(write, 2, *a))
+            monkeypatch.setattr(cli, "_write_blocks", lambda *a: failing(write, 2, *a))
             name = "wigner_summary.json"
         else:
             monkeypatch.setattr(cli.os, "replace", lambda *a: failing(replace, 1, *a))
@@ -1103,6 +1142,99 @@ class TestMain:
             assert (out / "sentinel").read_bytes() == b"keep\n"
         else:
             assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["new-out", "existing-out"])
+    def test_encoder_error_mid_file_leaves_out_as_it_was(
+        self, fast_conf, tmp_path, capsys, monkeypatch, exists
+    ):
+        # A CSV encoder that fails part-way through its file, with a block
+        # of rows already written, is not an OSError: it propagates, but
+        # only after the temporary file and the directories the run created
+        # are removed.
+        from sqbloch.reservoir import WignerGrid
+
+        encode = WignerGrid.csv_blocks
+        written = []
+
+        def failing(self):
+            yield from itertools.islice(encode(self), 3)  # the header, two blocks of rows
+            written.extend(out.glob(".wigner.csv.*.tmp"))
+            raise RuntimeError("encoder failed")
+
+        monkeypatch.setattr(WignerGrid, "csv_blocks", failing)
+        out = tmp_path / "new" / "o"
+        if exists:
+            out.mkdir(parents=True)
+            (out / "sentinel").write_bytes(b"keep\n")
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            main(["wigner", "--config", fast_conf, "--out", str(out)])
+        assert len(written) == 1  # the temporary file, while the encoder ran
+        assert capsys.readouterr().out == ""
+        if exists:
+            assert [p.name for p in out.iterdir()] == ["sentinel"]
+            assert (out / "sentinel").read_bytes() == b"keep\n"
+        else:
+            assert not (tmp_path / "new").exists()
+
+    def test_estimate_heap_peak(self, tmp_path, capsys):
+        # The Wigner CSV is streamed into its file, so one estimate run on
+        # exact 201-sample traces holds less than twice the 832 kB file's
+        # text (2.1 MiB when the whole text and its bytes were built).
+        t = np.linspace(0.0, 5.0, 201)
+        tx, rz, sz_ss = 1.4, 3.1, 0.25
+        x = np.exp(-t / tx) * np.cos(2.0 * math.pi * 5.0 * t)
+        z = sz_ss + (-1.0 - sz_ss) * np.exp(-rz * t)
+        traces = [
+            "#schema=ramsey-trace-v1\nt_us,sz\n" + "".join(f"{a:.9g},{b:.9g}\n" for a, b in zip(t, y))
+            for y in (x, z)
+        ]
+        conf = _supplied_traces_conf(tmp_path, *traces)
+        argv = ["estimate", "--config", conf, "--out"]
+        assert main(argv + [str(tmp_path / "warm")]) == 0  # imports and caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(argv + [str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "o" / "wigner_reconstructed.csv").stat().st_size
+        assert size > 800_000
+        assert peak < 2 * size
+
+    def test_trajectory_fit_failure_exit_3(self, tmp_path, capsys):
+        # Every sample after the first sits on the steady state to the last
+        # bit; the z fit returns a negative time, which exits 3 as in
+        # estimate, with nothing printed or written.
+        conf = tmp_path / "c.conf"
+        conf.write_text(_with_field(_with_field(BUNDLED, "t_max_us", "100"), "n_samples", "8"))
+        out = tmp_path / "o"
+        code = main(["trajectory", "--config", str(conf), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "numerical failure in 'trajectory': UnphysicalRatesError: fitted Tz = -" in (
+            captured.err
+        )
+        assert captured.err.rstrip().endswith("us is not a positive, finite decay time")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_overflowing_z_trace_exit_3(self, tmp_path, capsys):
+        # The z trace's last quarter sums past the float limit, so the
+        # exponential fit has no finite guess: exit 3 naming the fit.
+        trace_x, _ = _measured_traces()
+        t = np.linspace(0.0, 4.0, 160)
+        trace_z = "".join(f"{a!r},{1.0 if a < 3.0 else 1.7e308!r}\n" for a in t.tolist())
+        conf = _supplied_traces_conf(tmp_path, trace_x, trace_z)
+        out = tmp_path / "o"
+        code = main(["estimate", "--config", conf, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "numerical failure in 'estimate': DegenerateFitError: exponential fit: " \
+            "the initial guess (a, T, c) is not finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "both"])
     def test_overflowing_variance_exit_3(self, tmp_path, capsys, fmt):

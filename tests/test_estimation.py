@@ -178,6 +178,20 @@ class TestExpGuess:
                 alone = fit_exp(self.t, row)
             assert _fit_bytes(alone) == _fit_bytes(fit), name
 
+    def test_overflowing_row_is_a_degenerate_fit(self):
+        # The last quarter's sum overflows, so the guess's offset is inf:
+        # fit_exp raises DegenerateFitError, and fit_exp_stack returns it
+        # for that row and fits the others as alone.
+        overflow = np.where(self.t < 3.0, 1.0, 1.7e308)
+        with pytest.raises(DegenerateFitError, match="initial guess .* is not finite"):
+            fit_exp(self.t, overflow)
+        decay = 0.25 + 0.7 * np.exp(-self.t / 0.8)
+        fits = fit_exp_stack(self.t, np.array([decay, overflow, decay[::-1]]))
+        assert isinstance(fits[1], DegenerateFitError)
+        assert str(fits[1]) == "exponential fit: the initial guess (a, T, c) is not finite"
+        assert _fit_bytes(fits[0]) == _fit_bytes(fit_exp(self.t, decay))
+        assert _fit_bytes(fits[2]) == _fit_bytes(fit_exp(self.t, decay[::-1]))
+
     def test_edge_row_guesses(self):
         rows = _edge_rows(self.t)
         guesses, flat = estimation._exp_guess(self.t, np.array(list(rows.values())))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sqbloch import _table
-from sqbloch._table import _BLOCK_CELLS, _format_table, csv_table
+from sqbloch._table import _BLOCK_CELLS, _format_table, csv_blocks, csv_table
 from sqbloch.blochdyn import DecayRates
 from sqbloch.cli import _trace_grid_csv, load_config, main
 from sqbloch.protocols import detuning_sweep, gain_sweep
@@ -164,7 +164,7 @@ def test_trace_grid(long):
         traces = [_edge_trace(shift)[1] for shift in range(3)]
     deltas = np.linspace(-0.6, 0.6, len(traces))
     labels = [f"{d:+.4g}" for d in deltas]
-    assert _trace_grid_csv(labels, t, traces) == _trace_grid_oracle(deltas, t, traces)
+    assert "".join(_trace_grid_csv(labels, t, traces)) == _trace_grid_oracle(deltas, t, traces)
 
 
 def test_wigner_grid():
@@ -296,7 +296,50 @@ def test_format_table_blocks(monkeypatch, shape):
     blocks = []
     encode = _table._format_rows
     monkeypatch.setattr(_table, "_format_rows", lambda rows: blocks.append(rows.shape) or encode(rows))
-    expected = "".join(",".join("%.9g" % v for v in row) + "\n" for row in table)
-    assert _format_table(table) == expected
+    expected = [",".join("%.9g" % v for v in row) + "\n" for row in table]
     step = _BLOCK_CELLS // shape[1]
+    texts = list(_format_table(table))
+    assert texts == ["".join(expected[k : k + step]) for k in range(0, shape[0], step)]
     assert blocks == [(min(step, shape[0] - k), shape[1]) for k in range(0, shape[0], step)]
+
+
+def _check_blocks(blocks, text):
+    """``blocks`` join to ``text``, and each after the first (the header)
+    holds whole rows of at most _BLOCK_CELLS cells, or one wider row."""
+    assert "".join(blocks) == text
+    for block in blocks[1:]:
+        rows = block.splitlines()
+        assert block.endswith("\n")
+        assert len(rows) == 1 or sum(r.count(",") + 1 for r in rows) <= _BLOCK_CELLS
+
+
+@pytest.mark.parametrize("n_points", [241, 240, 3, 2])
+def test_wigner_blocks_join_to_the_text(n_points):
+    # The file the CLI streams is the text to_csv returns, and the
+    # per-value one, on even grids of odd and even size.
+    grid = _even_grid(n_points)
+    text = grid.to_csv()
+    assert text == _wigner_oracle(grid)
+    _check_blocks(list(grid.csv_blocks()), text)
+
+
+def test_uneven_wigner_blocks_join_to_the_text():
+    # 301 columns: a block holds 13 output rows, so 20 rows take two blocks.
+    rng = np.random.default_rng(31)
+    values = np.abs(rng.normal(size=(20, 301))) * 10.0 ** rng.integers(-320, 300, (20, 301))
+    grid = WignerGrid(I_axis=rng.normal(size=20), Q_axis=rng.normal(size=301), values=values)
+    blocks = list(grid.csv_blocks())
+    assert len(blocks) == 3
+    _check_blocks(blocks, _wigner_oracle(grid))
+
+
+@pytest.mark.parametrize("n_rows", [2048, 2049, 3000])
+def test_csv_blocks_join_to_the_table(n_rows):
+    # Two columns: 2,048 rows fill one encoder block, 2,049 spill one row
+    # into a second.
+    t, sz = _long_trace(n_rows)
+    blocks = list(csv_blocks("ramsey-trace-v1", "t_us,sz", t, sz))
+    assert len(blocks) == 1 + -(-n_rows // (_BLOCK_CELLS // 2))
+    text = csv_table("ramsey-trace-v1", "t_us,sz", t, sz)
+    assert text == _ramsey_oracle(t, sz)
+    _check_blocks(blocks, text)
