@@ -7,7 +7,8 @@ which :meth:`sqbloch.reservoir.WignerGrid.csv_blocks` builds from
 :func:`_format_table` blocks so that it can encode one quadrant of an even
 grid.  Each yields its text in blocks of whole rows of at most
 ``_BLOCK_CELLS`` cells (one row where a row is wider), so that a file can
-be written without its whole text in memory.
+be written without its whole text in memory; where the whole text is wanted,
+it is the join of the blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["csv_blocks", "csv_table"]
+__all__ = ["csv_blocks"]
 
 
 def csv_blocks(schema: str, header: str, *columns) -> Iterator[str]:
@@ -27,11 +28,6 @@ def csv_blocks(schema: str, header: str, *columns) -> Iterator[str]:
     columns = [np.asarray(c, dtype=float) for c in columns]
     yield f"#schema={schema}\n{header}\n"
     yield from _format_table(np.column_stack(columns))
-
-
-def csv_table(schema: str, header: str, *columns) -> str:
-    """The joined text of :func:`csv_blocks`."""
-    return "".join(csv_blocks(schema, header, *columns))
 
 
 def _block_rows(width: int) -> int:

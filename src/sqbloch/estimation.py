@@ -45,8 +45,9 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 8  # fewest samples the decay fitters accept
-# The failure of an exponential fit whose trace overflows its guess's sums.
+# The failures of fits whose trace overflows their guess's sums.
 _NO_GUESS = "exponential fit: the initial guess (a, T, c) is not finite"
+_NO_SINE_GUESS = "damped-sinusoid fit: the initial guess (a, T, phase, c) is not finite"
 
 
 @dataclass(frozen=True)
@@ -263,18 +264,15 @@ def fit_exp_stack(t, y) -> list[ExpFit | DegenerateFitError]:
         raise ValueError(f"expected a (rows, {t.size}) stack, got shape {y.shape}")
     guesses, flat = _exp_guess(t, y)
     finite = np.isfinite(guesses).all(axis=1)
+    fits: list = [
+        _exp_fit(row, None) if f else None if ok else DegenerateFitError(_NO_GUESS)
+        for row, f, ok in zip(y, flat.tolist(), finite.tolist())
+    ]
     decaying = np.flatnonzero(~flat & finite)
-    fits: dict = {b: DegenerateFitError(_NO_GUESS) for b in np.flatnonzero(~flat & ~finite).tolist()}
-    if decaying.size:
-        stack = fit_least_squares_stack(
-            _exp_model, t, y[decaying], guesses[decaying], jac=_exp_jac
-        )
-        fits.update(zip(decaying.tolist(), stack))
-    out: list[ExpFit | DegenerateFitError] = []
-    for b, row in enumerate(y):
-        fit = fits.get(b)
-        out.append(fit if isinstance(fit, DegenerateFitError) else _exp_fit(row, fit))
-    return out
+    stack = fit_least_squares_stack(_exp_model, t, y[decaying], guesses[decaying], jac=_exp_jac)
+    for b, res in zip(decaying.tolist(), stack):
+        fits[b] = res if isinstance(res, DegenerateFitError) else _exp_fit(y[b], res)
+    return fits
 
 
 def fit_damped_sinusoid(t, y, omega_mod: float) -> SinusoidFit:
@@ -282,29 +280,34 @@ def fit_damped_sinusoid(t, y, omega_mod: float) -> SinusoidFit:
     (ordinary MHz).
 
     The returned amplitude is nonnegative and the phase normalized to
-    [0, 2 pi).
+    [0, 2 pi).  A trace whose guess is not finite (its sums overflow) raises
+    :class:`DegenerateFitError`.
     """
     t, y = _validate_trace(t, y)
     if omega_mod <= 0.0:
         raise ValueError("omega_mod must be positive")
     w = 2.0 * math.pi * omega_mod
 
-    c0 = float(y.mean())
-    z = (y - c0) * np.exp(-1j * w * t)
-    half = t.size // 2
-    z_early = z[:half].mean()
-    z1 = np.abs(z_early)
-    z2 = np.abs(z[half:].mean())
-    if z1 > 0.0 and 0.0 < z2 < z1:
-        dt = float(np.mean(t[half:]) - np.mean(t[:half]))
-        tau0 = dt / math.log(z1 / z2)
-    else:
-        tau0 = float(t[-1] - t[0])
-    phase0 = float(np.angle(z_early)) + 0.5 * math.pi
-    amp0 = 2.0 * z1 if z1 > 0.0 else float(y.max() - y.min()) / 2.0
+    with np.errstate(all="ignore"):  # a trace near the float limit may overflow
+        c0 = float(y.mean())
+        z = (y - c0) * np.exp(-1j * w * t)
+        half = t.size // 2
+        z_early = z[:half].mean()
+        z1 = np.abs(z_early)
+        z2 = np.abs(z[half:].mean())
+        if z1 > 0.0 and 0.0 < z2 < z1:
+            dt = float(np.mean(t[half:]) - np.mean(t[:half]))
+            tau0 = dt / math.log(z1 / z2)
+        else:
+            tau0 = float(t[-1] - t[0])
+        phase0 = float(np.angle(z_early)) + 0.5 * math.pi
+        amp0 = 2.0 * z1 if z1 > 0.0 else float(y.max() - y.min()) / 2.0
+    guess = [amp0, tau0, phase0, c0]
+    if not np.isfinite(guess).all():
+        raise DegenerateFitError(_NO_SINE_GUESS)
 
     res = fit_least_squares(
-        lambda tt, p: _sine_model(tt, p, w), t, y, [amp0, tau0, phase0, c0],
+        lambda tt, p: _sine_model(tt, p, w), t, y, guess,
         jac=lambda tt, p: _sine_jac(tt, p, w),
     )
     amp, tau, phase, c = (float(v) for v in res.params)

@@ -11,9 +11,10 @@ entry points are
 * :func:`fit_least_squares_stack` -- damped Gauss-Newton (Levenberg-Marquardt
   style damping schedule) on a Jacobian that the caller supplies in closed
   form, run as one loop over a ``(B, n)`` stack of independent fits: each row
-  keeps its own damping, cost, iteration count and stopping rules, and a row
-  that fails is reported, not raised.  :func:`fit_least_squares` is its
-  one-row call for a single fit.
+  keeps its own damping, cost, iteration count and stopping rules.  A row's
+  error (reported, not raised) is set where it fails; a row that stops
+  leaves its state at its index, and its result is built after the loop.
+  :func:`fit_least_squares` is its one-row call for a single fit.
 
 All routines are pure functions of their inputs; reruns on one numpy/BLAS
 build are byte-identical.  Time is measured in microseconds and rates in
@@ -388,10 +389,11 @@ def fit_least_squares_stack(
     runs the same kernel on each slice, so a row's result is byte-identical
     whether it is fitted alone or inside any stack.
 
-    Returns one entry per row: its :class:`FitResult`, or the
-    :class:`DegenerateFitError` (returned, not raised) of a row whose model
-    is non-finite at its initial guess or that found no descent direction
-    while its gradient was still large.  The other rows are unaffected.
+    Returns one entry per row, each set once: the :class:`DegenerateFitError`
+    (returned, not raised) of a row whose model is non-finite at its initial
+    guess or that found no descent direction while its gradient was still
+    large, set where it fails; or else its :class:`FitResult`, built after
+    the loop from the row's state as it left.  The other rows are unaffected.
 
     Raises
     ------
@@ -426,36 +428,38 @@ def fit_least_squares_stack(
         return grad, _amax(np.abs(grad), axis=(1, 2)), jt @ j
 
     eye = np.eye(k)
-    failures: dict[int, str] = {}
+    out: list = [None] * n_rows  # each row's outcome, set once
     r = np.asarray(model(t, p), dtype=float) - y
     live = np.arange(n_rows)
     finite = np.isfinite(r).all(axis=1)
     if np.count_nonzero(finite) < n_rows:
         for row in np.flatnonzero(~finite):
-            failures[int(row)] = "model returned non-finite residuals"
+            out[row] = DegenerateFitError("model returned non-finite residuals")
         live, p, r, y = live[finite], p[finite], r[finite], y[finite]
         if not len(live):
-            return [DegenerateFitError(failures[row]) for row in range(n_rows)]
+            return out
 
-    # Per live row: parameters, residuals, data, cost, damping, iteration
-    # number, and the gradient and J^T J at the parameters.  Rows that stop
-    # leave the loop together as one entry of ``finished``.
+    # Per live row: its index in the stack, parameters, residuals, data,
+    # cost, damping, iteration number, and the gradient and J^T J at the
+    # parameters.
     cost = np.vecdot(r, r)  # per row, the BLAS dot of a 1-D ``r @ r``
     lam = np.full(len(live), _LAM_START)
     iterations = np.ones(len(live), dtype=int)
     grad, gnorm, jtj = normal_equations(p, r)
     converged = stop = gnorm <= _GTOL * np.maximum(1.0, cost)
-    finished = []
+    # Each row's state as it leaves the loop, at its index in the stack.
+    state = (p, cost, jtj, iterations, converged)
+    ends = [np.empty((n_rows, *v.shape[1:]), v.dtype) for v in state]
 
     # A row's iteration number grows by at most one per round.
     for rounds in itertools.count(1):
         n_stop = np.count_nonzero(stop)
         if n_stop:
-            state = (live, p, cost, jtj, iterations, converged)
+            rows = live[stop]
+            for end, v in zip(ends, (p, cost, jtj, iterations, converged)):
+                end[rows] = v[stop]
             if n_stop == len(live):
-                finished.append(state)
                 break
-            finished.append(tuple(v[stop] for v in state))
             keep = ~stop
             live, p, r, y, cost, lam, iterations, grad, gnorm, jtj = (
                 v[keep] for v in (live, p, r, y, cost, lam, iterations, grad, gnorm, jtj)
@@ -484,7 +488,7 @@ def fit_least_squares_stack(
             optimum = stuck & (gnorm <= 1e-6 * np.maximum(1.0, cost))
             failed = stuck & ~optimum
             for row, g in zip(live[failed], gnorm[failed]):
-                failures[int(row)] = f"no descent direction found (gradient norm {g:.3e})"
+                out[row] = DegenerateFitError(f"no descent direction found (gradient norm {g:.3e})")
             if not n_step:
                 stop, converged = stuck, optimum
                 continue
@@ -505,23 +509,19 @@ def fit_least_squares_stack(
             iterations[spent] = _MAX_ITER
             stop, converged = stop | spent, converged & ~spent
 
-    if len(finished) > 1:
-        finished = [tuple(np.concatenate(v) for v in zip(*finished))]
-    ((live, p, cost, jtj, iterations, converged),) = finished
-    covariances = _covariances(jtj, cost / (n - k)) if n > k else [None] * len(live)
-    at = dict(zip(live.tolist(), range(len(live))))
-    return [
-        DegenerateFitError(failures[row])
-        if row in failures
-        else FitResult(
-            params=p[at[row]],
-            residual_norm=math.sqrt(cost[at[row]]),
-            converged=bool(converged[at[row]]),
-            iterations=int(iterations[at[row]]),
-            covariance=covariances[at[row]],
+    # The rows that did not fail, with their covariances from one call.
+    p, cost, jtj, iterations, converged = ends
+    fitted = [row for row, res in enumerate(out) if res is None]
+    covs = _covariances(jtj[fitted], cost[fitted] / (n - k)) if n > k else [None] * len(fitted)
+    for row, cov in zip(fitted, covs):
+        out[row] = FitResult(
+            params=p[row],
+            residual_norm=math.sqrt(cost[row]),
+            converged=bool(converged[row]),
+            iterations=int(iterations[row]),
+            covariance=cov,
         )
-        for row in range(n_rows)
-    ]
+    return out
 
 
 _amax = np.maximum.reduce  # ndarray.max without its Python-level wrapper

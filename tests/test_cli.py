@@ -1219,19 +1219,31 @@ class TestMain:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_overflowing_z_trace_exit_3(self, tmp_path, capsys):
-        # The z trace's last quarter sums past the float limit, so the
-        # exponential fit has no finite guess: exit 3 naming the fit.
-        trace_x, _ = _measured_traces()
+    @pytest.mark.parametrize(
+        "axis, big, message",
+        [
+            # The z trace's last quarter sums past the float limit, so the
+            # exponential fit has no finite guess.
+            ("z", 1.7e308, "exponential fit: the initial guess (a, T, c) is not finite"),
+            # The x trace's mean overflows, so the damped-sinusoid fit has none.
+            ("x", -1.7e308,
+             "damped-sinusoid fit: the initial guess (a, T, phase, c) is not finite"),
+        ],
+        ids=["z", "x"],
+    )
+    def test_overflowing_trace_exit_3(self, tmp_path, capsys, axis, big, message):
+        # Exit 3 naming the fit, with no numpy warning, nothing printed or written.
+        traces = dict(zip("xz", _measured_traces()))
         t = np.linspace(0.0, 4.0, 160)
-        trace_z = "".join(f"{a!r},{1.0 if a < 3.0 else 1.7e308!r}\n" for a in t.tolist())
-        conf = _supplied_traces_conf(tmp_path, trace_x, trace_z)
+        traces[axis] = "".join(f"{a!r},{1.0 if a < 3.0 else big!r}\n" for a in t.tolist())
+        conf = _supplied_traces_conf(tmp_path, traces["x"], traces["z"])
         out = tmp_path / "o"
-        code = main(["estimate", "--config", conf, "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--config", conf, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 3
-        assert "numerical failure in 'estimate': DegenerateFitError: exponential fit: " \
-            "the initial guess (a, T, c) is not finite" in captured.err
+        assert f"numerical failure in 'estimate': DegenerateFitError: {message}" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -298,6 +299,20 @@ class TestFitDampedSinusoid:
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             fit_damped_sinusoid(np.linspace(0, 1, 16), np.zeros(16), 0.0)
+
+    @pytest.mark.parametrize("big", [1.7e308, -1.7e308])
+    def test_overflowing_trace_is_a_degenerate_fit(self, big):
+        # The trace's mean overflows, so the guess's offset is not finite:
+        # a DegenerateFitError naming the fit, with no numpy warning.
+        t = np.linspace(0.0, 4.0, 160)
+        y = np.where(t < 3.0, 1.0, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFitError) as exc:
+                fit_damped_sinusoid(t, y, 5.0)
+        assert str(exc.value) == (
+            "damped-sinusoid fit: the initial guess (a, T, phase, c) is not finite"
+        )
 
 
 @pytest.mark.parametrize("fit", [fit_exp, lambda t, y: fit_damped_sinusoid(t, y, 5.0)],

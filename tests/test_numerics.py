@@ -602,6 +602,28 @@ def _outcome(res):
     return (res.params.tobytes(), res.residual_norm, res.converged, res.iterations, cov)
 
 
+def _fit_each_row_as_alone(t, y, guesses):
+    """The stacked fit of ``y`` under :func:`_failing_model`, after checking
+    that each row's entry has the bytes of that row fitted alone, and of the
+    one-row :func:`fit_least_squares` (its result, or its error raised)."""
+    guesses = np.asarray(guesses, dtype=float)
+    stack = fit_least_squares_stack(_failing_model, t, y, guesses, jac=_failing_jac)
+    assert len(stack) == len(y)
+    for b, res in enumerate(stack):
+        alone = fit_least_squares_stack(
+            _failing_model, t, y[b : b + 1], guesses[b : b + 1], jac=_failing_jac
+        )
+        assert _outcome(res) == _outcome(alone[0]), b
+        if isinstance(res, DegenerateFitError):
+            with pytest.raises(DegenerateFitError) as exc:
+                fit_least_squares(_failing_model, t, y[b], guesses[b], jac=_failing_jac)
+            single = exc.value
+        else:
+            single = fit_least_squares(_failing_model, t, y[b], guesses[b], jac=_failing_jac)
+        assert _outcome(single) == _outcome(res), b
+    return stack
+
+
 class TestFitLeastSquaresStack:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_row_does_not_depend_on_its_stack(self, seed):
@@ -613,24 +635,36 @@ class TestFitLeastSquaresStack:
         # with no descent direction.
         y = np.insert(y, 3, [0.3 * np.exp(-t / 0.7) + 0.1, 0.5 * np.exp(-t) - 100.0], axis=0)
         guesses[3:3] = [[100.0, 0.5, 0.1], [0.4, 0.8, -99.0]]
-        stack = fit_least_squares_stack(_failing_model, t, y, guesses, jac=_failing_jac)
-        assert len(stack) == len(y)
-        for b, res in enumerate(stack):
-            alone = fit_least_squares_stack(
-                _failing_model, t, y[b : b + 1], guesses[b : b + 1], jac=_failing_jac
-            )
-            assert _outcome(res) == _outcome(alone[0]), b
-            # The one-row call: the same numbers, or the same error raised.
-            if isinstance(res, DegenerateFitError):
-                with pytest.raises(DegenerateFitError) as exc:
-                    fit_least_squares(_failing_model, t, y[b], guesses[b], jac=_failing_jac)
-                assert str(exc.value) == str(res)
-            else:
-                single = fit_least_squares(_failing_model, t, y[b], guesses[b], jac=_failing_jac)
-                assert _outcome(single) == _outcome(res), b
+        stack = _fit_each_row_as_alone(t, y, guesses)
         assert str(stack[3]) == "model returned non-finite residuals"
         assert str(stack[4]).startswith("no descent direction found (gradient norm ")
         assert sum(isinstance(res, DegenerateFitError) for res in stack) == 2
+
+    def test_rows_out_of_iterations_beside_rows_that_converge(self, monkeypatch):
+        # With 6 iterations allowed, some rows of this sweep converge and the
+        # others run out: those report converged False at _MAX_ITER.
+        monkeypatch.setattr(numerics, "_MAX_ITER", 6)
+        t, y = _sweep_envelopes(6)
+        guesses, _ = estimation._exp_guess(t, y)
+        stack = _fit_each_row_as_alone(t, y, guesses)
+        assert {res.converged for res in stack} == {True, False}
+        for res in stack:
+            assert res.iterations <= 6
+            assert res.converged or res.iterations == 6
+
+    def test_every_row_non_finite_at_its_guess(self):
+        t, y = _sweep_envelopes(7, n_points=3)
+        guesses = [[100.0 + b, 0.5, 0.1] for b in range(len(y))]
+        stack = _fit_each_row_as_alone(t, y, guesses)
+        assert [str(res) for res in stack] == ["model returned non-finite residuals"] * len(y)
+
+    def test_as_many_samples_as_parameters_has_no_covariance(self):
+        # Three samples for (a, T, c): each fit is exact and its covariance
+        # cannot be formed.
+        t = np.array([0.0, 0.5, 1.5])
+        params = np.array([[0.7, 0.8, 0.1], [0.5, 1.2, -0.2], [-0.4, 0.3, 0.6]])
+        stack = _fit_each_row_as_alone(t, estimation._exp_model(t, params), 1.1 * params)
+        assert all(res.covariance is None and res.converged for res in stack)
 
     def test_iterations_differ_across_the_stack(self):
         # The rows stop at different rounds, so rows leave the loop while

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqbloch._table import csv_table
+from sqbloch._table import csv_blocks
 from sqbloch.blochdyn import (
     BlochState,
     DecayRates,
@@ -187,7 +187,7 @@ class TestRamsey:
 
     def test_csv(self):
         t = np.linspace(0.0, 1.0, 9)
-        text = csv_table("ramsey-trace-v1", "t_us,sz", t, ramsey(SQUEEZED, 0.0, 5.0, t))
+        text = "".join(csv_blocks("ramsey-trace-v1", "t_us,sz", t, ramsey(SQUEEZED, 0.0, 5.0, t)))
         lines = text.strip().split("\n")
         assert lines[0] == "#schema=ramsey-trace-v1"
         assert lines[1] == "t_us,sz"
@@ -290,7 +290,7 @@ class TestTomography:
     def test_csv(self):
         t = np.linspace(0.0, 1.0, 5)
         traj = tomography_trajectory(SQUEEZED, (0.5, 0.5), t)
-        text = csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj)
+        text = "".join(csv_blocks("bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj))
         lines = text.strip().split("\n")
         assert lines[0] == "#schema=bloch-trajectory-v1"
         assert lines[1] == "t_us,sx,sy,sz"
@@ -436,9 +436,9 @@ class TestDetuningSweep:
         _, (T_eff,), (converged,) = detuning_sweep(
             self.RADIATIVE, deltas, [0.5 * math.pi], np.linspace(0, 4, 81)
         )
-        text = csv_table(
+        text = "".join(csv_blocks(
             "detuning-sweep-v1", "delta_mhz,T_eff_us,converged", deltas, T_eff, converged
-        )
+        ))
         lines = text.strip().split("\n")
         assert lines[0] == "#schema=detuning-sweep-v1"
         assert len(lines) == 4
@@ -542,7 +542,7 @@ class TestGainSweep:
     def test_csv(self):
         rows = gain_sweep([0.0, 1.0], 0.5, 0.65, 6.6)
         header = "N,M,Tx_us,Ty_us,Tz_us,M_minus_N"
-        lines = csv_table("gain-sweep-v1", header, rows).strip().split("\n")
+        lines = "".join(csv_blocks("gain-sweep-v1", header, rows)).strip().split("\n")
         assert lines[0] == "#schema=gain-sweep-v1"
         assert lines[1].startswith("N,M,Tx_us")
         assert len(lines) == 4

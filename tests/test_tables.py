@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sqbloch import _table
-from sqbloch._table import _BLOCK_CELLS, _format_table, csv_blocks, csv_table
+from sqbloch._table import _BLOCK_CELLS, _format_table, csv_blocks
 from sqbloch.blochdyn import DecayRates
 from sqbloch.cli import _trace_grid_csv, load_config, main
 from sqbloch.protocols import detuning_sweep, gain_sweep
@@ -85,7 +85,7 @@ def _edge_trace(shift=0):
 @pytest.mark.parametrize("trace", [_edge_trace(), _long_trace()], ids=["edge", "long"])
 def test_ramsey_trace(trace):
     # The table the ramsey subcommand writes for each trace.
-    assert csv_table("ramsey-trace-v1", "t_us,sz", *trace) == _ramsey_oracle(*trace)
+    assert "".join(csv_blocks("ramsey-trace-v1", "t_us,sz", *trace)) == _ramsey_oracle(*trace)
 
 
 def test_bloch_trajectory():
@@ -101,21 +101,23 @@ def test_bloch_trajectory():
         (-1e-5, 1e-4, 0.25),
     ])
     t = np.array(TIMES)
-    text = csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", t, xyz)
+    text = "".join(csv_blocks("bloch-trajectory-v1", "t_us,sx,sy,sz", t, xyz))
     assert text == _trajectory_oracle(t, xyz)
-    empty = csv_table("bloch-trajectory-v1", "t_us,sx,sy,sz", np.array([]), np.empty((0, 3)))
+    empty = "".join(
+        csv_blocks("bloch-trajectory-v1", "t_us,sx,sy,sz", np.array([]), np.empty((0, 3)))
+    )
     assert empty == _trajectory_oracle([], [])
 
 
 def _detuning_csv(deltas, T_eff, converged):
     # The table the sweep-detuning subcommand writes for each prep axis.
     header = "delta_mhz,T_eff_us,converged"
-    return csv_table("detuning-sweep-v1", header, deltas, T_eff, converged)
+    return "".join(csv_blocks("detuning-sweep-v1", header, deltas, T_eff, converged))
 
 
 def _gain_csv(rows):
     # The table the sweep-gain subcommand writes.
-    return csv_table("gain-sweep-v1", "N,M,Tx_us,Ty_us,Tz_us,M_minus_N", rows)
+    return "".join(csv_blocks("gain-sweep-v1", "N,M,Tx_us,Ty_us,Tz_us,M_minus_N", rows))
 
 
 def test_detuning_sweep():
@@ -340,6 +342,6 @@ def test_csv_blocks_join_to_the_table(n_rows):
     t, sz = _long_trace(n_rows)
     blocks = list(csv_blocks("ramsey-trace-v1", "t_us,sz", t, sz))
     assert len(blocks) == 1 + -(-n_rows // (_BLOCK_CELLS // 2))
-    text = csv_table("ramsey-trace-v1", "t_us,sz", t, sz)
+    text = "".join(csv_blocks("ramsey-trace-v1", "t_us,sz", t, sz))
     assert text == _ramsey_oracle(t, sz)
     _check_blocks(blocks, text)
