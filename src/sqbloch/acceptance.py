@@ -230,7 +230,7 @@ def criterion_5_detuning_sweep(res: CriterionResult) -> None:
     for fitted, e0, t in ((tx, [1.0, 0.0], t_x), (ty, [0.0, 1.0], t_y)):
         maps = blochdyn.transverse_propagator_xy(rates, t, ref)
         env = np.linalg.norm(maps @ e0, axis=-1)
-        for d, fit in zip(ref, estimation.fit_exp_stack(t, env)):
+        for d, fit in zip(ref, estimation.fit_exp(t, env)):
             if isinstance(fit, Exception):
                 raise fit
             dual_err = max(dual_err, abs(fitted[d] - fit.T) / fitted[d])

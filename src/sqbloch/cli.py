@@ -297,23 +297,22 @@ def _cmd_ramsey(cfg: RunConfig, out: dict) -> tuple[int, str]:
     rates_off = replace(rates_on, N=0.0, M_abs=0.0)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     summary = {"omega_mod_mhz": cfg.omega_mod_mhz, "phi_grid_pi": list(cfg.phi_grid_pi)}
-    fits = {}
+    keys, traces = [], []  # in (phase, off/on) order, fitted as one stack
     for idx, phi_pi in enumerate(cfg.phi_grid_pi):
-        phi = phi_pi * math.pi
         for rates, tag in ((rates_off, "off"), (rates_on, "on")):
-            sz = protocols.ramsey(rates, phi, cfg.omega_mod_mhz, t)
+            sz = protocols.ramsey(rates, phi_pi * math.pi, cfg.omega_mod_mhz, t)
             table = partial(csv_blocks, "ramsey-trace-v1", "t_us,sz", t, sz)
             out[f"ramsey_{tag}_phi{idx:02d}.csv"] = table
-            fit = estimation.fit_damped_sinusoid(t, sz, cfg.omega_mod_mhz)
-            fits[f"{tag}_phi{idx:02d}"] = {
-                "phi_pi": phi_pi,
-                "T_us": fit.T,
-                "amplitude": fit.amplitude,
-                "phase_rad": fit.phase,
-                "converged": fit.converged,
-            }
-    summary["fits"] = fits
-    out["ramsey_summary.json"] = summary
+            keys.append((f"{tag}_phi{idx:02d}", phi_pi))
+            traces.append(sz)
+    fits = {}
+    stack = estimation.fit_damped_sinusoid(t, np.array(traces), cfg.omega_mod_mhz)
+    for (key, phi_pi), fit in zip(keys, stack):
+        if isinstance(fit, Exception):
+            raise fit  # the first failing trace's error
+        fits[key] = {"phi_pi": phi_pi, "T_us": fit.T, "amplitude": fit.amplitude,
+                     "phase_rad": fit.phase, "converged": fit.converged}
+    out["ramsey_summary.json"] = summary | {"fits": fits}
     off_times = [v["T_us"] for k, v in fits.items() if k.startswith("off")]
     return 0, f"squeezing off: mean fitted T2* = {np.mean(off_times):.4f} us"
 

@@ -1,16 +1,16 @@
 """Inverse pipeline: decay constants from traces, then reservoir moments.
 
-Fits wrap the damped Gauss-Newton kernel with decay-specific initialization;
-each fit model comes with its closed-form derivative.  Exponential fits start
-from an early-window guess, computed for a whole stack of traces in one array
-pass: offset and noise from the last quarter of each trace, time constant
-from the log-residual slope over the samples up to where the residual reaches
-the noise, amplitude from the first sample.  Keeping the noise-dominated tail
-out of the slope lets finite-shot traces fit as exact ones do.  Moment
-extraction follows the measured-timescale route: pure dephasing is subtracted
-from the transverse time, then (Tz, Tx~) invert the axis-timescale map for
-(N, M), with the thermal floor folded into the T1 calibration and subtracted
-from N.
+:func:`fit_exp` and :func:`fit_damped_sinusoid` fit one trace or a stack of
+them by one path (:func:`_fit`): each model comes with its closed-form
+derivative, and the initial guesses of all rows come from one array pass.
+Exponential fits start from an early-window guess: offset and noise from the
+last quarter of each trace, time constant from the log-residual slope over
+the samples up to where the residual reaches the noise, amplitude from the
+first sample, so that finite-shot traces fit as exact ones do.  Moment
+extraction follows the measured-timescale route: pure dephasing is
+subtracted from the transverse time, then (Tz, Tx~) invert the
+axis-timescale map for (N, M), with the thermal floor folded into the T1
+calibration and subtracted from N.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "estimate_moments",
     "fit_damped_sinusoid",
     "fit_exp",
-    "fit_exp_stack",
     "infer_eta",
     "moments_from_decays",
     "reconstruct_wigner",
@@ -45,9 +45,6 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 8  # fewest samples the decay fitters accept
-# The failures of fits whose trace overflows their guess's sums.
-_NO_GUESS = "exponential fit: the initial guess (a, T, c) is not finite"
-_NO_SINE_GUESS = "damped-sinusoid fit: the initial guess (a, T, phase, c) is not finite"
 
 
 @dataclass(frozen=True)
@@ -97,38 +94,44 @@ def _T_stderr(res: FitResult) -> float:
     return 0.0
 
 
-# The exponential model and its Jacobian take one parameter vector (a, T, c)
-# or a stack of them, shape (rows, 3), for rows of values over ``t``.
+def _params(p):
+    """The parameters each model and Jacobian take: one vector as floats (the
+    cheapest ufunc operands), or a ``(rows, k)`` stack as ``(rows, 1)`` columns."""
+    return p.tolist() if p.ndim == 1 else p.T[..., None]
 
 
 def _exp_model(t, p):
-    return p[..., 0, None] * _envelope(t, p[..., 1, None]) + p[..., 2, None]
+    a, T, c = _params(p)
+    return a * _envelope(t, T) + c
 
 
 def _exp_jac(t, p):
     """Derivative of :func:`_exp_model` in (a, T, c), C-contiguous."""
-    e, de = _envelope_dT(t, p[..., 1, None])
+    a, T, _ = _params(p)
+    e, de = _envelope_dT(t, T)
     j = np.empty(e.shape + (3,))
     j[..., 0] = e
-    np.multiply(p[..., 0, None], de, out=j[..., 1])
+    np.multiply(a, de, out=j[..., 1])
     j[..., 2] = 1.0
     return j
 
 
 def _sine_model(t, p, w):
-    return p[0] * _envelope(t, p[1]) * np.sin(w * t + p[2]) + p[3]
+    a, T, phase, c = _params(p)
+    return a * _envelope(t, T) * np.sin(w * t + phase) + c
 
 
 def _sine_jac(t, p, w):
-    """Derivative of :func:`_sine_model` in (a, T, phase, c) at fixed w."""
-    e, de = _envelope_dT(t, p[1])
-    arg = w * t + p[2]
+    """Derivative of :func:`_sine_model` in (a, T, phase, c), C-contiguous."""
+    a, T, phase, _ = _params(p)
+    e, de = _envelope_dT(t, T)
+    arg = w * t + phase
     s = np.sin(arg)
-    j = np.empty((t.size, 4))
-    np.multiply(e, s, out=j[:, 0])
-    np.multiply(p[0] * de, s, out=j[:, 1])
-    np.multiply(p[0] * e, np.cos(arg), out=j[:, 2])
-    j[:, 3] = 1.0
+    j = np.empty(e.shape + (4,))
+    np.multiply(e, s, out=j[..., 0])
+    np.multiply(a * de, s, out=j[..., 1])
+    np.multiply(a * e, np.cos(arg), out=j[..., 2])
+    j[..., 3] = 1.0
     return j
 
 
@@ -137,8 +140,8 @@ def _validate_trace(t, y):
     ``(rows, t.size)`` stack of them."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if y.shape[-1:] != (t.size,):
-        raise ValueError("time and value arrays must have equal length")
+    if y.ndim > 2 or y.shape[-1:] != (t.size,):
+        raise ValueError(f"expected a trace or a (rows, {t.size}) stack, got shape {y.shape}")
     if t.size < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     for name, values in (("t", t), ("y", y)):
@@ -208,120 +211,111 @@ def _exp_guess(t, y):
 
 
 def _exp_fit(y, res: FitResult | None) -> ExpFit:
-    """The :class:`ExpFit` of a least-squares result, or of a flat trace
-    ``y`` without one."""
+    """The :class:`ExpFit` of a least-squares result, or of a flat ``y`` (None)."""
     if res is None:
-        return ExpFit(
-            amplitude=0.0,
-            T=math.inf,
-            offset=float(np.mean(y)),
-            T_stderr=0.0,
-            converged=True,
-            no_decay=True,
-        )
-    return ExpFit(
-        amplitude=float(res.params[0]),
-        T=float(res.params[1]),
-        offset=float(res.params[2]),
-        T_stderr=_T_stderr(res),
-        converged=res.converged,
-    )
+        return ExpFit(0.0, math.inf, float(np.mean(y)), 0.0, converged=True, no_decay=True)
+    return ExpFit(*res.params.tolist(), _T_stderr(res), res.converged)
 
 
-def fit_exp(t, y) -> ExpFit:
-    """Fit a trace to ``a exp(-t/T) + c``.
+def _sine_guess(t, y, w):
+    """Initial (a, T, phase, c) of :func:`fit_damped_sinusoid` at angular
+    frequency ``w`` for every row of a ``(rows, n)`` stack, and a mask of flat
+    rows that is all False.  c is the mean.  Demodulated at w, y - c has means
+    z1 over the first half of the samples and z2 over the second: the phase
+    is arg z1 + pi/2, the amplitude 2 |z1| (half the peak-to-peak where
+    z1 = 0), and T the decay from |z1| to |z2| over the halves' mean-time
+    gap, or the span where |z2| is not in (0, |z1|).  Reductions run along the
+    last axis and each log is a scalar ``math.log``, so a row's guess has the
+    same bytes alone as in any stack."""
+    y = np.ascontiguousarray(y)
+    rows, n = y.shape
+    half = n // 2
+    guess = np.empty((rows, 4))
+    with np.errstate(all="ignore"):  # a trace near the float limit may overflow
+        span = t[-1] - t[0]
+        dt = np.add.reduce(t[half:]) / (n - half) - np.add.reduce(t[:half]) / half
+        c0 = guess[:, 3]
+        np.divide(np.add.reduce(y, axis=-1), n, out=c0)
+        z = (y - c0[:, None]) * np.exp(-1j * w * t)
+        z1 = np.add.reduce(z[:, :half], axis=-1) / half
+        np.add(np.angle(z1), 0.5 * math.pi, out=guess[:, 2])
+        z1 = np.abs(z1)
+        z2 = np.abs(np.add.reduce(z[:, half:], axis=-1) / (n - half))
+        guess[:, 1] = [dt / math.log(e / l) if e > 0.0 and 0.0 < l < e else span
+                       for e, l in zip(z1.tolist(), z2.tolist())]
+        np.multiply(z1, 2.0, out=guess[:, 0])
+        quiet = ~(z1 > 0.0)
+        if quiet.any():
+            guess[quiet, 0] = np.ptp(y[quiet], axis=-1) / 2.0
+    return guess, np.zeros(rows, dtype=bool)
 
-    The fit starts from the early-window guess of :func:`_exp_guess`: the
-    offset from the last quarter of the samples, T from the log-residual
-    slope over the samples up to where the residual reaches the tail's
-    noise, and the amplitude from the first sample.  A trace with no
-    resolvable decay returns T = inf with ``no_decay`` set; a trace whose
-    guess is not finite (its sums overflow) raises :class:`DegenerateFitError`.
-    """
+
+def _sine_fit(y, res: FitResult) -> SinusoidFit:
+    """The :class:`SinusoidFit` of a result: amplitude >= 0, phase in [0, 2 pi)."""
+    amp, tau, phase, c = res.params.tolist()
+    if amp < 0.0:
+        amp, phase = -amp, phase + math.pi
+    return SinusoidFit(amp, tau, phase % (2.0 * math.pi), c, _T_stderr(res), res.converged)
+
+
+def _fit(t, y, model, jac, guess, result, no_guess: str):
+    """Fit a trace ``y`` over ``t``, or each row of a ``(rows, t.size)`` stack,
+    to ``model`` with Jacobian ``jac``.  ``guess(t, Y)`` gives every row's
+    initial parameters and the mask of flat rows, whose fit is
+    ``result(row, None)``; a row whose guess is not finite fails with the
+    text ``no_guess``; the others get ``result(row, res)`` of their one
+    least-squares loop.  A stack returns each row's fit or error; a trace,
+    fitted by the one-row :func:`fit_least_squares` to the same bytes,
+    raises its error."""
     t, y = _validate_trace(t, y)
-    guess, flat = _exp_guess(t, y[None])
-    if flat[0]:
-        return _exp_fit(y, None)
-    if not np.isfinite(guess).all():
-        raise DegenerateFitError(_NO_GUESS)
-    return _exp_fit(y, fit_least_squares(_exp_model, t, y, guess[0], jac=_exp_jac))
-
-
-def fit_exp_stack(t, y) -> list[ExpFit | DegenerateFitError]:
-    """:func:`fit_exp` of every row of a ``(rows, t.size)`` stack, with the
-    decaying rows fitted in one :func:`~sqbloch.numerics.fit_least_squares_stack`
-    call.
-
-    The early-window guesses of all rows come from one array pass
-    (:func:`_exp_guess`), and each row gets the guess and the result
-    :func:`fit_exp` gives it alone.  A row whose fit fails gets the
-    :class:`DegenerateFitError` that :func:`fit_exp` would raise, returned
-    rather than raised; the other rows are unaffected.  A ``ValueError``
-    from the inputs is raised for the whole stack.
-    """
-    t, y = _validate_trace(t, y)
-    if y.ndim != 2:
-        raise ValueError(f"expected a (rows, {t.size}) stack, got shape {y.shape}")
-    guesses, flat = _exp_guess(t, y)
-    finite = np.isfinite(guesses).all(axis=1)
+    rows = y.reshape(-1, t.size)
+    guesses, flat = guess(t, rows)
+    finite = np.logical_and.reduce(np.isfinite(guesses), axis=1)
     fits: list = [
-        _exp_fit(row, None) if f else None if ok else DegenerateFitError(_NO_GUESS)
-        for row, f, ok in zip(y, flat.tolist(), finite.tolist())
+        result(row, None) if f else None if ok else DegenerateFitError(no_guess)
+        for row, f, ok in zip(rows, flat.tolist(), finite.tolist())
     ]
-    decaying = np.flatnonzero(~flat & finite)
-    stack = fit_least_squares_stack(_exp_model, t, y[decaying], guesses[decaying], jac=_exp_jac)
-    for b, res in zip(decaying.tolist(), stack):
-        fits[b] = res if isinstance(res, DegenerateFitError) else _exp_fit(y[b], res)
+    if y.ndim == 1:
+        (fit,) = fits
+        if fit is None:
+            return result(y, fit_least_squares(model, t, y, guesses[0], jac=jac))
+        if isinstance(fit, DegenerateFitError):
+            raise fit
+        return fit
+    live = np.flatnonzero(~flat & finite)
+    stack = fit_least_squares_stack(model, t, y[live], guesses[live], jac=jac)
+    for b, res in zip(live.tolist(), stack):
+        fits[b] = res if isinstance(res, DegenerateFitError) else result(y[b], res)
     return fits
 
 
-def fit_damped_sinusoid(t, y, omega_mod: float) -> SinusoidFit:
+def fit_exp(t, y):
+    """Fit a trace to ``a exp(-t/T) + c`` from the early-window guess of
+    :func:`_exp_guess`.
+
+    A trace with no resolvable decay returns T = inf with ``no_decay`` set; a
+    trace whose guess is not finite (its sums overflow), or whose fit fails,
+    raises :class:`DegenerateFitError`.  A ``(rows, t.size)`` stack is fitted
+    in one loop and returns each row's :class:`ExpFit`, or its error.
+    """
+    return _fit(t, y, _exp_model, _exp_jac, _exp_guess, _exp_fit,
+                "exponential fit: the initial guess (a, T, c) is not finite")
+
+
+def fit_damped_sinusoid(t, y, omega_mod: float):
     """Fit ``a exp(-t/T) sin(w t + phase) + c`` with w fixed by ``omega_mod``
     (ordinary MHz).
 
     The returned amplitude is nonnegative and the phase normalized to
-    [0, 2 pi).  A trace whose guess is not finite (its sums overflow) raises
-    :class:`DegenerateFitError`.
+    [0, 2 pi).  Failures, and a ``(rows, t.size)`` stack, are as in
+    :func:`fit_exp`.
     """
-    t, y = _validate_trace(t, y)
     if omega_mod <= 0.0:
         raise ValueError("omega_mod must be positive")
     w = 2.0 * math.pi * omega_mod
-
-    with np.errstate(all="ignore"):  # a trace near the float limit may overflow
-        c0 = float(y.mean())
-        z = (y - c0) * np.exp(-1j * w * t)
-        half = t.size // 2
-        z_early = z[:half].mean()
-        z1 = np.abs(z_early)
-        z2 = np.abs(z[half:].mean())
-        if z1 > 0.0 and 0.0 < z2 < z1:
-            dt = float(np.mean(t[half:]) - np.mean(t[:half]))
-            tau0 = dt / math.log(z1 / z2)
-        else:
-            tau0 = float(t[-1] - t[0])
-        phase0 = float(np.angle(z_early)) + 0.5 * math.pi
-        amp0 = 2.0 * z1 if z1 > 0.0 else float(y.max() - y.min()) / 2.0
-    guess = [amp0, tau0, phase0, c0]
-    if not np.isfinite(guess).all():
-        raise DegenerateFitError(_NO_SINE_GUESS)
-
-    res = fit_least_squares(
-        lambda tt, p: _sine_model(tt, p, w), t, y, guess,
-        jac=lambda tt, p: _sine_jac(tt, p, w),
-    )
-    amp, tau, phase, c = (float(v) for v in res.params)
-    if amp < 0.0:
-        amp, phase = -amp, phase + math.pi
-    phase = phase % (2.0 * math.pi)
-    return SinusoidFit(
-        amplitude=amp,
-        T=tau,
-        phase=phase,
-        offset=c,
-        T_stderr=_T_stderr(res),
-        converged=res.converged,
-    )
+    return _fit(t, y, partial(_sine_model, w=w), partial(_sine_jac, w=w),
+                partial(_sine_guess, w=w), _sine_fit,
+                "damped-sinusoid fit: the initial guess (a, T, phase, c) is not finite")
 
 
 def subtract_dephasing(T_measured: float, T_phi: float) -> float:

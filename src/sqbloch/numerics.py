@@ -346,7 +346,8 @@ def fit_least_squares(
     ValueError
         If ``jac`` returns an array of the wrong shape.
     DegenerateFitError
-        If the model is non-finite at the initial guess, or the Jacobian is
+        If the residuals, or their sum of squares, are non-finite at the
+        initial guess (the message names an overflow), or the Jacobian is
         rank deficient beyond what damping can recover (no descent direction
         found while the gradient is still large).
     """
@@ -390,10 +391,11 @@ def fit_least_squares_stack(
     whether it is fitted alone or inside any stack.
 
     Returns one entry per row, each set once: the :class:`DegenerateFitError`
-    (returned, not raised) of a row whose model is non-finite at its initial
-    guess or that found no descent direction while its gradient was still
-    large, set where it fails; or else its :class:`FitResult`, built after
-    the loop from the row's state as it left.  The other rows are unaffected.
+    (returned, not raised) of a row whose residuals, or their sum of squares,
+    are non-finite at its initial guess, or that found no descent direction
+    while its gradient was still large, set where it fails; or else its
+    :class:`FitResult`, built after the loop from the row's state as it left.
+    The other rows are unaffected.
 
     Raises
     ------
@@ -429,20 +431,25 @@ def fit_least_squares_stack(
 
     eye = np.eye(k)
     out: list = [None] * n_rows  # each row's outcome, set once
-    r = np.asarray(model(t, p), dtype=float) - y
+    # A row whose residuals or cost overflow fails here, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.asarray(model(t, p), dtype=float) - y
+        cost = np.vecdot(r, r)  # per row, the BLAS dot of a 1-D ``r @ r``
     live = np.arange(n_rows)
-    finite = np.isfinite(r).all(axis=1)
+    finite = np.isfinite(cost)
     if np.count_nonzero(finite) < n_rows:
         for row in np.flatnonzero(~finite):
-            out[row] = DegenerateFitError("model returned non-finite residuals")
-        live, p, r, y = live[finite], p[finite], r[finite], y[finite]
+            big = _amax(np.abs(r[row]))  # NaN if a residual is
+            out[row] = DegenerateFitError(
+                f"squared residuals overflow at the initial guess (largest |residual| {big:.3e})"
+                if math.isfinite(big) else "model returned non-finite residuals")
+        live, p, r, y, cost = live[finite], p[finite], r[finite], y[finite], cost[finite]
         if not len(live):
             return out
 
     # Per live row: its index in the stack, parameters, residuals, data,
     # cost, damping, iteration number, and the gradient and J^T J at the
     # parameters.
-    cost = np.vecdot(r, r)  # per row, the BLAS dot of a 1-D ``r @ r``
     lam = np.full(len(live), _LAM_START)
     iterations = np.ones(len(live), dtype=int)
     grad, gnorm, jtj = normal_equations(p, r)

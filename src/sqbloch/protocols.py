@@ -43,8 +43,7 @@ from .blochdyn import (
     transverse_propagator_xy,
 )
 from .errors import DegenerateFitError
-# fit_exp stays bound here too; perfbench's tracer self-test wraps it at this name.
-from .estimation import fit_exp, fit_exp_stack  # noqa: F401
+from .estimation import fit_exp
 from .reservoir import eta_curve
 from . import blochdyn
 
@@ -244,7 +243,7 @@ def detuning_sweep(
     co-rotating frame, and fits the envelope magnitude to a single
     exponential.  The traces of every (phase, detuning) point come from one
     propagator grid, and all envelopes are fitted as one stack
-    (:func:`~sqbloch.estimation.fit_exp_stack`), with the result a point
+    (:func:`~sqbloch.estimation.fit_exp`), with the result a point
     would get on its own.  ``traces[i, j]`` is the in-phase trace
     ``ramsey(replace(r, delta=deltas[j]), phis[i], omega_mod, t_samples)``.
     A point whose fit fails has ``T_eff = nan`` and ``converged = False``;
@@ -260,7 +259,7 @@ def detuning_sweep(
     # rotating with both the modulation and the squeezer.
     omega_rel = 2.0 * math.pi * (omega_mod - deltas)  # rad/us
     envelopes = np.abs(iq * np.exp(-1j * omega_rel[:, None] * t_samples))
-    fits = fit_exp_stack(t_samples, envelopes.reshape(-1, t_samples.size))
+    fits = fit_exp(t_samples, envelopes.reshape(-1, t_samples.size))
     T_eff = np.full(len(fits), math.nan)
     converged = np.zeros(len(fits), dtype=bool)
     for k, fit in enumerate(fits):  # a flat envelope's fit has T = inf, converged

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqbloch.blochdyn import DecayRates
-from sqbloch import cli, errors, polariton
+from sqbloch import cli, errors, estimation, numerics, polariton
 from sqbloch.cli import ConfigError, _polariton_system, load_config, main
 from sqbloch.protocols import ramsey
 
@@ -343,6 +343,58 @@ class TestMain:
         t2s = summary["fits"]["off_phi00"]["T_us"]
         assert t2s == pytest.approx(1.086, abs=2e-3)
         assert (out / "ramsey_on_phi01.csv").exists()
+
+    def test_ramsey_fits_its_traces_in_one_call(self, tmp_path, monkeypatch):
+        # The bundled config's 16 fringes (8 phases, squeezer off and on)
+        # run one least-squares loop, which every fit reaches through this
+        # name in numerics or in estimation.
+        calls = []
+        stack = numerics.fit_least_squares_stack
+
+        def counting(model, t, y, *args, **kwargs):
+            calls.append(len(y))
+            return stack(model, t, y, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "fit_least_squares_stack", counting)
+        monkeypatch.setattr(estimation, "fit_least_squares_stack", counting)
+        assert main(["ramsey", "--out", str(tmp_path / "r")]) == 0
+        assert calls == [16]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({5: np.nan}, "model returned non-finite residuals"),
+            # Of two failing rows, the one first in (phase, off/on) order.
+            ({3: np.nan, 9: 1e300}, "model returned non-finite residuals"),
+            ({3: 1e300, 9: np.nan},
+             "squared residuals overflow at the initial guess (largest |residual| 1.000e+300)"),
+        ],
+        ids=["one-row", "nan-first", "overflow-first"],
+    )
+    def test_ramsey_fit_failure_exit_3(self, tmp_path, capsys, monkeypatch, rows, message):
+        # The model's first call, on the whole stack, is set to a value in
+        # the given rows: the run exits 3 with that row's error, as a run
+        # that fits each trace in turn does, and writes and prints nothing.
+        model = estimation._sine_model
+        first = []
+
+        def failing(t, p, w):
+            v = model(t, p, w)
+            if not first:
+                first.append(len(p))
+                for row, value in rows.items():
+                    v[row] = value
+            return v
+
+        monkeypatch.setattr(estimation, "_sine_model", failing)
+        out = tmp_path / "r"
+        code = main(["ramsey", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert first == [16]
+        assert code == 3
+        assert captured.err == f"numerical failure in 'ramsey': DegenerateFitError: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_trajectory_outputs(self, fast_conf, tmp_path):
         out = tmp_path / "t"
@@ -1245,6 +1297,28 @@ class TestMain:
         assert code == 3
         assert f"numerical failure in 'estimate': DegenerateFitError: {message}" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_overflowing_squared_residuals_exit_3(self, tmp_path, capsys):
+        # Every sample of the x trace is finite, but the squared residuals at
+        # the damped-sinusoid fit's guess sum past the float limit: exit 3
+        # naming the overflow, with no numpy warning, nothing printed or
+        # written.
+        t = np.linspace(0.0, 4.0, 160)
+        x = 1e300 * np.exp(-t) * np.sin(2.0 * math.pi * 5.0 * t)
+        trace_x = "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), x.tolist()))
+        conf = _supplied_traces_conf(tmp_path, trace_x, _measured_traces()[1])
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--config", conf, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(
+            "numerical failure in 'estimate': DegenerateFitError: squared residuals overflow "
+            "at the initial guess (largest |residual| "
+        )
         assert captured.out == ""
         assert not out.exists()
 

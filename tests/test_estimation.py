@@ -1,7 +1,7 @@
 import json
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sqbloch import estimation
 from sqbloch.blochdyn import DecayRates, axis_timescales
-from sqbloch.cli import _json_text
+from sqbloch.cli import _json_text, _rates, load_config
 from sqbloch.errors import (
     DegenerateFitError,
     InconsistentInputsError,
@@ -22,7 +22,6 @@ from sqbloch.estimation import (
     estimate_moments,
     fit_damped_sinusoid,
     fit_exp,
-    fit_exp_stack,
     infer_eta,
     moments_from_decays,
     reconstruct_wigner,
@@ -124,8 +123,7 @@ def _reference_guess(t, y):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestExpGuess:
-    """The guess of :func:`fit_exp` and :func:`fit_exp_stack`, one array pass
-    over a stack of rows."""
+    """The guess of :func:`fit_exp`, one array pass over a stack of rows."""
 
     t = np.linspace(0.0, 5.0, 41)
 
@@ -169,7 +167,7 @@ class TestExpGuess:
     def test_edge_rows_fit_alone_as_in_the_stack(self):
         rows = _edge_rows(self.t)
         y = np.array(list(rows.values()))
-        fits = fit_exp_stack(self.t, y)
+        fits = fit_exp(self.t, y)
         for (name, row), fit in zip(rows.items(), fits):
             if isinstance(fit, DegenerateFitError):
                 with pytest.raises(DegenerateFitError) as exc:
@@ -181,13 +179,13 @@ class TestExpGuess:
 
     def test_overflowing_row_is_a_degenerate_fit(self):
         # The last quarter's sum overflows, so the guess's offset is inf:
-        # fit_exp raises DegenerateFitError, and fit_exp_stack returns it
-        # for that row and fits the others as alone.
+        # fit_exp raises DegenerateFitError for the trace, and returns it
+        # for that row of a stack and fits the others as alone.
         overflow = np.where(self.t < 3.0, 1.0, 1.7e308)
         with pytest.raises(DegenerateFitError, match="initial guess .* is not finite"):
             fit_exp(self.t, overflow)
         decay = 0.25 + 0.7 * np.exp(-self.t / 0.8)
-        fits = fit_exp_stack(self.t, np.array([decay, overflow, decay[::-1]]))
+        fits = fit_exp(self.t, np.array([decay, overflow, decay[::-1]]))
         assert isinstance(fits[1], DegenerateFitError)
         assert str(fits[1]) == "exponential fit: the initial guess (a, T, c) is not finite"
         assert _fit_bytes(fits[0]) == _fit_bytes(fit_exp(self.t, decay))
@@ -315,7 +313,89 @@ class TestFitDampedSinusoid:
         )
 
 
-@pytest.mark.parametrize("fit", [fit_exp, lambda t, y: fit_damped_sinusoid(t, y, 5.0)],
+def _sine_rows(t):
+    """Rows of a damped-sinusoid stack, by name: the Ramsey fringes of the
+    bundled config's phases, squeezer off and on, seeded noisy copies of
+    them, and rows that reach each way a row can fail."""
+    cfg = load_config(None)
+    on = _rates(cfg)
+    off = replace(on, N=0.0, M_abs=0.0)
+    rows = {
+        f"{tag} phi = {phi_pi} pi": ramsey(rates, phi_pi * math.pi, cfg.omega_mod_mhz, t)
+        for phi_pi in cfg.phi_grid_pi
+        for rates, tag in ((off, "off"), (on, "on"))
+    }
+    rng = np.random.default_rng(31)
+    for name in list(rows)[::3]:
+        rows[f"noisy {name}"] = rows[name] + 0.02 * rng.standard_normal(t.size)
+    fringe = rows["off phi = 0.5 pi"]
+    rows |= {
+        "flat": np.full(t.size, 0.25),
+        # The mean overflows, so the guess is not finite.
+        "guess overflows": np.where(t < 3.0, 1.0, 1.7e308),
+        # Finite residuals whose squares sum past the float limit.
+        "residuals overflow": 1e300 * np.exp(-t) * np.sin(2.0 * math.pi * 5.0 * t),
+        # Picked out by their offset guess in _failing_sine: a model that is
+        # non-finite at the guess, and a Jacobian whose sign is flipped.
+        "non-finite model": fringe - 100.0,
+        "no descent": fringe + 100.0,
+    }
+    return rows
+
+
+def _failing_sine(monkeypatch):
+    """Make the rows whose offset guess is in (-200, -50) non-finite, and
+    flip the Jacobian of those in (50, 200), so that no step descends."""
+    model, jac = estimation._sine_model, estimation._sine_jac
+    monkeypatch.setattr(
+        estimation, "_sine_model",
+        lambda t, p, w: np.where(
+            (-200.0 < p[..., 3, None]) & (p[..., 3, None] < -50.0), np.nan, model(t, p, w)
+        ),
+    )
+    monkeypatch.setattr(
+        estimation, "_sine_jac",
+        lambda t, p, w: jac(t, p, w) * np.where(
+            (50.0 < p[..., 3]) & (p[..., 3] < 200.0), -1.0, 1.0
+        )[..., None, None],
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stacked_sinusoid_rows_are_their_single_trace_fits(monkeypatch):
+    _failing_sine(monkeypatch)
+    t = np.linspace(0.0, 5.0, 201)
+    rows = _sine_rows(t)
+    names = list(rows)
+    # The failing rows go in the middle of the stack.
+    names[8:8] = names[-5:]
+    del names[-5:]
+    fits = fit_damped_sinusoid(t, np.array([rows[k] for k in names]), 5.0)
+    assert len(fits) == len(names)
+    got = dict(zip(names, fits))
+    for name, fit in got.items():
+        if isinstance(fit, DegenerateFitError):
+            with pytest.raises(DegenerateFitError) as exc:
+                fit_damped_sinusoid(t, rows[name], 5.0)
+            alone = exc.value
+        else:
+            alone = fit_damped_sinusoid(t, rows[name], 5.0)
+        assert _fit_bytes(fit) == _fit_bytes(alone), name
+    failed = {k: str(v) for k, v in got.items() if isinstance(v, DegenerateFitError)}
+    assert failed.keys() == {
+        "guess overflows", "residuals overflow", "non-finite model", "no descent"
+    }
+    assert failed["guess overflows"] == (
+        "damped-sinusoid fit: the initial guess (a, T, phase, c) is not finite"
+    )
+    assert failed["residuals overflow"].startswith(
+        "squared residuals overflow at the initial guess (largest |residual| "
+    )
+    assert failed["non-finite model"] == "model returned non-finite residuals"
+    assert failed["no descent"].startswith("no descent direction found (gradient norm ")
+
+
+@pytest.mark.parametrize("fit",[fit_exp, lambda t, y: fit_damped_sinusoid(t, y, 5.0)],
                          ids=["exp", "sinusoid"])
 @pytest.mark.parametrize("name, bad", [("t", math.nan), ("t", math.inf), ("y", math.nan)])
 def test_fitters_reject_non_finite_samples(fit, name, bad):

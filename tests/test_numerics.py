@@ -658,6 +658,22 @@ class TestFitLeastSquaresStack:
         stack = _fit_each_row_as_alone(t, y, guesses)
         assert [str(res) for res in stack] == ["model returned non-finite residuals"] * len(y)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_squared_residuals_fail_at_the_guess(self):
+        # Every residual of the middle row is finite, but their squares sum
+        # past the float limit: that row fails at its guess with an error
+        # naming the overflow, without a numpy warning, and the others fit
+        # as alone.
+        t, y = _sweep_envelopes(5)
+        guesses, _ = estimation._exp_guess(t, y)
+        y = np.insert(y, 2, 1e300 * np.exp(-t), axis=0)
+        guesses = np.insert(guesses, 2, [1.0, 1.0, 0.0], axis=0)
+        stack = _fit_each_row_as_alone(t, y, guesses)
+        assert str(stack[2]) == (
+            "squared residuals overflow at the initial guess (largest |residual| 1.000e+300)"
+        )
+        assert sum(isinstance(res, DegenerateFitError) for res in stack) == 1
+
     def test_as_many_samples_as_parameters_has_no_covariance(self):
         # Three samples for (a, T, c): each fit is exact and its covariance
         # cannot be formed.
@@ -695,7 +711,7 @@ class TestFitExpStack:
         # A flat row and a row whose model is non-finite at its guess (its
         # amplitude guess is above 50), in the middle.
         y = np.insert(y, 3, [np.full(t.size, 0.25), 300.0 * np.exp(-t / 0.9)], axis=0)
-        fits = estimation.fit_exp_stack(t, y)
+        fits = estimation.fit_exp(t, y)
         assert len(fits) == len(y)
         assert fits[3].no_decay and fits[3].T == math.inf
         assert str(fits[4]) == "model returned non-finite residuals"
@@ -706,7 +722,10 @@ class TestFitExpStack:
             else:
                 assert fit == estimation.fit_exp(t, row), b
 
-    def test_rejects_a_single_trace(self):
+    @pytest.mark.parametrize("fit", [estimation.fit_exp,
+                                     lambda t, y: estimation.fit_damped_sinusoid(t, y, 5.0)],
+                             ids=["exp", "sinusoid"])
+    def test_rejects_a_3d_stack(self, fit):
         t = np.linspace(0.0, 5.0, 50)
-        with pytest.raises(ValueError, match="stack"):
-            estimation.fit_exp_stack(t, np.exp(-t))
+        with pytest.raises(ValueError, match=r"^expected a trace or a \(rows, 50\) stack"):
+            fit(t, np.exp(-t)[None, None])

@@ -315,13 +315,13 @@ def _point_envelope(r, phi, omega_mod, t):
 
 
 def _scaled_row_stack(row, factor):
-    """``fit_exp_stack`` with one row of the envelope stack scaled."""
-    from sqbloch.estimation import fit_exp_stack
+    """``fit_exp`` with one row of the envelope stack scaled."""
+    from sqbloch.estimation import fit_exp
 
     def stack(t, y):
         y = y.copy()
         y[row] *= factor
-        return fit_exp_stack(t, y)
+        return fit_exp(t, y)
 
     return stack
 
@@ -416,7 +416,7 @@ class TestDetuningSweep:
             lambda t, p: np.where(p[..., 0, None] > 50.0, np.nan, model(t, p)),
         )
         deltas = [-0.9, 0.3, 0.0, 1.4, 0.6]
-        monkeypatch.setattr(protocols, "fit_exp_stack", _scaled_row_stack(1, 1000.0))
+        monkeypatch.setattr(protocols, "fit_exp", _scaled_row_stack(1, 1000.0))
         t = np.linspace(0.0, 5.0, 201)
         _, (T_eff,), (converged,) = detuning_sweep(SQUEEZED, deltas, [0.5 * math.pi], t)
         assert T_eff.shape == converged.shape == (len(deltas),)
@@ -481,7 +481,7 @@ class TestDetuningSweepGrid:
         t = np.linspace(0.0, 4.0, 161)
         traces, T_eff, converged = detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t)
         # Row 9 of the (phase, detuning) stack: the second phase, third detuning.
-        monkeypatch.setattr(protocols, "fit_exp_stack", _scaled_row_stack(9, 1000.0))
+        monkeypatch.setattr(protocols, "fit_exp", _scaled_row_stack(9, 1000.0))
         f_traces, f_T_eff, f_converged = detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t)
         assert f_traces.tobytes() == traces.tobytes()
         assert math.isnan(f_T_eff[1, 2]) and not f_converged[1, 2]
