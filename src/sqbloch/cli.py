@@ -5,7 +5,8 @@ Configuration is a key-value file with nested sections (INI syntax); the
 bundled ``data/paper.conf`` encodes the reference operating point and is read
 when ``--config`` is omitted.  Exit codes: 0 success, 2 configuration errors
 (with field-level messages, an ``--out`` that cannot be written included),
-3 numerical failures naming the operation.  Each subcommand stages its
+3 numerical failures naming the operation, an output too large to allocate
+included.  Each subcommand stages its
 outputs in a dict (a JSON payload, or a zero-argument CSV encoder yielding
 text blocks, per file) and returns its exit code and result line; ``main``
 encodes the chosen JSON files, and the first block of each chosen CSV file,
@@ -292,6 +293,13 @@ def _cmd_polariton(cfg: RunConfig, out: dict) -> tuple[int, str]:
     )
 
 
+def _fitted(entry):
+    """A fit of a stacked fit's list, or that row's error raised."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
 def _cmd_ramsey(cfg: RunConfig, out: dict) -> tuple[int, str]:
     rates_on = _rates(cfg)
     rates_off = replace(rates_on, N=0.0, M_abs=0.0)
@@ -308,8 +316,7 @@ def _cmd_ramsey(cfg: RunConfig, out: dict) -> tuple[int, str]:
     fits = {}
     stack = estimation.fit_damped_sinusoid(t, np.array(traces), cfg.omega_mod_mhz)
     for (key, phi_pi), fit in zip(keys, stack):
-        if isinstance(fit, Exception):
-            raise fit  # the first failing trace's error
+        fit = _fitted(fit)  # the first failing trace raises
         fits[key] = {"phi_pi": phi_pi, "T_us": fit.T, "amplitude": fit.amplitude,
                      "phase_rad": fit.phase, "converged": fit.converged}
     out["ramsey_summary.json"] = summary | {"fits": fits}
@@ -468,18 +475,20 @@ def _cmd_estimate(cfg: RunConfig, out: dict) -> tuple[int, str]:
         rates_off = replace(rates, N=cfg.n_th, M_abs=0.0)
         t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
         t_short = np.linspace(0.0, cfg.t_max_us / 3.0, cfg.n_samples)
-
-        def ramsey_fit(r: DecayRates, phi: float, tt: np.ndarray):
-            sz = protocols.ramsey(r, phi, cfg.omega_mod_mhz, tt)
-            return estimation.fit_damped_sinusoid(tt, sz, cfg.omega_mod_mhz)
-
+        w = cfg.omega_mod_mhz
         traj = protocols.tomography_trajectory(rates, (math.pi, 0.0), t)
-        # Ty and T2* complete the decay table for the summary.
+        # The x fringes, squeezer on and off, share t and fit as one stack.
+        x_fringes = [protocols.ramsey(r, 0.5 * math.pi, w, t) for r in (rates, rates_off)]
+        x_on, x_off = estimation.fit_damped_sinusoid(t, np.array(x_fringes), w)
+        # Ty and T2* complete the decay table for the summary; a failed fit
+        # raises in the table's order.
         fits = {
-            "Tx": ramsey_fit(rates, 0.5 * math.pi, t),
-            "Ty": ramsey_fit(rates, math.pi, t_short),
+            "Tx": _fitted(x_on),
+            "Ty": estimation.fit_damped_sinusoid(
+                t_short, protocols.ramsey(rates, math.pi, w, t_short), w
+            ),
             "Tz": estimation.fit_exp(t, traj[:, 2]),
-            "T2_star": ramsey_fit(rates_off, 0.5 * math.pi, t),
+            "T2_star": _fitted(x_off),
         }
     _check_decay_times(fits)
     tx, tz = fits["Tx"].T, fits["Tz"].T
@@ -624,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+    except (NumericalFailure, np.linalg.LinAlgError, MemoryError) as exc:
         print(
             f"numerical failure in '{args.command}': {type(exc).__name__}: {exc}",
             file=sys.stderr,

@@ -80,6 +80,10 @@ n_samples = 64
 t_max_us = 2.0
 """
 
+CIRCUIT_SECTION = POLARITON_CONF[
+    POLARITON_CONF.index("[polariton]") : POLARITON_CONF.index("[reservoir]")
+]
+
 
 # Eleven valid rows after t = 0.1; UNSET drops the key from the config.
 TRACE_ROWS = "".join(f"{0.1 * k:.9g},{math.exp(-0.1 * k):.9g}\n" for k in range(1, 12))
@@ -109,6 +113,7 @@ def _supplied_traces_conf(tmp_path, trace_x: str, trace_z: str) -> str:
     return str(conf)
 
 
+OVERFLOW = "squared residuals overflow at the initial guess (largest |residual| 1.000e+300)"
 BUNDLED = resources.files("sqbloch").joinpath("data/paper.conf").read_text()
 SIX_COMMANDS = ["ramsey", "estimate", "sweep-gain", "wigner", "trajectory", "sweep-detuning"]
 
@@ -267,10 +272,13 @@ class TestLoadConfig:
 
     def test_utf8_config_loads_in_the_c_locale(self, tmp_path):
         # Without UTF-8 mode or locale coercion, Python's default encoding
-        # under LC_ALL=C is ASCII; the config and its traces are read as UTF-8.
+        # under LC_ALL=C is ASCII; the config and its traces are read as
+        # UTF-8, each trace past a byte-order mark, an indented comment and
+        # an indented header.
         conf = _supplied_traces_conf(tmp_path, *_measured_traces())
-        for path in (tmp_path / "x.csv", tmp_path / "z.csv", Path(conf)):
-            path.write_text("# times in µs\n" + path.read_text(), encoding="utf-8")
+        for path in (tmp_path / "x.csv", tmp_path / "z.csv"):
+            path.write_text("\ufeff  # times in µs\n  " + path.read_text(), encoding="utf-8")
+        Path(conf).write_text("# times in µs\n" + Path(conf).read_text(), encoding="utf-8")
         import sqbloch
 
         env = os.environ | {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
@@ -283,7 +291,7 @@ class TestLoadConfig:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
-        assert (tmp_path / "o" / "moments.json").exists()
+        assert json.loads((tmp_path / "o" / "moments.json").read_text())["source"] == "supplied"
 
     def test_polariton_config_resolves_calibrated_t1(self, tmp_path):
         path = tmp_path / "p.conf"
@@ -344,10 +352,14 @@ class TestMain:
         assert t2s == pytest.approx(1.086, abs=2e-3)
         assert (out / "ramsey_on_phi01.csv").exists()
 
-    def test_ramsey_fits_its_traces_in_one_call(self, tmp_path, monkeypatch):
-        # The bundled config's 16 fringes (8 phases, squeezer off and on)
-        # run one least-squares loop, which every fit reaches through this
-        # name in numerics or in estimation.
+    @pytest.mark.parametrize(
+        "command, rows", [("ramsey", [16]), ("estimate", [2, 1, 1])], ids=["ramsey", "estimate"]
+    )
+    def test_fringes_on_one_grid_fit_in_one_call(self, tmp_path, monkeypatch, command, rows):
+        # The fringes of one time grid reach the least-squares loop, through
+        # this name in numerics or in estimation, as one stack: ramsey's 16
+        # (8 phases, squeezer off and on), and estimate's simulated x fringes
+        # squeezer on (Tx) and off (T2*), before its Ty and Tz fits alone.
         calls = []
         stack = numerics.fit_least_squares_stack
 
@@ -357,8 +369,8 @@ class TestMain:
 
         monkeypatch.setattr(numerics, "fit_least_squares_stack", counting)
         monkeypatch.setattr(estimation, "fit_least_squares_stack", counting)
-        assert main(["ramsey", "--out", str(tmp_path / "r")]) == 0
-        assert calls == [16]
+        assert main([command, "--out", str(tmp_path / "r")]) == 0
+        assert calls == rows
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -366,8 +378,7 @@ class TestMain:
             ({5: np.nan}, "model returned non-finite residuals"),
             # Of two failing rows, the one first in (phase, off/on) order.
             ({3: np.nan, 9: 1e300}, "model returned non-finite residuals"),
-            ({3: 1e300, 9: np.nan},
-             "squared residuals overflow at the initial guess (largest |residual| 1.000e+300)"),
+            ({3: 1e300, 9: np.nan}, OVERFLOW),
         ],
         ids=["one-row", "nan-first", "overflow-first"],
     )
@@ -550,6 +561,46 @@ class TestMain:
         prefix = f"numerical failure in 'estimate': UnphysicalRatesError: fitted {name} = "
         assert prefix in err
         assert err.rstrip().endswith("us is not a positive, finite decay time")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows, ty_fails, message",
+        [
+            ({1: 1e300}, False, OVERFLOW),
+            ({1: 1e300}, True, "model returned non-finite residuals"),
+            ({0: 1e300, 1: np.nan}, True, OVERFLOW),
+        ],
+        ids=["T2_star", "Ty-before-T2_star", "Tx-first"],
+    )
+    def test_simulated_x_fringe_failure_order(
+        self, tmp_path, capsys, monkeypatch, rows, ty_fails, message
+    ):
+        # The model's first call on the stacked x fringes (row 0 Tx, row 1
+        # T2*) is set to a value in the given rows, and its first one-trace
+        # call (Ty) to NaN if asked: the run exits 3 with the error that one
+        # fit per trace raises first, Tx before Ty and Tz, T2* after them.
+        model = estimation._sine_model
+        seen = []
+
+        def failing(t, p, w):
+            v = model(t, p, w)
+            stacked = v.ndim == 2
+            if stacked not in seen:
+                seen.append(stacked)
+                if stacked:
+                    for row, value in rows.items():
+                        v[row] = value
+                elif ty_fails:
+                    v[:] = np.nan
+            return v
+
+        monkeypatch.setattr(estimation, "_sine_model", failing)
+        out = tmp_path / "e"
+        code = main(["estimate", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"numerical failure in 'estimate': DegenerateFitError: {message}\n"
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -988,6 +1039,30 @@ class TestMain:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("ramsey", POLARITON_CONF.replace("e_c_ghz = 0.208\n", ""),
+             "[polariton] is missing 'e_c_ghz'"),
+            ("ramsey", POLARITON_CONF.replace(CIRCUIT_SECTION, ""),
+             "[system] type = polariton but no [polariton] section"),
+            ("ramsey", POLARITON_CONF.replace("gamma_over_2pi_mhz = 0.240\n", ""),
+             "[polariton] gamma_over_2pi_mhz is required for type = polariton"),
+            ("polariton", FAST_CONF, "[polariton] section required for this subcommand"),
+        ],
+        ids=["missing-circuit-key", "no-circuit-section", "no-gamma", "spectrum-without-circuit"],
+    )
+    def test_polariton_config_error_exit_2(self, tmp_path, capsys, command, text, message):
+        conf = tmp_path / "c.conf"
+        conf.write_text(text)
+        out = tmp_path / "o"
+        code = main([command, "--config", str(conf), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: {message}" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     def test_cached_parser_parses_each_call_on_its_own(self, fast_conf, tmp_path, capsys):
         # build_parser() is built once per process; every main() call must
         # still read only its own argv.
@@ -1049,12 +1124,17 @@ class TestMain:
         stdout = capsys.readouterr().out
         assert stdout.count("[FAIL]") == 1 and stdout.count("[PASS]") == 10
 
+    @pytest.mark.parametrize("error", [errors.NumericalFailure, MemoryError])
     @pytest.mark.parametrize("command", SIX_COMMANDS + ["polariton", "validate"])
-    def test_failed_run_leaves_out_unchanged(self, tmp_path, capsys, monkeypatch, command):
+    def test_failed_run_leaves_out_unchanged(
+        self, tmp_path, capsys, monkeypatch, command, error
+    ):
         # A failure after the subcommand has staged its outputs (here, in
-        # encoding its JSON) writes none of them, CSV files included.
+        # encoding its JSON) writes none of them, CSV files included. An
+        # allocation that fails, such as a grid of n_points = 100000000000,
+        # is a numerical failure that names the MemoryError.
         def fail(name, payload):
-            raise errors.NumericalFailure(f"{name}: forced")
+            raise error(f"{name}: forced")
 
         monkeypatch.setattr(cli, "_json_text", fail)
         out = tmp_path / "o"
@@ -1063,7 +1143,7 @@ class TestMain:
         code = main([command, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 3
-        assert f"numerical failure in '{command}'" in captured.err
+        assert f"numerical failure in '{command}': {error.__name__}: " in captured.err
         assert captured.out == ""
         assert [p.name for p in out.iterdir()] == ["sentinel"]
         assert (out / "sentinel").read_bytes() == b"keep\n"
@@ -1345,23 +1425,36 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+EDIT_VALUES = ["-1", "-1e300", "0", "nan", "inf", "-inf", "1e300", "soon", ""]
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     st.sampled_from(sorted(BASES)).flatmap(
         lambda base: st.tuples(
-            st.just(base), st.sampled_from(re.findall(r"^(\w+) = ", BASES[base], flags=re.M))
+            st.just(base),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(re.findall(r"^(\w+) = ", BASES[base], flags=re.M)),
+                    st.sampled_from(EDIT_VALUES),
+                ),
+                min_size=1, max_size=2, unique_by=lambda edit: edit[0],
+            ),
         )
     ),
-    st.sampled_from(["-1", "-1e300", "0", "nan", "inf", "-inf", "1e300", "soon", ""]),
     st.sampled_from(SIX_COMMANDS + ["polariton"]),
 )
-def test_single_field_edits_keep_exit_contract(base_key, value, command):
-    # Any single-field edit ends in exit 0, 2 or 3 without a traceback; a
-    # failed run writes nothing, and a successful run writes only strict JSON.
-    base, key = base_key
+def test_field_edits_keep_exit_contract(base_edits, command):
+    # Any edit of one or two fields ends in exit 0, 2 or 3 without a
+    # traceback; a failed run writes nothing, and a successful run writes
+    # only strict JSON.
+    base, edits = base_edits
+    text = BASES[base]
+    for key, value in edits:
+        text = _with_field(text, key, value)
     with tempfile.TemporaryDirectory() as tmp:
         conf = Path(tmp) / "c.conf"
-        conf.write_text(_with_field(BASES[base], key, value))
+        conf.write_text(text)
         out = Path(tmp) / "o"
         stderr, stdout = io.StringIO(), io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stdout):

@@ -624,6 +624,14 @@ def _fit_each_row_as_alone(t, y, guesses):
     return stack
 
 
+def _fit_alone(t, y, guesses, b):
+    """Row ``b`` of the exponential stack ``y`` fitted on its own."""
+    (res,) = fit_least_squares_stack(
+        estimation._exp_model, t, y[b : b + 1], guesses[b : b + 1], jac=estimation._exp_jac
+    )
+    return res
+
+
 class TestFitLeastSquaresStack:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_row_does_not_depend_on_its_stack(self, seed):
@@ -673,6 +681,59 @@ class TestFitLeastSquaresStack:
             "squared residuals overflow at the initial guess (largest |residual| 1.000e+300)"
         )
         assert sum(isinstance(res, DegenerateFitError) for res in stack) == 1
+
+    def test_singular_row_takes_no_step(self, monkeypatch):
+        # np.linalg.solve fails on every stack of several rows, so each round
+        # solves row by row, and on the one row whose guess sits 1e3 below
+        # its data (|b| near 2e5, against at most a few hundred for the
+        # others): that row gets a NaN step, takes none and fails, and every
+        # other row fits as alone.
+        t, y = _sweep_envelopes(3)
+        guesses, _ = estimation._exp_guess(t, y)
+        y = np.insert(y, 3, y[3] + 1e3, axis=0)
+        guesses = np.insert(guesses, 3, guesses[3], axis=0)
+        alone = [_fit_alone(t, y, guesses, b) for b in range(len(y))]
+        solve = np.linalg.solve
+
+        def failing_solve(a, b):
+            if len(a) > 1 or np.abs(b).max() > 1e4:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        stack = fit_least_squares_stack(
+            estimation._exp_model, t, y, guesses, jac=estimation._exp_jac
+        )
+        assert alone[3].converged
+        assert str(stack[3]).startswith("no descent direction found (gradient norm ")
+        for b in range(len(y)):
+            if b != 3:
+                assert _outcome(stack[b]) == _outcome(alone[b]), b
+
+    def test_row_whose_covariance_fails_gets_none(self, monkeypatch):
+        # np.linalg.pinv fails on the stack of fitted rows, and on the fourth
+        # row retried alone: that row's covariance is None, and every other
+        # outcome, that row's fit included, is as alone.
+        t, y = _sweep_envelopes(4)
+        guesses, _ = estimation._exp_guess(t, y)
+        alone = [_fit_alone(t, y, guesses, b) for b in range(len(y))]
+        pinv, one_row = np.linalg.pinv, itertools.count()
+
+        def failing_pinv(a):
+            if len(a) > 1 or next(one_row) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return pinv(a)
+
+        monkeypatch.setattr(np.linalg, "pinv", failing_pinv)
+        stack = fit_least_squares_stack(
+            estimation._exp_model, t, y, guesses, jac=estimation._exp_jac
+        )
+        assert alone[3].covariance is not None
+        assert stack[3].covariance is None
+        assert _outcome(replace(stack[3], covariance=alone[3].covariance)) == _outcome(alone[3])
+        for b in range(len(y)):
+            if b != 3:
+                assert _outcome(stack[b]) == _outcome(alone[b]), b
 
     def test_as_many_samples_as_parameters_has_no_covariance(self):
         # Three samples for (a, T, c): each fit is exact and its covariance
