@@ -14,6 +14,11 @@ class StiffnessError(RuntimeError, NumericalFailure):
     explicit integrator."""
 
 
+class NonFiniteDerivativeError(RuntimeError, NumericalFailure):
+    """An ODE right-hand side is not finite at the initial state, so no
+    first step can be taken."""
+
+
 class DegenerateFitError(RuntimeError, NumericalFailure):
     """Least-squares Jacobian is rank deficient beyond what damping can
     recover."""

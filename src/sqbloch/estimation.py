@@ -3,6 +3,7 @@
 :func:`fit_exp` and :func:`fit_damped_sinusoid` fit one trace or a stack of
 them by one path (:func:`_fit`): each model comes with its closed-form
 derivative, and the initial guesses of all rows come from one array pass.
+Both return a :class:`DecayFit`, and a flat trace fits to T = inf in both.
 Exponential fits start from an early-window guess: offset and noise from the
 last quarter of each trace, time constant from the log-residual slope over
 the samples up to where the residual reaches the noise, amplitude from the
@@ -32,9 +33,8 @@ from .numerics import FitResult, fit_least_squares, fit_least_squares_stack
 from .reservoir import SqueezedReservoir, WignerGrid, variances, wigner_grid_for
 
 __all__ = [
-    "ExpFit",
+    "DecayFit",
     "MomentEstimate",
-    "SinusoidFit",
     "estimate_moments",
     "fit_damped_sinusoid",
     "fit_exp",
@@ -48,27 +48,17 @@ MIN_SAMPLES = 8  # fewest samples the decay fitters accept
 
 
 @dataclass(frozen=True)
-class ExpFit:
-    """Single-exponential fit a exp(-t/T) + c; ``no_decay`` marks flat traces."""
+class DecayFit:
+    """Fit of a decaying trace: a exp(-t/T) + c, or, with ``phase`` set, the
+    damped sinusoid a exp(-t/T) sin(w t + phase) + c at fixed w.  A flat
+    trace has T = inf, a = 0 and c its mean."""
 
     amplitude: float
     T: float
     offset: float
     T_stderr: float
     converged: bool
-    no_decay: bool = False
-
-
-@dataclass(frozen=True)
-class SinusoidFit:
-    """Damped sinusoid fit a exp(-t/T) sin(w t + phase) + c at fixed w."""
-
-    amplitude: float
-    T: float
-    phase: float
-    offset: float
-    T_stderr: float
-    converged: bool
+    phase: float | None = None
 
 
 def _envelope(t, T):
@@ -154,8 +144,7 @@ def _validate_trace(t, y):
 
 def _exp_guess(t, y):
     """Initial (a, T, c) of :func:`fit_exp` for every row of a ``(rows, n)``
-    stack, as a ``(rows, 3)`` array, and the ``(rows,)`` mask of rows with no
-    resolvable decay, whose guess is not used.
+    stack, as a ``(rows, 3)`` array.
 
     The offset c and the noise sigma come from the last quarter of the
     samples.  T is -1 / slope of the least-squares line through
@@ -177,8 +166,6 @@ def _exp_guess(t, y):
     # span), and a trace near the float limit overflows (the fit refuses its
     # non-finite guess): neither may warn.
     with np.errstate(all="ignore"):
-        lo, hi = np.minimum.reduce(y, axis=-1), np.maximum.reduce(y, axis=-1)
-        flat = hi - lo <= 1e-10 * np.maximum(np.maximum(-lo, hi), 1.0)  # max |y|, at least 1
         c0 = guess[:, 2]
         np.divide(np.add.reduce(y[:, -k:], axis=-1), k, out=c0)
         dev = y[:, -k:] - c0[:, None]
@@ -207,26 +194,23 @@ def _exp_guess(t, y):
         if zero.any():
             peak = y[zero, np.argmax(resid[zero], axis=-1)]
             amp0[zero] = np.sign(peak - c0[zero]) * rmax[zero]
-    return guess, flat
+    return guess
 
 
-def _exp_fit(y, res: FitResult | None) -> ExpFit:
-    """The :class:`ExpFit` of a least-squares result, or of a flat ``y`` (None)."""
-    if res is None:
-        return ExpFit(0.0, math.inf, float(np.mean(y)), 0.0, converged=True, no_decay=True)
-    return ExpFit(*res.params.tolist(), _T_stderr(res), res.converged)
+def _exp_fit(res: FitResult) -> DecayFit:
+    """The :class:`DecayFit` of an exponential least-squares result."""
+    return DecayFit(*res.params.tolist(), _T_stderr(res), res.converged)
 
 
 def _sine_guess(t, y, w):
     """Initial (a, T, phase, c) of :func:`fit_damped_sinusoid` at angular
-    frequency ``w`` for every row of a ``(rows, n)`` stack, and a mask of flat
-    rows that is all False.  c is the mean.  Demodulated at w, y - c has means
-    z1 over the first half of the samples and z2 over the second: the phase
-    is arg z1 + pi/2, the amplitude 2 |z1| (half the peak-to-peak where
-    z1 = 0), and T the decay from |z1| to |z2| over the halves' mean-time
-    gap, or the span where |z2| is not in (0, |z1|).  Reductions run along the
-    last axis and each log is a scalar ``math.log``, so a row's guess has the
-    same bytes alone as in any stack."""
+    frequency ``w`` for every row of a ``(rows, n)`` stack.  c is the mean.
+    Demodulated at w, y - c has means z1 over the first half of the samples
+    and z2 over the second: the phase is arg z1 + pi/2, the amplitude 2 |z1|
+    (half the peak-to-peak where z1 = 0), and T the decay from |z1| to |z2|
+    over the halves' mean-time gap, or the span where |z2| is not in
+    (0, |z1|).  Reductions run along the last axis and each log is a scalar
+    ``math.log``, so a row's guess has the same bytes alone as in any stack."""
     y = np.ascontiguousarray(y)
     rows, n = y.shape
     half = n // 2
@@ -247,45 +231,51 @@ def _sine_guess(t, y, w):
         quiet = ~(z1 > 0.0)
         if quiet.any():
             guess[quiet, 0] = np.ptp(y[quiet], axis=-1) / 2.0
-    return guess, np.zeros(rows, dtype=bool)
+    return guess
 
 
-def _sine_fit(y, res: FitResult) -> SinusoidFit:
-    """The :class:`SinusoidFit` of a result: amplitude >= 0, phase in [0, 2 pi)."""
+def _sine_fit(res: FitResult) -> DecayFit:
+    """The :class:`DecayFit` of a damped-sinusoid result: amplitude >= 0,
+    phase in [0, 2 pi)."""
     amp, tau, phase, c = res.params.tolist()
     if amp < 0.0:
         amp, phase = -amp, phase + math.pi
-    return SinusoidFit(amp, tau, phase % (2.0 * math.pi), c, _T_stderr(res), res.converged)
+    return DecayFit(amp, tau, c, _T_stderr(res), res.converged, phase % (2.0 * math.pi))
 
 
 def _fit(t, y, model, jac, guess, result, no_guess: str):
     """Fit a trace ``y`` over ``t``, or each row of a ``(rows, t.size)`` stack,
-    to ``model`` with Jacobian ``jac``.  ``guess(t, Y)`` gives every row's
-    initial parameters and the mask of flat rows, whose fit is
-    ``result(row, None)``; a row whose guess is not finite fails with the
-    text ``no_guess``; the others get ``result(row, res)`` of their one
-    least-squares loop.  A stack returns each row's fit or error; a trace,
-    fitted by the one-row :func:`fit_least_squares` to the same bytes,
-    raises its error."""
+    to ``model`` with Jacobian ``jac``.  A flat row, whose range is at most
+    1e-10 max(max |y|, 1), has no resolvable decay: its fit is T = inf,
+    amplitude 0 and its mean as offset, with no least-squares loop.
+    ``guess(t, Y)`` gives every row's initial parameters; a row whose guess is
+    not finite fails with the text ``no_guess``; the others get
+    ``result(res)`` of their one least-squares loop.  A stack returns each
+    row's fit or error; a trace, fitted by the one-row
+    :func:`fit_least_squares` to the same bytes, raises its error."""
     t, y = _validate_trace(t, y)
     rows = y.reshape(-1, t.size)
-    guesses, flat = guess(t, rows)
+    with np.errstate(over="ignore"):  # the range of a trace near the float limit
+        lo, hi = np.minimum.reduce(rows, axis=-1), np.maximum.reduce(rows, axis=-1)
+        flat = hi - lo <= 1e-10 * np.maximum(np.maximum(-lo, hi), 1.0)  # max |y|, at least 1
+    guesses = guess(t, rows)
     finite = np.logical_and.reduce(np.isfinite(guesses), axis=1)
     fits: list = [
-        result(row, None) if f else None if ok else DegenerateFitError(no_guess)
+        DecayFit(0.0, math.inf, float(np.mean(row)), 0.0, True) if f
+        else None if ok else DegenerateFitError(no_guess)
         for row, f, ok in zip(rows, flat.tolist(), finite.tolist())
     ]
     if y.ndim == 1:
         (fit,) = fits
         if fit is None:
-            return result(y, fit_least_squares(model, t, y, guesses[0], jac=jac))
+            return result(fit_least_squares(model, t, y, guesses[0], jac=jac))
         if isinstance(fit, DegenerateFitError):
             raise fit
         return fit
     live = np.flatnonzero(~flat & finite)
     stack = fit_least_squares_stack(model, t, y[live], guesses[live], jac=jac)
     for b, res in zip(live.tolist(), stack):
-        fits[b] = res if isinstance(res, DegenerateFitError) else result(y[b], res)
+        fits[b] = res if isinstance(res, DegenerateFitError) else result(res)
     return fits
 
 
@@ -293,10 +283,10 @@ def fit_exp(t, y):
     """Fit a trace to ``a exp(-t/T) + c`` from the early-window guess of
     :func:`_exp_guess`.
 
-    A trace with no resolvable decay returns T = inf with ``no_decay`` set; a
-    trace whose guess is not finite (its sums overflow), or whose fit fails,
-    raises :class:`DegenerateFitError`.  A ``(rows, t.size)`` stack is fitted
-    in one loop and returns each row's :class:`ExpFit`, or its error.
+    A flat trace returns T = inf (see :func:`_fit`); a trace whose guess is
+    not finite (its sums overflow), or whose fit fails, raises
+    :class:`DegenerateFitError`.  A ``(rows, t.size)`` stack is fitted in one
+    loop and returns each row's :class:`DecayFit`, or its error.
     """
     return _fit(t, y, _exp_model, _exp_jac, _exp_guess, _exp_fit,
                 "exponential fit: the initial guess (a, T, c) is not finite")
@@ -307,8 +297,8 @@ def fit_damped_sinusoid(t, y, omega_mod: float):
     (ordinary MHz).
 
     The returned amplitude is nonnegative and the phase normalized to
-    [0, 2 pi).  Failures, and a ``(rows, t.size)`` stack, are as in
-    :func:`fit_exp`.
+    [0, 2 pi).  A flat trace, failures and a ``(rows, t.size)`` stack are as
+    in :func:`fit_exp`; a flat trace's fit has no phase.
     """
     if omega_mod <= 0.0:
         raise ValueError("omega_mod must be positive")

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateFitError, StiffnessError
+from .errors import ConvergenceError, DegenerateFitError, NonFiniteDerivativeError, StiffnessError
 
 __all__ = [
     "EigenDecomposition",
@@ -192,14 +192,20 @@ def integrate_ode(
     and interpolant sums of a complex state run on the float view of its stage
     stack (the coefficients are real); a real state is its own view, so its
     arithmetic is unchanged.
+
+    A non-finite ``y0`` or a ``tol`` that is not positive raises
+    ``ValueError`` before ``f`` is called; a non-finite ``f(t0, y0)`` raises
+    :class:`NonFiniteDerivativeError` at once.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be a non-degenerate forward interval")
     y = np.atleast_1d(np.asarray(y0))
     y = y.astype(np.result_type(y, float), copy=False)
+    if not np.isfinite(y).all():
+        raise ValueError("y0 holds a non-finite value")
 
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.size and (t_eval.min() < t0 - 1e-12 or t_eval.max() > t1 + 1e-12):
@@ -209,6 +215,8 @@ def integrate_ode(
 
     k = np.empty((7, y.size), dtype=y.dtype)
     k[0] = f(t0, y)
+    if not np.isfinite(k[0]).all():  # its step size would be NaN, never below hmin
+        raise NonFiniteDerivativeError(f"f(t0, y0) is not finite at t0 = {t0:.6g}")
     kr = k.view(k.real.dtype)
 
     # Starting step from the local derivative scale (Hairer's heuristic): a

@@ -352,7 +352,8 @@ def apply_master_equation(
     """Evaluate d(rho)/dt at time ``t`` (us) for a valid density matrix.
 
     ``rho`` must be Hermitian with unit trace; a wrong shape, a Hermiticity
-    defect above 1e-9 or a trace off by more than 1e-6 raises ``ValueError``.
+    defect above 1e-9 or a trace off by more than 1e-6 raises ``ValueError``,
+    as does a NaN entry, which fails both checks.
     The result is the decay mask times ``rho``, plus the transfer matrix
     applied to the populations on the diagonal, plus the two phase-rotated
     M entries.  The output is Hermitian and traceless to machine precision.
@@ -362,11 +363,12 @@ def apply_master_equation(
         raise ValueError(
             f"rho must be {rhs.dimension}x{rhs.dimension}, got {rho.shape}"
         )
-    if hermitian_defect(rho) > 1e-9:
+    # Written so that NaN fails each check: NaN compares False.
+    if not hermitian_defect(rho) <= 1e-9:
         raise ValueError("rho must be Hermitian")
     diag = rho.diagonal()
     trace = diag.sum()
-    if abs(trace.real - 1.0) > 1e-6 or abs(trace.imag) > 1e-9:
+    if not (abs(trace.real - 1.0) <= 1e-6 and abs(trace.imag) <= 1e-9):
         raise ValueError("rho must have unit trace")
 
     drho = rhs.decay * rho

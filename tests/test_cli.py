@@ -1402,6 +1402,28 @@ class TestMain:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_flat_x_trace_exit_3(self, tmp_path, capsys):
+        # A constant x trace has no fringe to decay: its fit has Tx = inf,
+        # which exits 3 naming Tx, with nothing printed and --out untouched.
+        t = np.linspace(0.0, 2.0, 201)
+        trace_x = "t_us,sz\n" + "".join(f"{a!r},0.2\n" for a in t.tolist())
+        conf = _supplied_traces_conf(tmp_path, trace_x, _measured_traces()[1])
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "moments.json").write_text("kept\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--config", conf, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(
+            "numerical failure in 'estimate': UnphysicalRatesError: "
+            "fitted Tx = inf us is not a positive, finite decay time"
+        )
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["moments.json"]
+        assert (out / "moments.json").read_text() == "kept\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "both"])
     def test_overflowing_variance_exit_3(self, tmp_path, capsys, fmt):
         # n = 1e308 is finite but sigma_I^2 = 2(n + m + 1/2) is not: the run
@@ -1513,5 +1535,5 @@ def test_every_error_is_a_numerical_failure():
         for obj in vars(errors).values()
         if isinstance(obj, type) and obj.__module__ == errors.__name__
     ]
-    assert len(defined) == 8
+    assert len(defined) == 9
     assert all(issubclass(cls, errors.NumericalFailure) for cls in defined)

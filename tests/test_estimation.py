@@ -41,12 +41,10 @@ class TestFitExp:
         assert fit.amplitude == pytest.approx(0.8, rel=1e-6)
         assert fit.offset == pytest.approx(0.1, rel=1e-5)
 
-    def test_constant_trace_flags_no_decay(self):
+    def test_constant_trace_has_no_decay(self):
         t = np.linspace(0.0, 5.0, 20)
         fit = fit_exp(t, np.full_like(t, 0.5))
-        assert fit.no_decay
-        assert math.isinf(fit.T)
-        assert fit.offset == pytest.approx(0.5)
+        assert fit == estimation.DecayFit(0.0, math.inf, 0.5, 0.0, True)
 
     def test_negative_amplitude_trace(self):
         t = np.linspace(0.0, 4.0, 50)
@@ -130,12 +128,11 @@ class TestExpGuess:
     def test_edge_rows_alone_match_the_stack(self):
         rows = _edge_rows(self.t)
         y = np.array(list(rows.values()))
-        guesses, flat = estimation._exp_guess(self.t, y)
-        assert guesses.shape == (len(rows), 3) and flat.shape == (len(rows),)
+        guesses = estimation._exp_guess(self.t, y)
+        assert guesses.shape == (len(rows), 3)
         for b in range(len(y)):
-            alone, flat_alone = estimation._exp_guess(self.t, y[b : b + 1])
+            alone = estimation._exp_guess(self.t, y[b : b + 1])
             assert alone.tobytes() == guesses[b].tobytes(), b
-            assert flat_alone[0] == flat[b]
         # Reversed, and within a larger stack of seeded noisy decays.
         rng = np.random.default_rng(11)
         noisy = (
@@ -144,11 +141,10 @@ class TestExpGuess:
             + rng.uniform(0.0, 0.05, (30, 1)) * rng.standard_normal((30, self.t.size))
         )
         big = np.vstack([noisy[:13], y[::-1], noisy[13:]])
-        big_guesses, big_flat = estimation._exp_guess(self.t, big)
+        big_guesses = estimation._exp_guess(self.t, big)
         assert big_guesses[13 : 13 + len(y)][::-1].tobytes() == guesses.tobytes()
-        assert (big_flat[13 : 13 + len(y)][::-1] == flat).all()
         for b, row in enumerate(noisy):
-            alone, _ = estimation._exp_guess(self.t, row[None])
+            alone = estimation._exp_guess(self.t, row[None])
             assert alone.tobytes() == big_guesses[b if b < 13 else b + len(y)].tobytes()
 
     def test_matches_a_row_by_row_reference(self):
@@ -160,7 +156,7 @@ class TestExpGuess:
                 + rng.uniform(0.0, 0.05, (40, 1)) * rng.standard_normal((40, self.t.size)),
             ]
         )
-        guesses, _ = estimation._exp_guess(self.t, y)
+        guesses = estimation._exp_guess(self.t, y)
         for b, (row, got) in enumerate(zip(y, guesses)):
             assert got == pytest.approx(_reference_guess(self.t, row), rel=1e-9, abs=1e-15), b
 
@@ -193,7 +189,10 @@ class TestExpGuess:
 
     def test_edge_row_guesses(self):
         rows = _edge_rows(self.t)
-        guesses, flat = estimation._exp_guess(self.t, np.array(list(rows.values())))
+        y = np.array(list(rows.values()))
+        guesses = estimation._exp_guess(self.t, y)
+        flat = [isinstance(fit, estimation.DecayFit) and fit.T == math.inf
+                for fit in fit_exp(self.t, y)]
         got = {name: (tuple(g), f) for name, g, f in zip(rows, guesses.tolist(), flat)}
         span = 5.0
         assert got["flat"] == ((0.0, span, 0.25), True)
@@ -217,10 +216,10 @@ class TestExpGuess:
         # alone as in a stack.
         row = np.where(self.t < 3.0, 1.0, 1.7e308)
         y = np.array([row, _edge_rows(self.t)["decay"]])
-        guesses, flat = estimation._exp_guess(self.t, y)
-        alone, _ = estimation._exp_guess(self.t, row[None])
+        guesses = estimation._exp_guess(self.t, y)
+        alone = estimation._exp_guess(self.t, row[None])
         assert alone.tobytes() == guesses[0].tobytes()
-        assert not flat[0] and guesses[0, 1] == 5.0 and guesses[0, 2] == math.inf
+        assert guesses[0, 1] == 5.0 and guesses[0, 2] == math.inf
 
 
 def _probe_z_traces(seed):
@@ -393,6 +392,28 @@ def test_stacked_sinusoid_rows_are_their_single_trace_fits(monkeypatch):
     )
     assert failed["non-finite model"] == "model returned non-finite residuals"
     assert failed["no descent"].startswith("no descent direction found (gradient norm ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fit, decay", [
+    (fit_exp, lambda t, tau: 0.7 * np.exp(-t / tau) + 0.1),
+    (lambda t, y: fit_damped_sinusoid(t, y, 5.0),
+     lambda t, tau: 0.4 * np.exp(-t / tau) * np.sin(2.0 * math.pi * 5.0 * t + 0.3) - 0.2),
+], ids=["exp", "sinusoid"])
+def test_flat_trace_has_no_decay_alone_and_in_a_stack(fit, decay):
+    # A range of 1e-12 is within the flatness rule: T = inf, amplitude 0 and
+    # the trace's mean as offset, alone and as a row of a stack whose other
+    # rows fit as alone.
+    t = np.linspace(0.0, 2.0, 201)
+    flat = 0.2 + 1e-12 * np.sin(3.0 * t)
+    no_decay = estimation.DecayFit(0.0, math.inf, float(np.mean(flat)), 0.0, True)
+    assert fit(t, flat) == no_decay
+    rows = np.array([decay(t, 0.6), decay(t, 1.3), flat, decay(t, 2.1)])
+    fits = fit(t, rows)
+    assert fits[2] == no_decay
+    for b in (0, 1, 3):
+        assert math.isfinite(fits[b].T)
+        assert _fit_bytes(fits[b]) == _fit_bytes(fit(t, rows[b])), b
 
 
 @pytest.mark.parametrize("fit",[fit_exp, lambda t, y: fit_damped_sinusoid(t, y, 5.0)],

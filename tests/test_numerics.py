@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sqbloch import estimation, numerics, polariton
 from sqbloch.blochdyn import DecayRates, frame_rotation, transverse_propagator_xy
-from sqbloch.errors import DegenerateFitError, StiffnessError
+from sqbloch.errors import DegenerateFitError, NonFiniteDerivativeError, StiffnessError
 from sqbloch.numerics import (
     eigh,
     fit_least_squares,
@@ -340,6 +340,39 @@ class TestIntegrateOde:
         with pytest.raises(ValueError):
             integrate_ode(lambda t, y: -y, [1.0], (1.0, 1.0), t_eval=[1.0])
 
+    @staticmethod
+    def _counted(f):
+        """``f`` and the list of its calls, failing past one step's 7 calls."""
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            assert len(calls) <= 7, "the solver went on past its first step"
+            return f(t, y)
+
+        return rhs, calls
+
+    @pytest.mark.parametrize("y0", [[math.nan], [1.0, math.inf], [complex(0.5, math.nan)]],
+                             ids=["nan", "inf", "complex-nan"])
+    def test_non_finite_initial_state_raises_before_any_rhs_call(self, y0):
+        rhs, calls = self._counted(lambda t, y: -y)
+        with pytest.raises(ValueError, match="^y0 holds a non-finite value$"):
+            integrate_ode(rhs, y0, (0.0, 1.0), t_eval=[1.0])
+        assert calls == []
+
+    def test_nan_tol_raises_before_any_rhs_call(self):
+        rhs, calls = self._counted(lambda t, y: -y)
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            integrate_ode(rhs, [1.0], (0.0, 1.0), tol=math.nan, t_eval=[1.0])
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_initial_derivative_raises_at_once(self, bad):
+        rhs, calls = self._counted(lambda t, y: np.full_like(y, bad))
+        with pytest.raises(NonFiniteDerivativeError, match="^f\\(t0, y0\\) is not finite"):
+            integrate_ode(rhs, [1.0, 0.5], (0.0, 1.0), t_eval=[1.0])
+        assert 1 <= len(calls) <= 7
+
     def test_stiffness_error(self):
         # Derivative blows up at t -> 1; the step size collapses.
         def f(t, y):
@@ -636,8 +669,8 @@ class TestFitLeastSquaresStack:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_row_does_not_depend_on_its_stack(self, seed):
         t, y = _sweep_envelopes(seed)
-        guesses, flat = estimation._exp_guess(t, y)
-        assert not flat.any()
+        guesses = estimation._exp_guess(t, y)
+        assert (np.ptp(y, axis=1) > 1e-3).all()  # no row is flat
         guesses = list(guesses)
         # Two rows that fail, in the middle: one non-finite at its guess, one
         # with no descent direction.
@@ -653,7 +686,7 @@ class TestFitLeastSquaresStack:
         # others run out: those report converged False at _MAX_ITER.
         monkeypatch.setattr(numerics, "_MAX_ITER", 6)
         t, y = _sweep_envelopes(6)
-        guesses, _ = estimation._exp_guess(t, y)
+        guesses = estimation._exp_guess(t, y)
         stack = _fit_each_row_as_alone(t, y, guesses)
         assert {res.converged for res in stack} == {True, False}
         for res in stack:
@@ -673,7 +706,7 @@ class TestFitLeastSquaresStack:
         # naming the overflow, without a numpy warning, and the others fit
         # as alone.
         t, y = _sweep_envelopes(5)
-        guesses, _ = estimation._exp_guess(t, y)
+        guesses = estimation._exp_guess(t, y)
         y = np.insert(y, 2, 1e300 * np.exp(-t), axis=0)
         guesses = np.insert(guesses, 2, [1.0, 1.0, 0.0], axis=0)
         stack = _fit_each_row_as_alone(t, y, guesses)
@@ -689,7 +722,7 @@ class TestFitLeastSquaresStack:
         # others): that row gets a NaN step, takes none and fails, and every
         # other row fits as alone.
         t, y = _sweep_envelopes(3)
-        guesses, _ = estimation._exp_guess(t, y)
+        guesses = estimation._exp_guess(t, y)
         y = np.insert(y, 3, y[3] + 1e3, axis=0)
         guesses = np.insert(guesses, 3, guesses[3], axis=0)
         alone = [_fit_alone(t, y, guesses, b) for b in range(len(y))]
@@ -715,7 +748,7 @@ class TestFitLeastSquaresStack:
         # row retried alone: that row's covariance is None, and every other
         # outcome, that row's fit included, is as alone.
         t, y = _sweep_envelopes(4)
-        guesses, _ = estimation._exp_guess(t, y)
+        guesses = estimation._exp_guess(t, y)
         alone = [_fit_alone(t, y, guesses, b) for b in range(len(y))]
         pinv, one_row = np.linalg.pinv, itertools.count()
 
@@ -747,7 +780,7 @@ class TestFitLeastSquaresStack:
         # The rows stop at different rounds, so rows leave the loop while
         # others go on.
         t, y = _sweep_envelopes(5)
-        guesses, _ = estimation._exp_guess(t, y)
+        guesses = estimation._exp_guess(t, y)
         stack = fit_least_squares_stack(
             estimation._exp_model, t, y, guesses, jac=estimation._exp_jac
         )
@@ -774,7 +807,7 @@ class TestFitExpStack:
         y = np.insert(y, 3, [np.full(t.size, 0.25), 300.0 * np.exp(-t / 0.9)], axis=0)
         fits = estimation.fit_exp(t, y)
         assert len(fits) == len(y)
-        assert fits[3].no_decay and fits[3].T == math.inf
+        assert fits[3] == estimation.DecayFit(0.0, math.inf, 0.25, 0.0, True)
         assert str(fits[4]) == "model returned non-finite residuals"
         for b, (row, fit) in enumerate(zip(y, fits)):
             if isinstance(fit, DegenerateFitError):

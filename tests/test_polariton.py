@@ -473,6 +473,18 @@ class TestMasterEquation:
         with pytest.raises(ValueError, match="Hermitian"):
             apply_master_equation(rhs, rho, 0.0)
 
+    @pytest.mark.parametrize("entries", [[(0, 1), (1, 0)], [(1, 1)]],
+                             ids=["off-diagonal-pair", "diagonal"])
+    def test_rejects_nan_rho(self, circuit_system, entries):
+        # NaN fails both checks; the defect of such a rho is NaN.
+        rhs = master_equation_rhs(circuit_system, resonant_reservoir(circuit_system), 1.0)
+        rho = np.zeros((rhs.dimension, rhs.dimension), dtype=complex)
+        rho[0, 0] = 1.0
+        for ij in entries:
+            rho[ij] = math.nan
+        with pytest.raises(ValueError, match="^rho must be Hermitian$"):
+            apply_master_equation(rhs, rho, 0.0)
+
     def test_term_bookkeeping(self, circuit_system):
         r = resonant_reservoir(circuit_system)
         rhs = master_equation_rhs(circuit_system, r, 1.0)
