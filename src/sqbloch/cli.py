@@ -258,46 +258,44 @@ def _json_text(name: str, payload) -> str:
     return text + "\n"
 
 
-def _polariton_payload(system) -> dict:
-    """The ``polariton.json`` payload of a diagonalised system."""
-    f_minus = system.transition_frequency(0, system.index_of("-"))
-    f_plus = system.transition_frequency(0, system.index_of("+"))
-    return {
-        "energies_ghz": system.energies.tolist(),
-        "A_abs": [[abs(x) for x in row] for row in system.A.tolist()],
-        "labels": list(system.labels),
-        "g_to_minus_ghz": f_minus,
-        "g_to_plus_ghz": f_plus,
-        "splitting_mhz": (f_plus - f_minus) * 1e3,
-    }
-
-
 def _levels_csv(system) -> Iterator[str]:
     rows = (f"{k},{x},{e:.9g}\n" for k, (x, e) in enumerate(zip(system.labels, system.energies)))
     yield "#schema=polariton-levels-v1\nlevel,label,energy_ghz\n" + "".join(rows)
 
 
 def _cmd_polariton(cfg: RunConfig, out: dict) -> tuple[int, str]:
-    system = _polariton_system(cfg)
-    payload = _polariton_payload(system)
-    f_minus, splitting = payload["g_to_minus_ghz"], payload["splitting_mhz"]
-    out["polariton.json"] = payload
-    out["polariton.csv"] = partial(_levels_csv, system)
     from . import acceptance  # the paper's spectrum targets
 
-    ok_freq = abs(f_minus - acceptance.F_MINUS_GHZ) * 1e3 <= acceptance.F_MINUS_TOL_MHZ
-    ok_split = abs(splitting - acceptance.SPLITTING_MHZ) <= acceptance.SPLITTING_TOL_MHZ
+    system = _polariton_system(cfg)
+    (f_minus, f_plus, splitting), (ok_freq, ok_split) = acceptance.spectrum_verdict(system)
+    out["polariton.json"] = {
+        "energies_ghz": system.energies.tolist(),
+        "A_abs": [[abs(x) for x in row] for row in system.A.tolist()],
+        "labels": list(system.labels),
+        "g_to_minus_ghz": f_minus,
+        "g_to_plus_ghz": f_plus,
+        "splitting_mhz": splitting,
+    }
+    out["polariton.csv"] = partial(_levels_csv, system)
     return 0, (
         f"g->- transition: {f_minus:.4f} GHz ({'ok' if ok_freq else 'off'})\n"
         f"polariton splitting: {splitting:.1f} MHz ({'ok' if ok_split else 'off'})"
     )
 
 
-def _fitted(entry):
-    """A fit of a stacked fit's list, or that row's error raised."""
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
+def _judged(fits: dict) -> dict:
+    """``fits`` (name -> a fit, or a stacked row's error) once each passes.
+    Walking them in order, the first entry that is an error is raised, or the
+    first decay time that is not positive and finite is refused naming its
+    fit, whichever comes first."""
+    for k, fit in fits.items():
+        if isinstance(fit, Exception):
+            raise fit
+        if not (math.isfinite(fit.T) and fit.T > 0.0):
+            raise UnphysicalRatesError(
+                f"fitted {k} = {fit.T:.6g} us is not a positive, finite decay time"
+            )
+    return fits
 
 
 def _cmd_ramsey(cfg: RunConfig, out: dict) -> tuple[int, str]:
@@ -305,33 +303,23 @@ def _cmd_ramsey(cfg: RunConfig, out: dict) -> tuple[int, str]:
     rates_off = replace(rates_on, N=0.0, M_abs=0.0)
     t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
     summary = {"omega_mod_mhz": cfg.omega_mod_mhz, "phi_grid_pi": list(cfg.phi_grid_pi)}
-    keys, traces = [], []  # in (phase, off/on) order, fitted as one stack
+    phis, traces = {}, []  # summary key -> phase, in (phase, off/on) order, fitted as one stack
     for idx, phi_pi in enumerate(cfg.phi_grid_pi):
         for rates, tag in ((rates_off, "off"), (rates_on, "on")):
             sz = protocols.ramsey(rates, phi_pi * math.pi, cfg.omega_mod_mhz, t)
             table = partial(csv_blocks, "ramsey-trace-v1", "t_us,sz", t, sz)
             out[f"ramsey_{tag}_phi{idx:02d}.csv"] = table
-            keys.append((f"{tag}_phi{idx:02d}", phi_pi))
+            phis[f"{tag}_phi{idx:02d}"] = phi_pi
             traces.append(sz)
-    fits = {}
     stack = estimation.fit_damped_sinusoid(t, np.array(traces), cfg.omega_mod_mhz)
-    for (key, phi_pi), fit in zip(keys, stack):
-        fit = _fitted(fit)  # the first failing trace raises
-        fits[key] = {"phi_pi": phi_pi, "T_us": fit.T, "amplitude": fit.amplitude,
-                     "phase_rad": fit.phase, "converged": fit.converged}
+    fits = {
+        key: {"phi_pi": phis[key], "T_us": fit.T, "amplitude": fit.amplitude,
+              "phase_rad": fit.phase, "converged": fit.converged}
+        for key, fit in _judged(dict(zip(phis, stack))).items()
+    }
     out["ramsey_summary.json"] = summary | {"fits": fits}
     off_times = [v["T_us"] for k, v in fits.items() if k.startswith("off")]
     return 0, f"squeezing off: mean fitted T2* = {np.mean(off_times):.4f} us"
-
-
-def _check_decay_times(fits: dict) -> None:
-    """Refuse a fitted decay time, of each named fit, that is not positive
-    and finite."""
-    for k, fit in fits.items():
-        if not (math.isfinite(fit.T) and fit.T > 0.0):
-            raise UnphysicalRatesError(
-                f"fitted {k} = {fit.T:.6g} us is not a positive, finite decay time"
-            )
 
 
 def _cmd_trajectory(cfg: RunConfig, out: dict) -> tuple[int, str]:
@@ -340,8 +328,7 @@ def _cmd_trajectory(cfg: RunConfig, out: dict) -> tuple[int, str]:
     prep = (cfg.prep_theta_pi * math.pi, cfg.prep_phi_pi * math.pi)
     traj = protocols.tomography_trajectory(rates, prep, t)
     out["trajectory.csv"] = partial(csv_blocks, "bloch-trajectory-v1", "t_us,sx,sy,sz", t, traj)
-    fit = estimation.fit_exp(t, traj[:, 2])
-    _check_decay_times({"Tz": fit})
+    fit = _judged({"Tz": estimation.fit_exp(t, traj[:, 2])})["Tz"]
     out["trajectory_summary.json"] = {
         "prep_theta_pi": cfg.prep_theta_pi,
         "prep_phi_pi": cfg.prep_phi_pi,
@@ -453,8 +440,9 @@ def _cmd_estimate(cfg: RunConfig, out: dict) -> tuple[int, str]:
     """Inverse pipeline on supplied or simulated traces.
 
     Simulated traces model the measured environment: the configured (n, m)
-    are the squeezed-source moments, the thermal floor adds to the bath, and
-    the configured T1 is the thermally reduced value.  The inversion then
+    are the squeezed-source moments, the thermal floor adds to the bath, the
+    configured T1 is the thermally reduced value, and the other rates,
+    the squeezer detuning included, are the configured system's.  The inversion then
     recovers the source moments, exercising the same bookkeeping used on
     measured data.
     """
@@ -470,7 +458,7 @@ def _cmd_estimate(cfg: RunConfig, out: dict) -> tuple[int, str]:
         }
     else:
         gamma_int = 1.0 / (t1 * (2.0 * cfg.n_th + 1.0))
-        rates = DecayRates(gamma_int, rates.gamma_phi, N=cfg.n + cfg.n_th, M_abs=cfg.m)
+        rates = replace(rates, gamma=gamma_int, N=cfg.n + cfg.n_th, M_abs=cfg.m)
         # Squeezer off leaves the thermal floor in the bath.
         rates_off = replace(rates, N=cfg.n_th, M_abs=0.0)
         t = np.linspace(0.0, cfg.t_max_us, cfg.n_samples)
@@ -480,17 +468,13 @@ def _cmd_estimate(cfg: RunConfig, out: dict) -> tuple[int, str]:
         # The x fringes, squeezer on and off, share t and fit as one stack.
         x_fringes = [protocols.ramsey(r, 0.5 * math.pi, w, t) for r in (rates, rates_off)]
         x_on, x_off = estimation.fit_damped_sinusoid(t, np.array(x_fringes), w)
-        # Ty and T2* complete the decay table for the summary; a failed fit
-        # raises in the table's order.
-        fits = {
-            "Tx": _fitted(x_on),
-            "Ty": estimation.fit_damped_sinusoid(
-                t_short, protocols.ramsey(rates, math.pi, w, t_short), w
-            ),
-            "Tz": estimation.fit_exp(t, traj[:, 2]),
-            "T2_star": _fitted(x_off),
-        }
-    _check_decay_times(fits)
+        # Ty and T2* complete the decay table for the summary.
+        (y_fit,) = estimation.fit_damped_sinusoid(
+            t_short, protocols.ramsey(rates, math.pi, w, t_short)[None], w
+        )
+        (z_fit,) = estimation.fit_exp(t, traj[None, :, 2])
+        fits = {"Tx": x_on, "Ty": y_fit, "Tz": z_fit, "T2_star": x_off}
+    _judged(fits)  # a failed fit raises in the table's order
     tx, tz = fits["Tx"].T, fits["Tz"].T
     est = estimation.estimate_moments(t1, cfg.t_phi_us, tx, tz, cfg.n_th)
     summary = asdict(est) | {

@@ -15,8 +15,8 @@ class StiffnessError(RuntimeError, NumericalFailure):
 
 
 class NonFiniteDerivativeError(RuntimeError, NumericalFailure):
-    """An ODE right-hand side is not finite at the initial state, so no
-    first step can be taken."""
+    """An ODE right-hand side is not finite at the initial state, or past the
+    last accepted step, so no step can be taken."""
 
 
 class DegenerateFitError(RuntimeError, NumericalFailure):

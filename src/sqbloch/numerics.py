@@ -195,7 +195,8 @@ def integrate_ode(
 
     A non-finite ``y0`` or a ``tol`` that is not positive raises
     ``ValueError`` before ``f`` is called; a non-finite ``f(t0, y0)`` raises
-    :class:`NonFiniteDerivativeError` at once.
+    :class:`NonFiniteDerivativeError` at once, and so does a step size that
+    underflows rejecting a NaN error estimate, naming the last accepted t.
     """
     if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
@@ -238,7 +239,7 @@ def integrate_ode(
         out_y[eval_idx] = y
         eval_idx += 1
 
-    err_prev = 1e-4
+    err_norm = err_prev = 1e-4
     hmin = 1e4 * np.finfo(float).eps * max(abs(t0), abs(t1))
     steps = accepted = 0
     while t < t1:
@@ -247,6 +248,10 @@ def integrate_ode(
         steps += 1
         h = min(h, t1 - t)
         if h < hmin:
+            if math.isnan(err_norm):  # the last step was rejected on a NaN error
+                raise NonFiniteDerivativeError(
+                    f"f is not finite past t={t:.6g}: step size underflow (h={h:.3e})"
+                )
             raise StiffnessError(f"step size underflow at t={t:.6g} (h={h:.3e})")
 
         # yi = y + h * (_DP_A[i] @ k[:i]), scaled and added in place in the

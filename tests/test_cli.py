@@ -564,6 +564,51 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "t_max, fmt, message",
+        [
+            # Every fringe is flat to 1e-10 over 1e-12 us, so each fits T = inf.
+            ("1e-12", "csv", "fitted off_phi00 = inf us"),
+            ("1e-12", "both", "fitted off_phi00 = inf us"),
+            # A twentieth of a 5 MHz fringe period cannot resolve the decay.
+            ("0.01", "csv", "fitted on_phi02 = -394523 us"),
+        ],
+        ids=["flat-csv", "flat-both", "short-csv"],
+    )
+    def test_ramsey_decay_time_exit_3(self, tmp_path, capsys, t_max, fmt, message):
+        # Each fringe's fitted T is judged in the summary's key order: the
+        # first that is not positive and finite exits 3 naming its key, and
+        # --out is left as it was.
+        conf = tmp_path / "c.conf"
+        conf.write_text(_with_field(BUNDLED, "t_max_us", t_max))
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "sentinel").write_bytes(b"keep\n")
+        code = main(["ramsey", "--config", str(conf), "--format", fmt, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == (
+            f"numerical failure in 'ramsey': UnphysicalRatesError: {message} "
+            "is not a positive, finite decay time\n"
+        )
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["sentinel"]
+        assert (out / "sentinel").read_bytes() == b"keep\n"
+
+    def test_simulated_estimate_keeps_squeezer_detuning(self, tmp_path):
+        # A squeezer off the g->- transition detunes the rates of the
+        # polariton calibration. estimate simulates that environment, so with
+        # no thermal floor its squeezed x fringe fits as ramsey's does.
+        conf = tmp_path / "p.conf"
+        conf.write_text(POLARITON_CONF.replace("[protocol]", "omega0_ghz = 5.8995\n[protocol]"))
+        assert cli._rates(load_config(conf)).delta == pytest.approx(0.6739, abs=1e-4)
+        for command in ("ramsey", "estimate"):
+            out = ["--out", str(tmp_path / command), "--format", "json"]
+            assert main([command, "--config", str(conf)] + out) == 0
+        ramsey_fits = json.loads((tmp_path / "ramsey" / "ramsey_summary.json").read_text())["fits"]
+        moments = json.loads((tmp_path / "estimate" / "moments.json").read_text())
+        assert moments["Tx_us"] == pytest.approx(ramsey_fits["on_phi00"]["T_us"], rel=1e-9)
+
+    @pytest.mark.parametrize(
         "rows, ty_fails, message",
         [
             ({1: 1e300}, False, OVERFLOW),
@@ -576,18 +621,19 @@ class TestMain:
         self, tmp_path, capsys, monkeypatch, rows, ty_fails, message
     ):
         # The model's first call on the stacked x fringes (row 0 Tx, row 1
-        # T2*) is set to a value in the given rows, and its first one-trace
-        # call (Ty) to NaN if asked: the run exits 3 with the error that one
-        # fit per trace raises first, Tx before Ty and Tz, T2* after them.
+        # T2*), over the full time grid, is set to a value in the given rows,
+        # and its first call on Ty's shorter grid to NaN if asked: the run
+        # exits 3 with the error that one fit per trace raises first, Tx
+        # before Ty and Tz, T2* after them.
         model = estimation._sine_model
         seen = []
 
         def failing(t, p, w):
             v = model(t, p, w)
-            stacked = v.ndim == 2
-            if stacked not in seen:
-                seen.append(stacked)
-                if stacked:
+            x_grid = t[-1] == 5.0  # the bundled t_max_us; Ty's ends at a third of it
+            if x_grid not in seen:
+                seen.append(x_grid)
+                if x_grid:
                     for row, value in rows.items():
                         v[row] = value
                 elif ty_fails:
@@ -1098,6 +1144,21 @@ class TestMain:
         assert payload["A_abs"][0][1] == pytest.approx(abs(system.A[0, 1]), rel=1e-9)
         levels = (out / "polariton.csv").read_text().strip().split("\n")
         assert levels[0] == "#schema=polariton-levels-v1"
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            ("0.14", "g->- transition: 5.8850 GHz (ok)\npolariton splitting: 282.6 MHz (off)\n"),
+            ("0.2", "g->- transition: 5.8254 GHz (off)\npolariton splitting: 401.9 MHz (off)\n"),
+        ],
+    )
+    def test_polariton_off_target(self, tmp_path, capsys, g, expected):
+        # A coupling away from the paper's moves the spectrum off its targets:
+        # the run still exits 0, marking each figure outside its tolerance.
+        conf = tmp_path / "p.conf"
+        conf.write_text(_with_field(POLARITON_CONF, "g_ghz", g))
+        assert main(["polariton", "--config", str(conf), "--out", str(tmp_path / "p")]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_validate_writes_report(self, fast_conf, tmp_path, capsys):
         out = tmp_path / "v"

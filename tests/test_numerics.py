@@ -373,6 +373,24 @@ class TestIntegrateOde:
             integrate_ode(rhs, [1.0, 0.5], (0.0, 1.0), t_eval=[1.0])
         assert 1 <= len(calls) <= 7
 
+    def test_mid_solve_nan_is_named_not_stiffness(self):
+        # f turns NaN at t = 0.5: each step from there is rejected on a NaN
+        # error estimate until the step size underflows.
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return -y if t < 0.5 else np.full_like(y, math.nan)
+
+        with pytest.raises(NonFiniteDerivativeError, match="^f is not finite past t=0.5: step"):
+            integrate_ode(f, [1.0], (0.0, 1.0), t_eval=[1.0])
+        assert len(calls) < 1000  # no spin through the step budget
+
+    def test_stiff_underflow_is_named_stiffness(self):
+        # Finite error estimates that force the step below its floor.
+        with pytest.raises(StiffnessError, match="^step size underflow at t="):
+            integrate_ode(lambda t, y: -1e20 * (y - np.cos(t)), [1.0], (0.0, 1.0), t_eval=[1.0])
+
     def test_stiffness_error(self):
         # Derivative blows up at t -> 1; the step size collapses.
         def f(t, y):

@@ -13,7 +13,7 @@ from sqbloch.blochdyn import (
     steady_state,
     transverse_propagator_xy,
 )
-from sqbloch.cli import _json_text, _polariton_payload
+from sqbloch import cli
 from sqbloch.errors import MultiTransitionError
 from sqbloch.numerics import hermitian_defect, integrate_ode
 from sqbloch.polariton import (
@@ -228,7 +228,9 @@ class TestDiagonalizePolaritons:
             assert shift_mhz < 1.0
 
     def test_json_serialization(self, circuit_system):
-        payload = json.loads(_json_text("polariton.json", _polariton_payload(circuit_system)))
+        out = {}
+        cli._cmd_polariton(replace(cli.load_config(None), polariton_params=CIRCUIT), out)
+        payload = json.loads(cli._json_text("polariton.json", out["polariton.json"]))
         assert payload["labels"][:3] == ["g", "-", "+"]
         assert len(payload["energies_ghz"]) == CIRCUIT.dim
         assert payload["A_abs"][0][1] == pytest.approx(
