@@ -275,17 +275,12 @@ def transverse_propagator_xy(r: DecayRates, t, deltas=None) -> np.ndarray:
     return m if deltas is not None else m[0]
 
 
-def frame_rotation(r: DecayRates, t, deltas=None) -> np.ndarray:
+def frame_rotation(r: DecayRates, t) -> np.ndarray:
     """Rotation taking co-rotating-frame (sx~, sy~) to lab components at
-    ``t``; an array ``t`` gives a stack of rotations, and a sequence
-    ``deltas`` (MHz) a leading detuning axis as in
-    :func:`transverse_propagator_xy`."""
-    t = np.asarray(t, dtype=float)
-    d = np.array([r.delta] if deltas is None else deltas, dtype=float)
-    ang = -2.0 * math.pi * d.reshape(d.shape + (1,) * t.ndim) * t
+    ``t``; an array ``t`` gives a stack of rotations."""
+    ang = -2.0 * math.pi * r.delta * np.asarray(t, dtype=float)
     c, s = np.cos(ang), np.sin(ang)
-    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
-    return rot if deltas is not None else rot[0]
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def steady_state(r: DecayRates, drive: np.ndarray | None = None) -> BlochState:

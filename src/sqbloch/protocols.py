@@ -13,16 +13,17 @@ without detuning the pulses.
 
 The Ramsey fringe is evaluated in closed form over the whole time grid.  The
 first pulse leaves (sx, sy) = (sin phi, cos phi); free evolution maps it to
-``(x, y) = frame_rotation(r, t) @ transverse_propagator_xy(r, t) @ (sin phi,
-cos phi)``; the second pulse, at azimuth ``-pi/2 - theta`` with ``theta = 2 pi
-omega_mod t``, reads ``sz = cos(theta) x - sin(theta) y``.  :func:`run_sequence`
+``(x~, y~) = transverse_propagator_xy(r, t) @ (sin phi, cos phi)`` in the
+squeezer's frame, the lab's ``x + i y = exp(-2 pi i delta t) (x~ + i y~)``;
+the second pulse, at azimuth ``-pi/2 - 2 pi omega_mod t``, reads ``sz =
+Re(exp(2 pi i (omega_mod - delta) t) (x~ + i y~))``.  :func:`run_sequence`
 stays the general pulse-by-pulse oracle it is checked against.
 
 Effective decay constants at finite squeezer detuning follow the measured
 procedure: the fringe signal and its quadrature partner (the second pulse's
-axis a quarter turn behind) are demodulated into the frame co-rotating with
-both the modulation and the squeezer, and the envelope magnitude is fit to a
-single exponential.
+axis a quarter turn behind) give the transverse coherence in the frame
+co-rotating with both the modulation and the squeezer, and its magnitude,
+the envelope, is fit to a single exponential.
 
 Every routine returns the arrays it computes: a Ramsey trace, a trajectory,
 the (phase, detuning) grids of a detuning sweep and the rows of a gain sweep.
@@ -174,16 +175,17 @@ def run_sequence(seq: PulseSequence, rates: DecayRates) -> float:
 
 
 def _fringe(r: DecayRates, phis, deltas, omega_mod: float, t: np.ndarray):
-    """Fringe and its quadrature partner as ``I + iQ = exp(i theta) (x + i y)``
-    over the (phase, detuning, time) grid, shape ``(len(phis), len(deltas),
-    len(t))``; detuning ``d`` runs the rates ``replace(r, delta=d)``.
+    """Fringe and its quadrature partner, ``I + iQ = exp(2 pi i (omega_mod -
+    d) t) (x~ + i y~)`` of the module docstring, over the (phase, detuning,
+    time) grid, shape ``(len(phis), len(deltas), len(t))``; detuning ``d`` of
+    the array ``deltas`` runs the rates ``replace(r, delta=d)``.
 
-    I is the fringe of the module docstring; Q is read with the second pulse's
-    axis a quarter turn behind, ``sin(theta) x + cos(theta) y``.  Every phase
-    shares one propagator grid over (detuning, time).
+    Q is read with the second pulse's axis a quarter turn behind; the carrier
+    has unit modulus, so ``|I + iQ|`` is the envelope ``|x~ + i y~|``.  Every
+    phase shares one propagator grid and one carrier row per detuning.
     """
-    prop = frame_rotation(r, t, deltas) @ transverse_propagator_xy(r, t, deltas)
-    carrier = np.exp(2j * math.pi * omega_mod * t)
+    prop = transverse_propagator_xy(r, t, deltas)
+    carrier = np.exp(2j * math.pi * (omega_mod - deltas)[:, None] * t)
     iq = np.empty((len(phis), len(deltas), t.size), dtype=complex)
     for row, phi in zip(iq, phis):
         xy = prop @ np.array([math.sin(phi), math.cos(phi)])
@@ -206,7 +208,7 @@ def ramsey(r: DecayRates, phi: float, omega_mod: float, t_samples) -> np.ndarray
     samples are not strictly increasing or some |<sz>| exceeds 1.
     """
     t_samples = np.asarray(t_samples, dtype=float)
-    return _fringe(r, [phi], [r.delta], omega_mod, t_samples)[0, 0].real
+    return _fringe(r, [phi], np.array([r.delta]), omega_mod, t_samples)[0, 0].real
 
 
 def tomography_trajectory(r: DecayRates, prep: tuple[float, float], t_samples) -> np.ndarray:
@@ -239,12 +241,12 @@ def detuning_sweep(
     ``(P, D, n)``, ``(P, D)`` and ``(P, D)`` for P phases, D detunings and n
     samples, in the order of ``phis`` and ``deltas``.
 
-    Each point simulates the modulated Ramsey trace, transforms into the
-    co-rotating frame, and fits the envelope magnitude to a single
-    exponential.  The traces of every (phase, detuning) point come from one
-    propagator grid, and all envelopes are fitted as one stack
-    (:func:`~sqbloch.estimation.fit_exp`), with the result a point
-    would get on its own.  ``traces[i, j]`` is the in-phase trace
+    Each point simulates the modulated Ramsey trace and its quadrature
+    partner, and fits their magnitude, the envelope of the module docstring,
+    to a single exponential.  The traces of every (phase, detuning) point
+    come from one propagator grid, and all envelopes are fitted as one stack
+    (:func:`~sqbloch.estimation.fit_exp`), with the result a point would get
+    on its own.  ``traces[i, j]`` is the in-phase trace
     ``ramsey(replace(r, delta=deltas[j]), phis[i], omega_mod, t_samples)``.
     A point whose fit fails has ``T_eff = nan`` and ``converged = False``;
     the sweep continues.  A flat envelope (no decay) has ``T_eff = inf`` and
@@ -255,11 +257,7 @@ def detuning_sweep(
     deltas = np.array([float(delta) for delta in deltas])
     phis = [float(phi) for phi in phis]
     iq = _fringe(r_base, phis, deltas, omega_mod, t_samples)
-    # Demodulate at the lab fringe rate: |transverse coherence| in the frame
-    # rotating with both the modulation and the squeezer.
-    omega_rel = 2.0 * math.pi * (omega_mod - deltas)  # rad/us
-    envelopes = np.abs(iq * np.exp(-1j * omega_rel[:, None] * t_samples))
-    fits = fit_exp(t_samples, envelopes.reshape(-1, t_samples.size))
+    fits = fit_exp(t_samples, np.abs(iq).reshape(-1, t_samples.size))
     T_eff = np.full(len(fits), math.nan)
     converged = np.zeros(len(fits), dtype=bool)
     for k, fit in enumerate(fits):  # a flat envelope's fit has T = inf, converged

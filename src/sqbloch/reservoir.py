@@ -198,6 +198,8 @@ class WignerGrid:
             while len(texts) < min(k + step, rows):  # the next encoder block
                 block = next(quadrant).splitlines()
                 if cols < width:
+                    # Mirrored as text: encoding full-width half rows took 4.5 ms
+                    # against 3.4 ms (241-point grid, minimum of 40 timing runs).
                     block = [t + "," + ",".join(t.split(",")[width - cols - 1 :: -1]) for t in block]
                 texts += block
             parts = []

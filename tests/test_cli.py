@@ -531,6 +531,28 @@ class TestMain:
         assert message in err
         assert sorted(p.name for p in out.glob("*")) == written
 
+    def test_supplied_tx_is_judged_before_tz_is_fitted(self, tmp_path, capsys):
+        # A flat x trace fits to Tx = inf; a z trace whose initial guess is
+        # not finite fails to fit. The supplied fits are judged in the order
+        # Tx, Tz, so Tx's verdict is the one reported.
+        t = np.linspace(0.0, 5.0, 160).tolist()
+        trace_x = "".join(f"{tk!r},0.2\n" for tk in t)
+        trace_z = "".join(f"{tk!r},{1.0 if tk < 3.0 else 1.7e308!r}\n" for tk in t)
+        conf = _supplied_traces_conf(tmp_path, trace_x, trace_z)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "sentinel").write_bytes(b"keep\n")
+        code = main(["estimate", "--config", conf, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == (
+            "numerical failure in 'estimate': UnphysicalRatesError: "
+            "fitted Tx = inf us is not a positive, finite decay time\n"
+        )
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["sentinel"]
+        assert (out / "sentinel").read_bytes() == b"keep\n"
+
     @pytest.mark.parametrize(
         "edits, name",
         [

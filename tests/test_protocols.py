@@ -304,14 +304,12 @@ class TestTomography:
 
 
 def _point_envelope(r, phi, omega_mod, t):
-    """One sweep point's demodulated envelope, computed on its own from the
-    point's propagators (the route ``detuning_sweep`` took before it shared
-    one propagator grid)."""
+    """One sweep point's envelope ``|I + iQ|``, computed on its own from the
+    point's squeezer-frame propagator and carrier, which ``detuning_sweep``
+    takes from one shared grid."""
     s0 = np.array([math.sin(phi), math.cos(phi)])
-    x, y = (frame_rotation(r, t) @ transverse_propagator_xy(r, t) @ s0).T
-    iq = np.exp(2j * math.pi * omega_mod * t) * (x + 1j * y)
-    omega_rel = 2.0 * math.pi * (omega_mod - r.delta)
-    return np.abs(iq * np.exp(-1j * omega_rel * t))
+    x, y = (transverse_propagator_xy(r, t) @ s0).T
+    return np.abs(np.exp(2j * math.pi * (omega_mod - r.delta) * t) * (x + 1j * y))
 
 
 def _scaled_row_stack(row, factor):
@@ -468,6 +466,25 @@ class TestDetuningSweepGrid:
                 assert traces[i, j].tobytes() == ramsey(r, phi, omega_mod, t).tobytes()
                 fit = fit_exp(t, _point_envelope(r, phi, omega_mod, t))
                 assert (T_eff[i, j], converged[i, j]) == (fit.T, fit.converged)
+
+    @pytest.mark.parametrize("omega_mod", [5.0, 3.0])
+    def test_envelope_is_the_squeezer_frame_coherence(self, omega_mod, monkeypatch):
+        # The carrier has unit modulus, so each point's fitted envelope is
+        # |(x~, y~)| of its own squeezer-frame propagator, on overdamped,
+        # critical and underdamped detunings alike.
+        from sqbloch import protocols
+
+        stacks = []
+        monkeypatch.setattr(protocols, "fit_exp", lambda t, y: stacks.append(y) or fit_exp(t, y))
+        t = np.linspace(0.0, 4.0, 161)
+        detuning_sweep(CRITICAL, self.DELTAS, self.PHIS, t, omega_mod=omega_mod)
+        (envelopes,) = stacks
+        envelopes = envelopes.reshape(len(self.PHIS), len(self.DELTAS), t.size)
+        for i, phi in enumerate(self.PHIS):
+            for j, delta in enumerate(self.DELTAS):
+                prop = transverse_propagator_xy(replace(CRITICAL, delta=delta), t)
+                expected = np.hypot(*(prop @ np.array([math.sin(phi), math.cos(phi)])).T)
+                assert np.all(np.abs(envelopes[i, j] - expected) <= 1e-13 * expected)
 
     def test_failing_row_leaves_the_others_unchanged(self, monkeypatch):
         from sqbloch import estimation, protocols
