@@ -100,7 +100,7 @@ class DecayRates:
             warnings.warn(
                 f"moments (N={self.N:.4g}, M={self.M_abs:.4g}) violate "
                 "|M|^2 <= N(N+1); proceeding (fit-derived values may do this)",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @classmethod

@@ -345,7 +345,7 @@ class MomentEstimate:
             warnings.warn(
                 f"estimated moments (N={self.N:.4g}, M={self.M:.4g}) violate "
                 "|M|^2 <= N(N+1) (possible within measurement error)",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

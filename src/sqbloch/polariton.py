@@ -78,7 +78,7 @@ class TransmonCavityParams:
             warnings.warn(
                 f"E_J/E_C = {self.E_J / self.E_C:.1f} < 20: outside the "
                 "transmon regime",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -140,8 +140,9 @@ class TestAxisTimescales:
         assert ts.Ty == pytest.approx(ts.Tx)
 
     def test_unphysical_rates_guard(self):
-        with pytest.warns(UserWarning, match="violate"):
+        with pytest.warns(UserWarning, match="violate") as record:
             bad = DecayRates(gamma=1.0, N=0.1, M_abs=0.7)
+        assert record[0].filename == __file__  # the caller, not the generated __init__
         with pytest.raises(UnphysicalRatesError):
             axis_timescales(bad)
 

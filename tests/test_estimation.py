@@ -480,6 +480,11 @@ class TestMomentsFromDecays:
         assert est.N_uncorrected == pytest.approx(n_th, rel=1e-9)
         assert t1_int == pytest.approx(0.675, abs=1e-3)
 
+    def test_unphysical_inversion_warns_at_its_call(self):
+        with pytest.warns(UserWarning, match="violate") as record:
+            moments_from_decays(0.65, 0.2, 0.1)
+        assert record[0].filename.endswith("estimation.py")
+
     def test_inconsistent_inputs(self):
         with pytest.raises(InconsistentInputsError):
             moments_from_decays(0.65, 0.9, 1.3)
@@ -540,8 +545,9 @@ class TestReconstructWigner:
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
 
     def test_unphysical_estimate_rejected(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             bad = MomentEstimate(N=0.1, M=0.8)
+        assert record[0].filename == __file__  # the caller, not the generated __init__
         with pytest.raises(ValueError):
             reconstruct_wigner(bad)
 

@@ -170,8 +170,9 @@ class TestBuildHamiltonian:
             TransmonCavityParams(**{name: value})
 
     def test_transmon_regime_warning(self):
-        with pytest.warns(UserWarning, match="transmon regime"):
+        with pytest.warns(UserWarning, match="transmon regime") as record:
             TransmonCavityParams(E_J=1.0, E_C=0.208)
+        assert record[0].filename == __file__  # the caller, not the generated __init__
 
 
 class TestDiagonalizePolaritons:

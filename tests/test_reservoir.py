@@ -275,9 +275,8 @@ class TestWigner:
     @pytest.mark.parametrize("kind_i", ["antisymmetric", "shifted", "centre -0", "random"])
     @pytest.mark.parametrize("kind_q", ["antisymmetric", "random"])
     def test_values_equal_the_full_formula(self, size_i, size_q, kind_i, kind_q):
-        # Half of an antisymmetric axis is evaluated and mirrored; any other
-        # axis is evaluated in full.  Either way every value's bits are the
-        # full broadcast formula's.
+        # On antisymmetric, shifted, -0-centred and random axes alike, every
+        # value's bits are the full broadcast formula's.
         rng = np.random.default_rng(7 * size_i + size_q)
 
         def axis(kind, size):

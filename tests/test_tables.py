@@ -307,12 +307,14 @@ def test_format_table_blocks(monkeypatch, shape):
 
 def _check_blocks(blocks, text):
     """``blocks`` join to ``text``, and each after the first (the header)
-    holds whole rows of at most _BLOCK_CELLS cells, or one wider row."""
+    holds whole rows: exactly as many as _BLOCK_CELLS cells hold (at least
+    one), except the last block, which holds no more."""
     assert "".join(blocks) == text
-    for block in blocks[1:]:
-        rows = block.splitlines()
-        assert block.endswith("\n")
-        assert len(rows) == 1 or sum(r.count(",") + 1 for r in rows) <= _BLOCK_CELLS
+    for k in range(1, len(blocks)):
+        rows = blocks[k].splitlines()
+        assert blocks[k].endswith("\n")
+        full = max(1, _BLOCK_CELLS // (rows[0].count(",") + 1))
+        assert len(rows) == full if k < len(blocks) - 1 else 1 <= len(rows) <= full
 
 
 @pytest.mark.parametrize("n_points", [241, 240, 3, 2])
