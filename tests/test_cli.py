@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqbloch.blochdyn import DecayRates
-from sqbloch import cli, errors, estimation, numerics, polariton
+from sqbloch import cli, errors, estimation, numerics, polariton, reservoir
 from sqbloch.cli import ConfigError, _polariton_system, load_config, main
 from sqbloch.protocols import ramsey
 
@@ -1523,6 +1523,63 @@ class TestMain:
         assert "numerical failure in 'wigner': UnphysicalRatesError: quadrature variance " \
             "sigma_I^2 = 2(N + |M| + 1/2) is not finite at N = 1e+308, |M| = 0" in captured.err
         assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["1e160", "1e200", "1e300"])
+    def test_overflowing_normalization_exit_3(self, tmp_path, capsys, n):
+        # sigma_I^2 and sigma_Q^2 are finite but their product is not, so the
+        # normalization would be 0 and the grid all zeros: exit 3, no file.
+        conf = tmp_path / "c.conf"
+        conf.write_text(_with_field(_with_field(BUNDLED, "n", n), "m", "0"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["wigner", "--config", str(conf), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(
+            "numerical failure in 'wigner': UnphysicalRatesError: Wigner normalization: "
+            "sigma_I^2 sigma_Q^2 = "
+        )
+        assert captured.err.rstrip().endswith("overflows")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_largest_finite_normalization_exit_0(self, tmp_path):
+        # At n = 1e150 the product 4e300 is finite: the grid is the formula's.
+        conf = tmp_path / "c.conf"
+        conf.write_text(_with_field(_with_field(BUNDLED, "n", "1e150"), "m", "0"))
+        out = tmp_path / "o"
+        assert main(["wigner", "--config", str(conf), "--out", str(out)]) == 0
+        summary = json.loads((out / "wigner_summary.json").read_text())
+        assert summary["peak"] == pytest.approx(3.18e-151, rel=1e-3)
+        assert summary["integral"] == pytest.approx(1.0, abs=1e-3)
+        v = reservoir.variances(reservoir.SqueezedReservoir(N=1e150, M=0.0))
+        grid = reservoir.wigner_grid_for(v)
+        i_axis, q_axis = grid.I_axis, grid.Q_axis
+        values = 2.0 / (math.pi * math.sqrt(v.sigmaI_sq * v.sigmaQ_sq)) * np.exp(
+            -2.0 * i_axis[:, None] ** 2 / v.sigmaI_sq - 2.0 * q_axis[None, :] ** 2 / v.sigmaQ_sq
+        )
+        rows = [[i, *row] for i, row in zip(i_axis.tolist(), values.tolist())]
+        expected = "#schema=wigner-grid-v1\n," + ",".join("%.9g" % q for q in q_axis.tolist())
+        expected += "\n" + "".join(",".join("%.9g" % x for x in row) + "\n" for row in rows)
+        assert (out / "wigner.csv").read_text() == expected
+
+    def test_estimate_overflowing_normalization_exit_3(self, tmp_path, capsys, monkeypatch):
+        # An estimate whose Wigner product overflows fails in reconstruction.
+        monkeypatch.setattr(
+            estimation, "estimate_moments",
+            lambda *args: estimation.MomentEstimate(N=1e160, M=0.0),
+        )
+        out = tmp_path / "o"
+        code = main(["estimate", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(
+            "numerical failure in 'estimate': UnphysicalRatesError: Wigner reconstruction "
+            "from N = 1e+160, M = 0: Wigner normalization: sigma_I^2 sigma_Q^2 = "
+        )
+        assert captured.out == ""
         assert not out.exists()
 
 

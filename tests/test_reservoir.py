@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,12 +293,69 @@ class TestWigner:
 
         v = QuadratureVariances(4.92, 0.60)
         i_axis, q_axis = axis(kind_i, size_i), axis(kind_q, size_q)
-        norm = 2.0 / (math.pi * math.sqrt(v.sigmaI_sq * v.sigmaQ_sq))
-        ii, qq = i_axis[:, None], q_axis[None, :]
-        full = norm * np.exp(-2.0 * ii**2 / v.sigmaI_sq - 2.0 * qq**2 / v.sigmaQ_sq)
+        full = _broadcast_formula(v, i_axis, q_axis)
         values = wigner(v, i_axis, q_axis).values
         assert values.shape == full.shape
         assert np.array_equal(values.view(np.uint64), full.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["grid", "shifted", "random"])
+    @pytest.mark.parametrize(
+        "v",
+        [
+            QuadratureVariances(1.0, 1.0),
+            variances(OPERATING),
+            variances(SqueezedReservoir(N=3.0, M=(1.0 - 1e-9) * ideal_M(3.0))),
+        ],
+        ids=["vacuum", "operating", "near-ideal"],
+    )
+    def test_grid_keeps_the_formula_bits(self, v, kind):
+        # The exponent, exponentiated and scaled in place, holds the bits of
+        # norm * np.exp(...) on the 241-point grid and off its symmetry: a
+        # grid larger than numpy's 8192-element ufunc buffer, which the
+        # small grids above never fill.
+        grid = wigner_grid_for(v)
+        i_axis, q_axis = grid.I_axis.copy(), grid.Q_axis.copy()
+        if kind == "shifted":
+            i_axis[-1] = np.nextafter(i_axis[-1], np.inf)
+            q_axis[0] = np.nextafter(q_axis[0], -np.inf)
+        elif kind == "random":
+            rng = np.random.default_rng(37)
+            i_axis, q_axis = rng.normal(size=241) * i_axis[-1], rng.normal(size=240)
+        values = wigner(v, i_axis, q_axis).values
+        full = _broadcast_formula(v, i_axis, q_axis)
+        assert np.array_equal(values.view(np.uint64), full.view(np.uint64))
+
+    def test_one_grid_sized_array(self):
+        # The grid's one float array (464,648 bytes at 241 points) plus the
+        # nonnegativity mask and the iterator buffers stay under 1.25 grids.
+        v = variances(OPERATING)
+        wigner_grid_for(v)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            grid = wigner_grid_for(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.values.nbytes == 464_648
+        assert peak <= 1.25 * grid.values.nbytes
+
+    @pytest.mark.parametrize("n", [1e160, 1e200, 1e300])
+    def test_overflowing_normalization_raises(self, n):
+        # sigma_I^2 and sigma_Q^2 are finite, their product is not, so the
+        # normalization 2/(pi sqrt(...)) would be 0 and the grid all zeros.
+        v = variances(SqueezedReservoir(N=n, M=0.0))
+        assert math.isfinite(v.sigmaI_sq) and math.isfinite(v.sigmaQ_sq)
+        with pytest.raises(UnphysicalRatesError, match=r"sigma_I\^2 sigma_Q\^2 = .* overflows"):
+            wigner(v, np.array([0.0]), np.array([0.0]))
+        with pytest.raises(UnphysicalRatesError, match="overflows"):
+            wigner_grid_for(v)
+
+
+def _broadcast_formula(v, i_axis, q_axis) -> np.ndarray:
+    """The Wigner values as one broadcast expression."""
+    norm = 2.0 / (math.pi * math.sqrt(v.sigmaI_sq * v.sigmaQ_sq))
+    ii, qq = i_axis[:, None], q_axis[None, :]
+    return norm * np.exp(-2.0 * ii**2 / v.sigmaI_sq - 2.0 * qq**2 / v.sigmaQ_sq)
 
 
 def _per_value_rows(rows) -> str:
