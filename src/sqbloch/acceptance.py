@@ -328,16 +328,11 @@ def criterion_7_master_equation_reduction(res: CriterionResult) -> None:
         tol=1e-10,
         t_eval=np.linspace(0.0, 5.0, 11),
     )
-    ts = blochdyn.axis_timescales(rates)
     sz_ss = blochdyn.steady_state(rates).sz
-    worst = 0.0
-    for tk, yk in zip(sol.t, sol.y):
-        got = polariton.bloch_from_density(yk.reshape(dim, dim), j=i_minus)
-        exp_xy = blochdyn.transverse_propagator_xy(rates, tk) @ s0[:2]
-        exp_z = sz_ss + (s0[2] - sz_ss) * math.exp(-tk / ts.Tz)
-        worst = max(
-            worst, float(np.abs(got - np.array([exp_xy[0], exp_xy[1], exp_z])).max())
-        )
+    exp_xy = blochdyn.transverse_propagator_xy(rates, sol.t) @ s0[:2]
+    exp_z = sz_ss + (s0[2] - sz_ss) * np.exp(-sol.t / blochdyn.axis_timescales(rates).Tz)
+    got = polariton.bloch_from_density(sol.y.T.reshape(dim, dim, -1), j=i_minus)  # (3, time)
+    worst = float(np.abs(got - np.vstack([exp_xy.T, exp_z])).max())
     res.check(
         worst <= 1e-6,
         f"Bloch components agree to {worst:.2e} over 5 us (tol 1e-6) at the "

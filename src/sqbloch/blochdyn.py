@@ -15,6 +15,7 @@ matrix.  Time is in microseconds, rates in inverse microseconds.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -218,9 +219,12 @@ def decay_eigenrates(r: DecayRates) -> tuple[complex, complex]:
 def _kappa(r: DecayRates, delta: float) -> complex:
     """``sqrt(G_M^2 - (2 pi delta)^2)``, imaginary when underdamped."""
     try:
-        return complex(r.gamma_M**2 - (2.0 * math.pi * delta) ** 2) ** 0.5
+        kappa_sq = r.gamma_M**2 - (2.0 * math.pi * float(delta)) ** 2
     except OverflowError:
-        raise NumericalFailure(f"kappa^2 overflows at delta = {delta:.6g} MHz") from None
+        kappa_sq = -math.inf
+    if math.isinf(kappa_sq):  # also when 2 pi delta itself overflows: inf ** 2 does not raise
+        raise NumericalFailure(f"kappa^2 overflows at delta = {delta:.6g} MHz")
+    return cmath.sqrt(kappa_sq)
 
 
 def _closed_form(r: DecayRates, deltas: np.ndarray, t, b: np.ndarray) -> np.ndarray:

@@ -186,12 +186,14 @@ def integrate_ode(
 
     Local error per step is kept at or below ``tol`` (used as both absolute
     and relative tolerance).  The requested sample times ``t_eval`` are
-    filled by the pair's order-4 dense-output interpolant.  Real and complex
-    states are both supported, each solved in at least double precision
-    (float64 or complex128, whatever the dtype of ``y0``).  The stage, error
-    and interpolant sums of a complex state run on the float view of its stage
-    stack (the coefficients are real); a real state is its own view, so its
-    arithmetic is unchanged.
+    filled by the pair's order-4 dense-output interpolant; they must lie in
+    ``t_span``, and ``sol.t`` is ``t_eval``, since the last step ends exactly
+    on ``t_span[1]``.  A sample at ``t_span[0]`` is ``y0`` (a ``-0.0`` entry
+    may come back as ``+0.0``).  Real and complex states are both supported,
+    each solved in at least double precision (float64 or complex128, whatever
+    the dtype of ``y0``).  The stage, error and interpolant sums of a complex
+    state run on the float view of its stage stack (the coefficients are
+    real); a real state is its own view, so its arithmetic is unchanged.
 
     A non-finite ``y0`` or a ``tol`` that is not positive raises
     ``ValueError`` before ``f`` is called; a non-finite ``f(t0, y0)`` raises
@@ -208,8 +210,8 @@ def integrate_ode(
     if not np.isfinite(y).all():
         raise ValueError("y0 holds a non-finite value")
 
-    t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval.size and (t_eval.min() < t0 - 1e-12 or t_eval.max() > t1 + 1e-12):
+    t_eval = np.array(t_eval, dtype=float)
+    if t_eval.size and not t0 <= t_eval.min() <= t_eval.max() <= t1:  # NaN too
         raise ValueError("t_eval must lie within t_span")
     if np.any(np.diff(t_eval) < 0):
         raise ValueError("t_eval must be nondecreasing")
@@ -235,9 +237,6 @@ def integrate_ode(
     t = t0
     eval_idx = 0
     out_y = np.empty((t_eval.size, y.size), dtype=y.dtype)
-    while eval_idx < t_eval.size and t_eval[eval_idx] <= t0 + 1e-15:
-        out_y[eval_idx] = y
-        eval_idx += 1
 
     err_norm = err_prev = 1e-4
     hmin = 1e4 * np.finfo(float).eps * max(abs(t0), abs(t1))
@@ -268,14 +267,15 @@ def integrate_ode(
         err_norm = _error_norm(err, abs_y, abs_y_new, tol)
 
         if err_norm <= 1.0:
-            t_new = t + h
-            if eval_idx < t_eval.size and t_eval[eval_idx] <= t_new + 1e-15:
+            # t + (t1 - t) can round short of t1 and leave a sub-hmin step.
+            t_new = t1 if h == t1 - t else t + h
+            if eval_idx < t_eval.size and t_eval[eval_idx] <= t_new:
                 # The step's interpolant coefficients, shared by its samples.
                 dy = y_new - y
                 r3 = h * k[0] - dy
                 r4 = dy - h * k[6] - r3
                 r5 = h * (_DP_D @ kr).view(y.dtype)
-                while eval_idx < t_eval.size and t_eval[eval_idx] <= t_new + 1e-15:
+                while eval_idx < t_eval.size and t_eval[eval_idx] <= t_new:
                     theta = (t_eval[eval_idx] - t) / h
                     out_y[eval_idx] = y + theta * (
                         dy + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
@@ -293,7 +293,7 @@ def integrate_ode(
             h *= min(1.0, max(0.1, 0.9 * err_norm ** (-0.2)))
 
     return OdeSolution(
-        t=t_eval[:eval_idx].copy(), y=out_y[:eval_idx], n_rhs=1 + 6 * steps,
+        t=t_eval, y=out_y, n_rhs=1 + 6 * steps,
         n_accepted=accepted, n_rejected=steps - accepted,
     )
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sqbloch.blochdyn import (
     BlochState,
     DecayRates,
+    _kappa,
     axis_timescales,
     bloch_rhs,
     decay_eigenrates,
@@ -16,7 +17,7 @@ from sqbloch.blochdyn import (
     steady_state,
     transverse_propagator_xy,
 )
-from sqbloch.errors import UnphysicalRatesError
+from sqbloch.errors import NumericalFailure, UnphysicalRatesError
 from sqbloch.numerics import integrate_ode
 
 SQUEEZED_RATES = DecayRates.from_times(T1=0.65, T_phi=6.6, N=0.88, M=1.08)
@@ -175,6 +176,23 @@ class TestDecayEigenrates:
         assert lp.real == pytest.approx(rates.gamma_N)
         assert lm.real == pytest.approx(rates.gamma_N)
         assert lp.imag != 0.0
+
+    @pytest.mark.parametrize("delta", [1.0, 3.7, 50.0])
+    def test_underdamped_real_parts_are_gamma_n(self, delta):
+        # complex ** 0.5 goes through polar form and leaves kappa a real part
+        # of a few 1e-16 past the exceptional point; the square root is
+        # exactly imaginary there.
+        r = DecayRates.from_times(T1=0.65, N=0.88, M=1.08, delta=delta)
+        assert _kappa(r, r.delta).real == 0.0
+        lp, lm = decay_eigenrates(r)
+        assert lp.real == lm.real == r.gamma_N
+
+    @pytest.mark.parametrize("delta", [1e154, np.float64(-1e300), 1e308],
+                             ids=["square", "numpy-square", "product"])
+    def test_kappa_overflow_is_named(self, delta):
+        # The square of 2 pi delta overflows, or 2 pi delta itself does.
+        with pytest.raises(NumericalFailure, match="^kappa\\^2 overflows at delta = "):
+            _kappa(SQUEEZED_RATES, delta)
 
     @given(rates_strategy(max_detuning=5.0))
     @settings(max_examples=60)

@@ -340,6 +340,47 @@ class TestIntegrateOde:
         with pytest.raises(ValueError):
             integrate_ode(lambda t, y: -y, [1.0], (1.0, 1.0), t_eval=[1.0])
 
+    @pytest.mark.parametrize(
+        "t_eval",
+        [[-1e-13, 0.5, 1.0], [0.0, 0.5, 1.0 + 1e-13], [0.0, math.nan, 1.0]],
+        ids=["before", "after", "nan"],
+    )
+    def test_sample_outside_span_raises(self, t_eval):
+        # A sample outside t_span by any amount is refused, not dropped.
+        rhs, calls = self._counted(lambda t, y: -y)
+        with pytest.raises(ValueError, match="^t_eval must lie within t_span$"):
+            integrate_ode(rhs, [1.0], (0.0, 1.0), t_eval=t_eval)
+        assert calls == []
+
+    def test_last_step_ends_on_t1_of_a_shifted_span(self):
+        # t + (t1 - t) rounds one ulp short of t1 = -0.394: the step must
+        # still end on t1, not leave a step below the floor.
+        sol = integrate_ode(lambda t, y: -1e-3 * y, [1.0], (-1.85, -0.394), tol=1e-6,
+                            t_eval=[-0.394])
+        assert sol.t.tolist() == [-0.394] and sol.n_accepted == 1
+        assert sol.y[0, 0] == pytest.approx(math.exp(-1.456e-3), rel=1e-9)
+
+    def test_shifted_spans_never_underflow(self):
+        # t0 ~ U(-3, 3) and length 10^U(-2, 3): a few in a thousand of these
+        # spans end one ulp short of t1 unless the last step lands on it.
+        rng = np.random.default_rng([38, 20261022])
+        for t0, length in zip(rng.uniform(-3.0, 3.0, 2000), 10.0 ** rng.uniform(-2.0, 3.0, 2000)):
+            t0, t1 = float(t0), float(t0 + length)
+            sol = integrate_ode(lambda t, y: -1e-3 * y, [1.0], (t0, t1), tol=1e-6, t_eval=[t1])
+            assert sol.y[0, 0] == pytest.approx(math.exp(-1e-3 * (t1 - t0)), rel=1e-6), (t0, t1)
+
+    @pytest.mark.parametrize("y0", [[0.3, -1.2], [0.5 - 0.25j, 2.0j]], ids=["real", "complex"])
+    def test_every_sample_comes_back_at_its_time(self, y0):
+        # Samples at both ends of a shifted span, repeated ones included, are
+        # all filled: sol.t is t_eval and the samples at t0 are y0 itself.
+        t0, t1 = -1.85, -0.394
+        t_eval = np.array([t0, t0, -1.1, -0.7, -0.7, t1, t1])
+        sol = integrate_ode(lambda t, y: np.array([y[1], -4.0 * y[0]]), y0, (t0, t1),
+                            tol=1e-9, t_eval=t_eval)
+        assert sol.t.tolist() == t_eval.tolist() and sol.y.shape == (7, 2)
+        assert np.all(sol.y[:2] == np.array(y0))
+        assert np.all(sol.y[3] == sol.y[4]) and np.all(sol.y[5] == sol.y[6])
+
     @staticmethod
     def _counted(f):
         """``f`` and the list of its calls, failing past one step's 7 calls."""
